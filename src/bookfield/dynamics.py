@@ -20,14 +20,25 @@ per-cell volume changes).  ``simulate`` runs many ticks with identical
 arithmetic but chunked noise generation and lightweight recording; the two
 paths consume the RNG stream identically, so a simulate() run is
 bit-for-bit the same trajectory as repeated step() calls on one stream.
+
+``simulate`` draws the noise of ``NOISE_CHUNK`` ticks at a time: it fills the
+uniforms and exponentials tick by tick in the order ``step`` draws them,
+transforms the whole chunk in place, then runs the chunk's ticks.  At the
+reference grid (512 cells) a chunk array is 1 MB, small enough that filling,
+transforming and consuming it stay in cache.
+
+A velocity that would move the price by half the grid or more in one tick
+ends the run with NumericError naming the tick.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import stable_noise
+from .errors import NumericError
 from .field import (
     MarketOrderParams,
     ModelParams,
@@ -49,6 +60,9 @@ __all__ = [
     "check_stability",
 ]
 
+# Ticks of noise drawn and transformed at once by simulate(); see the module docstring.
+NOISE_CHUNK = 64
+
 
 @dataclass
 class StepRecord:
@@ -67,7 +81,8 @@ def market_order_rate(v: float, p: MarketOrderParams) -> tuple[float, float]:
     """Market-order volumes (buy, sell) per tick at velocity v, clamped at zero."""
     w = v / p.v0
     th = np.tanh(w)
-    se = 1.0 / np.cosh(w)
+    e = math.exp(-abs(w))  # sech(w) = 2 e^-|w| / (1 + e^-2|w|) cannot overflow
+    se = 2.0 * e / (1.0 + e * e)
     buy = (p.k0 * th + p.k_inf - p.k1 * se) * p.v0
     sell = (-p.k0 * th + p.k_inf - p.k1 * se) * p.v0
     return max(float(buy), 0.0), max(float(sell), 0.0)
@@ -138,6 +153,8 @@ class _TickEngine:
         alpha = params.stable.alpha
         power = 1.0 if params.noise_time_scaling == "linear" else 1.0 / alpha
         self.dt_noise = params.tau * (dt / params.tau) ** power
+        self.scale_in = params.stable.scale * self.dt_noise
+        self.scale_out = self.sigma_out_arr * self.dt_noise * params.stable.scale
         act = params.activity
         if act is None:
             s = np.asarray(params.sigma_in(x), dtype=float)
@@ -173,19 +190,19 @@ class _TickEngine:
         p = self.p
         bid, ask = field.bid, field.ask
         if self.diffusive:
-            fb = np.diff(self.d_arr * bid)
-            fa = np.diff(self.d_arr * ask)
+            db = self.d_arr * bid
+            da = self.d_arr * ask
+            fb = db[1:] - db[:-1]
+            fa = da[1:] - da[:-1]
             bid[:-1] += self.c_diff * fb
             bid[1:] -= self.c_diff * fb
             ask[:-1] += self.c_diff * fa
             ask[1:] -= self.c_diff * fa
         s_bid, s_ask = self.placement_scales(v_prev)
-        scale = p.stable.scale * self.dt_noise
-        bid += s_bid * xi_b * scale
-        ask += s_ask * xi_a * scale
-        out = self.sigma_out_arr * self.dt_noise * p.stable.scale
-        np.subtract(bid, np.minimum(out * ze_b * bid, bid), out=bid)
-        np.subtract(ask, np.minimum(out * ze_a * ask, ask), out=ask)
+        bid += s_bid * xi_b * self.scale_in
+        ask += s_ask * xi_a * self.scale_in
+        np.subtract(bid, np.minimum(self.scale_out * ze_b * bid, bid), out=bid)
+        np.subtract(ask, np.minimum(self.scale_out * ze_a * ask, ask), out=ask)
         mo_buy, mo_sell = market_order_rate(v_prev, p.mo)
         mo_buy *= self.mo_frac
         mo_sell *= self.mo_frac
@@ -195,7 +212,10 @@ class _TickEngine:
         bid[0] -= eaten_bid
         n0 = float(bid[0] + ask[0])
         v = _velocity(bid, ask, v_prev, p, self.d_arr[:3], self.dx)
-        _, spill = shift_boundary(field, v * self.dt)
+        try:
+            _, spill = shift_boundary(field, v * self.dt)
+        except ValueError as exc:
+            raise NumericError(f"velocity {v:.6g} outgrew the grid: {exc}") from None
         field.t += self.dt
         return v, n0, eaten_ask, eaten_bid, spill
 
@@ -278,12 +298,14 @@ def simulate(
     seed: int,
     tracked_cells=None,
     v0: float = 0.0,
-    noise_chunk: int = 2048,
 ) -> SimulationResult:
     """Run ``steps`` ticks from the given field (mutated in place).
 
     tracked_cells: cell indices whose bid/ask volumes are recorded every tick
     (defaults to 8 cells spread log-evenly across the grid).
+
+    Raises NumericError naming the tick index if the velocity outgrows the
+    grid; the field then holds the state reached at that tick.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -311,24 +333,30 @@ def simulate(
     times = field.t + dt * (1.0 + np.arange(steps))
     L = field.length
     cap = unit.unit_cap
+    u_buf = np.empty((min(NOISE_CHUNK, steps), 4, L))
+    w_buf = np.empty_like(u_buf)
     v = v0
     done = 0
     while done < steps:
-        m = min(noise_chunk, steps - done)
-        # Per-tick draw order matches step(): uniforms then exponentials, (4, L) each.
-        u = np.empty((m, 4, L))
-        w = np.empty((m, 4, L))
+        m = min(NOISE_CHUNK, steps - done)
+        u, w = u_buf[:m], w_buf[:m]
+        # Per-tick draw order matches step(): uniforms then exponentials, (4, L)
+        # each.  uniform(0, pi) is pi * random() bit for bit on the same stream.
         for j in range(m):
-            u[j] = rng.uniform(0.0, np.pi, (4, L))
-            w[j] = rng.standard_exponential((4, L))
+            rng.random(out=u[j])
+            rng.standard_exponential(out=w[j])
+        u *= np.pi
         noise = stable_noise._kanter_unit(unit.alpha, u, w)
         if cap != np.inf:
             np.minimum(noise, cap, out=noise)
         for j in range(m):
             t = done + j
-            v, n0, mob, mos, spill = engine.tick(
-                field, v, noise[j, 0], noise[j, 1], noise[j, 2], noise[j, 3]
-            )
+            try:
+                v, n0, mob, mos, spill = engine.tick(
+                    field, v, noise[j, 0], noise[j, 1], noise[j, 2], noise[j, 3]
+                )
+            except NumericError as exc:
+                raise NumericError(f"tick {t} of {steps}: {exc}") from None
             out_v[t] = v
             out_n0[t] = n0
             out_mob[t] = mob

@@ -9,8 +9,10 @@ whose stationary density is
 
     p(v) proportional to (2 / sigma^2(v)) * exp(2 * int_0^v mu(u)/sigma^2(u) du).
 
-The sigma^2 bracket is implemented exactly as written above (note the first
-power of k_inf against squared tanh/sech terms); see diffusion_coefficient.
+The sigma^2 bracket is the one written above (note the first power of k_inf
+against squared tanh/sech terms), evaluated through sech^2 = 1 - tanh^2 as
+(k0^2 + k1) tanh^2 + (k_inf - k1) so that no cosh overflows at large |v|; see
+diffusion_coefficient.
 
 Asymptotically the density has a Gaussian core inside |v| <~ v_c (the core
 width, nonzero only when k_inf > k1), a power-law mid regime v_c << |v| << v0
@@ -83,8 +85,8 @@ def drift(v, tau: float):
 
 
 def _bracket(w, p: FPParams):
-    sech = 1.0 / np.cosh(w)
-    return p.k0**2 * np.tanh(w) ** 2 + (p.k_inf - p.k1 * sech**2)
+    # k_inf - k1 sech^2 = (k_inf - k1) + k1 tanh^2: no cosh, so no overflow at large |w|.
+    return (p.k0**2 + p.k1) * np.tanh(w) ** 2 + (p.k_inf - p.k1)
 
 
 def diffusion_coefficient(v, p: FPParams):

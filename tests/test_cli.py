@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,16 @@ class TestSimulate:
         assert summary["steps"] == 1500
         assert summary["mean_n0"] > 0
         assert (tmp_path / "s" / "config.json").exists()
+
+    def test_velocity_outgrowing_grid_is_numeric_error(self, tmp_path, capsys):
+        # Untruncated alpha = 1/2 noise eventually drives the price past half
+        # the grid in one tick; that is a numeric failure, not a usage error.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stable": {"truncation_quantile": 1.0}}))
+        code = run(["simulate", "--config", str(cfg), "--steps", "20000", "--seed", "1",
+                    "--no-records", "--out", str(tmp_path / "t")])
+        assert code == 4
+        assert re.search(r"tick \d+ of 20000", capsys.readouterr().err)
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bookfield import profiles
+from bookfield import configs, profiles
 from bookfield.dynamics import (
+    NOISE_CHUNK,
     compute_velocity,
     market_order_rate,
     order_imbalance,
@@ -47,6 +48,25 @@ def make_params(
     )
 
 
+def assert_simulate_matches_step_loop(alpha, steps):
+    params = make_params(sigma_in=0.05, sigma_out=0.01, diffusion=1e-5, k0=0.5,
+                         k_inf=0.2, k1=0.2, n0_floor=0.5, alpha=alpha)
+    f1 = new_field(32, 0.01, lambda x: np.full_like(x, 4.0))
+    res = simulate(params, f1, steps=steps, dt=1.0, seed=3)
+    f2 = new_field(32, 0.01, lambda x: np.full_like(x, 4.0))
+    f2.fractional_offset = 0.5 * f2.dx  # simulate() registers mid-cell
+    rng = np.random.default_rng(3)
+    v = 0.0
+    vs = []
+    for _ in range(steps):
+        f2, rec = step(f2, v, params, 1.0, rng)
+        v = rec.v
+        vs.append(v)
+    assert np.array_equal(f1.bid, f2.bid)
+    assert np.array_equal(f1.ask, f2.ask)
+    assert np.array_equal(res.velocities, vs)
+
+
 MO = MarketOrderParams(k0=3.0, k_inf=2.0, k1=2.0, v0=0.5)
 
 
@@ -62,6 +82,16 @@ class TestMarketOrderRate:
         p2 = MarketOrderParams(k0=1.0, k_inf=2.0, k1=1.0, v0=0.5)
         buy2, sell2 = market_order_rate(60.0 * p2.v0, p2)
         assert sell2 == pytest.approx((p2.k_inf - p2.k0) * p2.v0, rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_overflow_at_large_velocity(self):
+        p = MarketOrderParams(k0=3.0, k_inf=2.0, k1=1.0, v0=0.5)
+        buy, sell = market_order_rate(1e3 * p.v0, p)
+        assert buy == pytest.approx((p.k0 + p.k_inf) * p.v0, rel=1e-12)
+        assert sell == 0.0
+        buy, sell = market_order_rate(-1e3 * p.v0, p)
+        assert buy == 0.0
+        assert sell == pytest.approx((p.k0 + p.k_inf) * p.v0, rel=1e-12)
 
     def test_buy_sell_parity(self):
         p = MarketOrderParams(k0=3.0, k_inf=2.0, k1=1.5, v0=0.5)
@@ -269,17 +299,20 @@ class TestStep:
         assert np.array_equal(runs[0].final_field.bid, runs[1].final_field.bid)
 
     def test_simulate_matches_step_loop(self):
-        params = make_params(sigma_in=0.05, sigma_out=0.01, diffusion=1e-5, k0=0.5,
-                             k_inf=0.2, k1=0.2, n0_floor=0.5)
-        f1 = new_field(32, 0.01, lambda x: np.full_like(x, 4.0))
-        res = simulate(params, f1, steps=80, dt=1.0, seed=3)
-        f2 = new_field(32, 0.01, lambda x: np.full_like(x, 4.0))
-        f2.fractional_offset = 0.5 * f2.dx  # simulate() registers mid-cell
-        rng = np.random.default_rng(3)
-        v = 0.0
-        for _ in range(80):
-            f2, rec = step(f2, v, params, 1.0, rng)
-            v = rec.v
-        assert np.array_equal(f1.bid, f2.bid)
-        assert np.array_equal(f1.ask, f2.ask)
-        assert res.velocities[-1] == v
+        assert_simulate_matches_step_loop(alpha=0.5, steps=80)
+
+    def test_simulate_matches_step_loop_general_alpha(self):
+        # alpha = 0.7 runs the general Kanter transform rather than the
+        # alpha = 1/2 closed form; the run ends mid-way through its fourth chunk.
+        assert_simulate_matches_step_loop(alpha=0.7, steps=3 * NOISE_CHUNK + 17)
+
+    def test_reference_run_matches_recorded_values(self):
+        # Recorded from the Kanter-transform sampler before the alpha = 1/2
+        # closed form replaced it; the two agree to rounding, and the
+        # tolerance leaves room for platform differences in vectorized cos.
+        params = configs.reference_model_params()
+        f = configs.reference_grid().new_field(configs.reference_init_profile())
+        res = simulate(params, f, steps=2000, dt=1.0, seed=11)
+        assert float(np.std(res.velocities)) == pytest.approx(5.1415570199656515e-05, rel=1e-9)
+        assert float(np.mean(res.n0s)) == pytest.approx(82.15845473969684, rel=1e-9)
+        assert float(f.bid.sum()) == pytest.approx(3582.3053087463804, rel=1e-9)

@@ -47,6 +47,12 @@ class TestDiffusionCoefficient:
         expected = BASE.v0**2 * (BASE.k0**2 + BASE.k_inf) / (BASE.n0**2 * BASE.tau**2)
         assert val == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_overflow_at_large_velocity(self):
+        val = diffusion_coefficient(1e3 * BASE.v0, BASE)
+        expected = BASE.v0**2 * (BASE.k0**2 + BASE.k_inf) / (BASE.n0**2 * BASE.tau**2)
+        assert val == pytest.approx(expected, rel=1e-12)
+
     def test_even_function(self):
         for v in np.linspace(0.0, 4.0, 17):
             assert diffusion_coefficient(v, BASE) == pytest.approx(
