@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy import optimize
 
+from .dynamics import trend_response
 from .errors import DataError
-from .field import MarketOrderParams
 
 __all__ = [
     "SeriesFrame",
@@ -158,11 +158,8 @@ def _lag_steps(frame: SeriesFrame, dt: float) -> int:
 
 
 def _bin_column(frame: SeriesFrame, x: float) -> int:
-    idx = int(np.argmin(np.abs(frame.x_bins - x)))
-    if abs(frame.x_bins[idx] - x) > 0.51 * max(np.min(np.diff(frame.x_bins, prepend=0.0)), 1e-300):
-        # tolerate any x inside the tracked range; nearest bin is the contract
-        pass
-    return idx
+    """The tracked bin nearest to x."""
+    return int(np.argmin(np.abs(frame.x_bins - x)))
 
 
 def _segment_deltas(frame: SeriesFrame, series: np.ndarray, lag: int):
@@ -519,13 +516,7 @@ def rms_delta_vs_velocity(frame: SeriesFrame, v_bins: np.ndarray | int = 13) -> 
 
 def _mo_model(theta: np.ndarray, v: np.ndarray) -> np.ndarray:
     k0, gap, k1, v0 = theta
-    k_inf = k1 + gap
-    w = v / v0
-    th = np.tanh(w)
-    se = 1.0 / np.cosh(w)
-    buy = np.maximum((k0 * th + k_inf - k1 * se) * v0, 0.0)
-    sell = np.maximum((-k0 * th + k_inf - k1 * se) * v0, 0.0)
-    return np.concatenate([buy, sell])
+    return np.concatenate(trend_response(v, k0, k1 + gap, k1, v0))
 
 
 def fit_market_order_response(
@@ -612,11 +603,3 @@ def fit_market_order_response(
         converged=True,
         diagnostics=diagnostics,
     )
-
-
-def market_order_params_from_fit(report: FitReport) -> MarketOrderParams:
-    """Convenience: build MarketOrderParams from a converged fit report."""
-    if not report.converged:
-        raise ValueError("fit did not converge")
-    p = {k: v[0] for k, v in report.parameters.items()}
-    return MarketOrderParams(k0=p["k0"], k_inf=p["k_inf"], k1=p["k1"], v0=p["v0"])

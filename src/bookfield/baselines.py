@@ -14,8 +14,11 @@ return distributions thin-tailed:
   (no decay away from the price), so the velocity-volume correlation does not
   taper off at large x.  Order modification (diffusion) is absent.
 
-Each run emits the same per-tick records as the continuous-field simulator so
-every analyzer applies unchanged.
+Each model is a tick engine for ``dynamics.run_ticks``, the run loop the
+continuous-field simulator uses, so every run emits the same per-tick records
+and every analyzer applies unchanged.  KSTT's placement and market-order means
+are the one tanh/sech law ``dynamics.trend_response``, with the activity
+profiles evaluated once per run.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimulationResult, market_order_rate
+from .dynamics import SimulationResult, market_order_rate, run_ticks, trend_response
 from .field import MarketOrderParams, OrderBookField, PlacementActivityParams, shift_boundary
 from .profiles import Profile
 
@@ -70,16 +73,54 @@ class KSTTParams:
             raise ValueError("order_size > 0 and n0_floor > 0 required")
 
 
-def _placement_means_kstt(p: KSTTParams, x: np.ndarray, v: float) -> tuple[np.ndarray, np.ndarray]:
-    act = p.activity
-    v0 = np.asarray(act.v0_in(x), dtype=float)
-    th = np.tanh(v / v0)
-    se = 1.0 / np.cosh(v / v0)
-    base = np.asarray(act.k_inf_in(x), dtype=float) - np.asarray(act.k1_in(x), dtype=float) * se
-    trend = np.asarray(act.k0_in(x), dtype=float) * th
-    bid = np.maximum((base + trend) * v0, 0.0)
-    ask = np.maximum((base - trend) * v0, 0.0)
-    return bid, ask
+class _PointProcessEngine:
+    """The CS/KSTT tick on a unit-tick lattice, for run_ticks.
+
+    Per tick it draws, in this order: Poisson bid and ask placements, binomial
+    bid and ask cancellations, Poisson buy and sell market orders.
+    """
+
+    def __init__(self, params: CSParams | KSTTParams, x: np.ndarray, rng: np.random.Generator):
+        self.p = params
+        self.rng = rng
+        if isinstance(params, CSParams):
+            self.rate = np.maximum(np.asarray(params.placement_rate(x), dtype=float), 0.0)
+        else:
+            self.activity = params.activity.evaluate(x)
+
+    def tick(self, field: OrderBookField, v: float):
+        p, rng, os_ = self.p, self.rng, self.p.order_size
+        bid, ask = field.bid, field.ask
+        # placement: Poisson counts of unit orders; KSTT means follow the trend response
+        if isinstance(p, CSParams):
+            lam_bid = lam_ask = self.rate
+            mean_buy = mean_sell = p.mo_volume
+        else:
+            mb, ma = trend_response(v, *self.activity)
+            lam_bid, lam_ask = mb / os_, ma / os_
+            mean_buy, mean_sell = market_order_rate(v, p.mo)
+        bid += os_ * rng.poisson(lam_bid)
+        ask += os_ * rng.poisson(lam_ask)
+        # cancellation: binomial thinning of resting orders
+        if p.cancel_prob > 0.0:
+            nb = np.floor(bid / os_).astype(np.int64)
+            na = np.floor(ask / os_).astype(np.int64)
+            bid -= os_ * rng.binomial(nb, p.cancel_prob)
+            ask -= os_ * rng.binomial(na, p.cancel_prob)
+            np.maximum(bid, 0.0, out=bid)
+            np.maximum(ask, 0.0, out=ask)
+        # market orders: Poisson volumes
+        buy = os_ * rng.poisson(mean_buy / os_)
+        sell = os_ * rng.poisson(mean_sell / os_)
+        eaten_ask = min(buy, float(ask[0]))
+        eaten_bid = min(sell, float(bid[0]))
+        ask[0] -= eaten_ask
+        bid[0] -= eaten_bid
+        n0 = float(bid[0] + ask[0])
+        v = (eaten_ask - eaten_bid) / max(n0, p.n0_floor)
+        _, spill = shift_boundary(field, v)
+        field.t += 1.0
+        return v, n0, eaten_ask, eaten_bid, spill
 
 
 def run_baseline(
@@ -90,7 +131,10 @@ def run_baseline(
     seed: int,
     tracked_cells=None,
 ) -> SimulationResult:
-    """Run a comparison model on the given field (mutated in place)."""
+    """Run a comparison model on the given field (mutated in place).
+
+    Raises NumericError naming the tick if the velocity outgrows the grid.
+    """
     kind = BaselineKind(kind)
     if kind is BaselineKind.CS and not isinstance(params, CSParams):
         raise ValueError("CS baseline requires CSParams")
@@ -98,81 +142,5 @@ def run_baseline(
         raise ValueError("KSTT baseline requires KSTTParams")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if field.t == 0.0 and field.fractional_offset == 0.0:
-        # mid-cell price registration; see dynamics.simulate
-        field.fractional_offset = 0.5 * field.dx
-    rng = np.random.default_rng(seed)
-    if tracked_cells is None:
-        tracked_cells = np.unique(np.geomspace(1, field.length - 1, 8).astype(int))
-    tracked_cells = np.asarray(tracked_cells, dtype=int)
-    L = field.length
-    x = field.x
-    os_ = params.order_size
-    out_v = np.empty(steps)
-    out_n0 = np.empty(steps)
-    out_mob = np.empty(steps)
-    out_mos = np.empty(steps)
-    out_spb = np.empty(steps)
-    out_spa = np.empty(steps)
-    out_bid = np.empty((steps, len(tracked_cells)))
-    out_ask = np.empty((steps, len(tracked_cells)))
-    times = field.t + 1.0 + np.arange(steps)
-    v = 0.0
-    if kind is BaselineKind.CS:
-        rate = np.maximum(np.asarray(params.placement_rate(x), dtype=float), 0.0)
-    for t in range(steps):
-        bid, ask = field.bid, field.ask
-        # placement: Poisson counts of unit orders
-        if kind is BaselineKind.CS:
-            lam_bid = lam_ask = rate
-        else:
-            mb, ma = _placement_means_kstt(params, x, v)
-            lam_bid, lam_ask = mb / os_, ma / os_
-        bid += os_ * rng.poisson(lam_bid)
-        ask += os_ * rng.poisson(lam_ask)
-        # cancellation: binomial thinning of resting orders
-        if params.cancel_prob > 0.0:
-            nb = np.floor(bid / os_).astype(np.int64)
-            na = np.floor(ask / os_).astype(np.int64)
-            bid -= os_ * rng.binomial(nb, params.cancel_prob)
-            ask -= os_ * rng.binomial(na, params.cancel_prob)
-            np.maximum(bid, 0.0, out=bid)
-            np.maximum(ask, 0.0, out=ask)
-        # market orders: Poisson volumes; KSTT means follow the trend response
-        if kind is BaselineKind.CS:
-            mean_buy = mean_sell = params.mo_volume
-        else:
-            mean_buy, mean_sell = market_order_rate(v, params.mo)
-        buy = os_ * rng.poisson(mean_buy / os_)
-        sell = os_ * rng.poisson(mean_sell / os_)
-        eaten_ask = min(buy, float(ask[0]))
-        eaten_bid = min(sell, float(bid[0]))
-        ask[0] -= eaten_ask
-        bid[0] -= eaten_bid
-        n0 = float(bid[0] + ask[0])
-        v = (eaten_ask - eaten_bid) / max(n0, params.n0_floor)
-        _, spill = shift_boundary(field, v)
-        field.t += 1.0
-        out_v[t] = v
-        out_n0[t] = n0
-        out_mob[t] = eaten_ask
-        out_mos[t] = eaten_bid
-        out_spb[t] = spill.bid
-        out_spa[t] = spill.ask
-        out_bid[t] = field.bid[tracked_cells]
-        out_ask[t] = field.ask[tracked_cells]
-    return SimulationResult(
-        times=times,
-        velocities=out_v,
-        n0s=out_n0,
-        mo_buy=out_mob,
-        mo_sell=out_mos,
-        spill_bid=out_spb,
-        spill_ask=out_spa,
-        tracked_cells=tracked_cells,
-        bid_tracks=out_bid,
-        ask_tracks=out_ask,
-        dx=field.dx,
-        dt=1.0,
-        final_field=field,
-    )
+    engine = _PointProcessEngine(params, field.x, np.random.default_rng(seed))
+    return run_ticks(engine, field, steps, 1.0, tracked_cells)

@@ -15,13 +15,20 @@ the previous tick's velocity and divided by the current boundary volume
 fixed for reproducibility; its error is quadratic in dt and immaterial at
 tick scale.
 
-``step`` advances a field once and reports a full StepRecord (including
-per-cell volume changes).  ``simulate`` runs many ticks with identical
-arithmetic but chunked noise generation and lightweight recording; the two
-paths consume the RNG stream identically, so a simulate() run is
-bit-for-bit the same trajectory as repeated step() calls on one stream.
+The market-order response and the velocity-coupled placement activity are
+one tanh/sech law, ``trend_response``; ``market_order_rate`` and
+``placement_scale`` are its two readings, and the comparison models and the
+market-order fit use it too.
 
-``simulate`` draws the noise of ``NOISE_CHUNK`` ticks at a time: it fills the
+``step`` advances a field once and reports a full StepRecord (including
+per-cell volume changes).  ``run_ticks`` is the one run loop of the package:
+it records ``steps`` ticks of an engine -- the CF engine here, the CS/KSTT
+engine in ``baselines`` -- into a SimulationResult.  ``simulate`` is the CF
+engine plus ``run_ticks``.  The CF engine has the same arithmetic as ``step``
+and consumes the RNG stream identically, so a simulate() run is bit-for-bit
+the same trajectory as repeated step() calls on one stream.
+
+The CF engine draws the noise of ``NOISE_CHUNK`` ticks at a time: it fills the
 uniforms and exponentials tick by tick in the order ``step`` draws them,
 transforms the whole chunk in place, then runs the chunk's ticks.  At the
 reference grid (512 cells) a chunk array is 1 MB, small enough that filling,
@@ -32,7 +39,6 @@ ends the run with NumericError naming the tick.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,23 +50,24 @@ from .field import (
     ModelParams,
     OrderBookField,
     PlacementActivityParams,
-    boundary_volume,
     shift_boundary,
 )
 
 __all__ = [
     "StepRecord",
     "SimulationResult",
+    "trend_response",
     "market_order_rate",
     "order_imbalance",
     "placement_scale",
     "compute_velocity",
     "step",
+    "run_ticks",
     "simulate",
     "check_stability",
 ]
 
-# Ticks of noise drawn and transformed at once by simulate(); see the module docstring.
+# Ticks of noise the CF engine draws and transforms at once; see the module docstring.
 NOISE_CHUNK = 64
 
 
@@ -77,15 +84,26 @@ class StepRecord:
     spill_ask: float = 0.0
 
 
+def trend_response(v, k0, k_inf, k1, v0):
+    """The tanh/sech response to velocity v, clamped at zero: (up, down) volumes.
+
+    up = (k0 tanh(v/v0) + k_inf - k1 sech(v/v0)) v0 and down has -k0; the
+    constants may be arrays over the grid.  sech(w) = 2 e^-|w| / (1 + e^-2|w|)
+    cannot overflow at large |w|.
+    """
+    w = v / v0
+    th = np.tanh(w)
+    e = np.exp(-abs(w))  # builtin abs: ~2 us cheaper than np.abs on a float
+    se = 2.0 * e / (1.0 + e * e)
+    up = np.maximum((k0 * th + k_inf - k1 * se) * v0, 0.0)
+    down = np.maximum((-k0 * th + k_inf - k1 * se) * v0, 0.0)
+    return up, down
+
+
 def market_order_rate(v: float, p: MarketOrderParams) -> tuple[float, float]:
     """Market-order volumes (buy, sell) per tick at velocity v, clamped at zero."""
-    w = v / p.v0
-    th = np.tanh(w)
-    e = math.exp(-abs(w))  # sech(w) = 2 e^-|w| / (1 + e^-2|w|) cannot overflow
-    se = 2.0 * e / (1.0 + e * e)
-    buy = (p.k0 * th + p.k_inf - p.k1 * se) * p.v0
-    sell = (-p.k0 * th + p.k_inf - p.k1 * se) * p.v0
-    return max(float(buy), 0.0), max(float(sell), 0.0)
+    buy, sell = trend_response(v, p.k0, p.k_inf, p.k1, p.v0)
+    return float(buy), float(sell)
 
 
 def order_imbalance(v: float, p: MarketOrderParams) -> float:
@@ -97,14 +115,8 @@ def placement_scale(x, v: float, side: str, p: PlacementActivityParams):
     """Velocity-coupled placement activity; trend term positive for bids, negative for asks."""
     if side not in ("bid", "ask"):
         raise ValueError(f"side must be 'bid' or 'ask', got {side!r}")
-    sign = 1.0 if side == "bid" else -1.0
-    xa = np.asarray(x, dtype=float)
-    v0 = np.asarray(p.v0_in(xa), dtype=float)
-    w = v / v0
-    val = (sign * np.asarray(p.k0_in(xa), dtype=float) * np.tanh(w)
-           + np.asarray(p.k_inf_in(xa), dtype=float)
-           - np.asarray(p.k1_in(xa), dtype=float) / np.cosh(w)) * v0
-    return np.maximum(val, 0.0) if val.ndim else max(float(val), 0.0)
+    bid, ask = trend_response(v, *p.evaluate(np.asarray(x, dtype=float)))
+    return bid if side == "bid" else ask
 
 
 def compute_velocity(field: OrderBookField, v_prev: float, p: ModelParams) -> float:
@@ -137,9 +149,15 @@ def check_stability(params: ModelParams, length: int, dx: float, dt: float) -> N
 
 
 class _TickEngine:
-    """Per-grid precomputation and the shared tick update used by step and simulate."""
+    """Per-grid precomputation and the CF tick update.
 
-    def __init__(self, params: ModelParams, length: int, dx: float, dt: float):
+    ``update`` advances one tick on given unit-scale noise (``step`` draws it).
+    ``tick`` is the run_ticks interface: it takes the noise from the stream of
+    ``rng``, drawn NOISE_CHUNK ticks at a time for a run of ``steps`` ticks.
+    """
+
+    def __init__(self, params: ModelParams, length: int, dx: float, dt: float,
+                 rng: np.random.Generator | None = None, steps: int = 0):
         check_stability(params, length, dx, dt)
         params.validate_on(np.arange(length) * dx)
         self.p = params
@@ -155,37 +173,50 @@ class _TickEngine:
         self.dt_noise = params.tau * (dt / params.tau) ** power
         self.scale_in = params.stable.scale * self.dt_noise
         self.scale_out = self.sigma_out_arr * self.dt_noise * params.stable.scale
-        act = params.activity
-        if act is None:
+        if params.activity is None:
             s = np.asarray(params.sigma_in(x), dtype=float)
             self._static_scales = (s, s)
         else:
             self._static_scales = None
-            self.act_k0 = np.asarray(act.k0_in(x), dtype=float)
-            self.act_kinf = np.asarray(act.k_inf_in(x), dtype=float)
-            self.act_k1 = np.asarray(act.k1_in(x), dtype=float)
-            self.act_v0 = np.asarray(act.v0_in(x), dtype=float)
-            self.act_v0_const = float(self.act_v0[0]) if np.ptp(self.act_v0) == 0.0 else None
+            self.activity = params.activity.evaluate(x)
         self.diffusive = bool(np.any(self.d_arr > 0.0))
+        self.rng = rng
+        self.cap = params.stable.unit_cap
+        self.steps_left = steps
+        self.u_buf = np.empty((min(NOISE_CHUNK, steps), 4, length))
+        self.w_buf = np.empty_like(self.u_buf)
+        self.noise = self.u_buf[:0]
+        self.next = 0
 
     def placement_scales(self, v: float) -> tuple[np.ndarray, np.ndarray]:
         if self._static_scales is not None:
             return self._static_scales
-        if self.act_v0_const is not None:
-            w = v / self.act_v0_const
-            th = float(np.tanh(w))
-            se = 1.0 / float(np.cosh(w))
-        else:
-            w = v / self.act_v0
-            th = np.tanh(w)
-            se = 1.0 / np.cosh(w)
-        trend = self.act_k0 * th
-        base = self.act_kinf - self.act_k1 * se
-        s_bid = np.maximum((base + trend) * self.act_v0, 0.0)
-        s_ask = np.maximum((base - trend) * self.act_v0, 0.0)
-        return s_bid, s_ask
+        return trend_response(v, *self.activity)
 
-    def tick(self, field: OrderBookField, v_prev: float, xi_b, xi_a, ze_b, ze_a):
+    def _draw_chunk(self) -> None:
+        m = min(NOISE_CHUNK, self.steps_left)
+        self.steps_left -= m
+        u, w = self.u_buf[:m], self.w_buf[:m]
+        # Per-tick draw order matches step(): uniforms then exponentials, (4, L)
+        # each.  uniform(0, pi) is pi * random() bit for bit on the same stream.
+        for j in range(m):
+            self.rng.random(out=u[j])
+            self.rng.standard_exponential(out=w[j])
+        u *= np.pi
+        self.noise = stable_noise._kanter_unit(self.p.stable.alpha, u, w)
+        if self.cap != np.inf:
+            np.minimum(self.noise, self.cap, out=self.noise)
+        self.next = 0
+
+    def tick(self, field: OrderBookField, v_prev: float):
+        """Advance one tick on the next noise of the chunked stream."""
+        if self.next == len(self.noise):
+            self._draw_chunk()
+        xi_b, xi_a, ze_b, ze_a = self.noise[self.next]
+        self.next += 1
+        return self.update(field, v_prev, xi_b, xi_a, ze_b, ze_a)
+
+    def update(self, field: OrderBookField, v_prev: float, xi_b, xi_a, ze_b, ze_a):
         """Advance one tick in place. Noise arrays are unit-scale stable draws."""
         p = self.p
         bid, ask = field.bid, field.ask
@@ -232,7 +263,7 @@ def step(
     bid0 = field.bid.copy()
     ask0 = field.ask.copy()
     xi_b, xi_a, ze_b, ze_a = _draw_tick_noise(params.stable, field.length, rng)
-    v, n0, mo_buy, mo_sell, spill = engine.tick(field, v_prev, xi_b, xi_a, ze_b, ze_a)
+    v, n0, mo_buy, mo_sell, spill = engine.update(field, v_prev, xi_b, xi_a, ze_b, ze_a)
     rec = StepRecord(
         t=field.t,
         v=v,
@@ -290,82 +321,45 @@ class SimulationResult:
         )
 
 
-def simulate(
-    params: ModelParams,
-    field: OrderBookField,
-    steps: int,
-    dt: float,
-    seed: int,
-    tracked_cells=None,
-    v0: float = 0.0,
-) -> SimulationResult:
-    """Run ``steps`` ticks from the given field (mutated in place).
+def run_ticks(engine, field: OrderBookField, steps: int, dt: float,
+              tracked_cells=None, v0: float = 0.0) -> SimulationResult:
+    """Run and record ``steps`` ticks of ``engine`` from the given field (mutated in place).
 
+    ``engine.tick(field, v)`` advances the field one tick of length ``dt``
+    from velocity ``v`` and returns ``(v, n0, eaten_ask, eaten_bid, spill)``.
     tracked_cells: cell indices whose bid/ask volumes are recorded every tick
     (defaults to 8 cells spread log-evenly across the grid).
 
-    Raises NumericError naming the tick index if the velocity outgrows the
-    grid; the field then holds the state reached at that tick.
+    A tick that fails -- the velocity outgrowing the grid -- raises
+    NumericError naming the tick; the field then holds the state reached at
+    that tick.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    engine = _TickEngine(params, field.length, field.dx, dt)
     if field.t == 0.0 and field.fractional_offset == 0.0:
         # register the price mid-cell so sign jitter of the first ticks does
         # not straddle a cell edge and shuttle volume across the boundary
         field.fractional_offset = 0.5 * field.dx
-    rng = np.random.default_rng(seed)
     if tracked_cells is None:
         tracked_cells = np.unique(np.geomspace(1, field.length - 1, 8).astype(int))
     tracked_cells = np.asarray(tracked_cells, dtype=int)
-    unit = stable_noise.StableParams(
-        alpha=params.stable.alpha, scale=1.0, truncation_quantile=params.stable.truncation_quantile
-    )
-    n_tr = len(tracked_cells)
-    out_v = np.empty(steps)
-    out_n0 = np.empty(steps)
-    out_mob = np.empty(steps)
-    out_mos = np.empty(steps)
-    out_spb = np.empty(steps)
-    out_spa = np.empty(steps)
-    out_bid = np.empty((steps, n_tr))
-    out_ask = np.empty((steps, n_tr))
     times = field.t + dt * (1.0 + np.arange(steps))
-    L = field.length
-    cap = unit.unit_cap
-    u_buf = np.empty((min(NOISE_CHUNK, steps), 4, L))
-    w_buf = np.empty_like(u_buf)
+    out_v, out_n0, out_mob, out_mos, out_spb, out_spa = np.empty((6, steps))
+    out_bid = np.empty((steps, len(tracked_cells)))
+    out_ask = np.empty_like(out_bid)
+    tick = engine.tick
     v = v0
-    done = 0
-    while done < steps:
-        m = min(NOISE_CHUNK, steps - done)
-        u, w = u_buf[:m], w_buf[:m]
-        # Per-tick draw order matches step(): uniforms then exponentials, (4, L)
-        # each.  uniform(0, pi) is pi * random() bit for bit on the same stream.
-        for j in range(m):
-            rng.random(out=u[j])
-            rng.standard_exponential(out=w[j])
-        u *= np.pi
-        noise = stable_noise._kanter_unit(unit.alpha, u, w)
-        if cap != np.inf:
-            np.minimum(noise, cap, out=noise)
-        for j in range(m):
-            t = done + j
-            try:
-                v, n0, mob, mos, spill = engine.tick(
-                    field, v, noise[j, 0], noise[j, 1], noise[j, 2], noise[j, 3]
-                )
-            except NumericError as exc:
-                raise NumericError(f"tick {t} of {steps}: {exc}") from None
-            out_v[t] = v
-            out_n0[t] = n0
-            out_mob[t] = mob
-            out_mos[t] = mos
-            out_spb[t] = spill.bid
-            out_spa[t] = spill.ask
-            out_bid[t] = field.bid[tracked_cells]
-            out_ask[t] = field.ask[tracked_cells]
-        done += m
+    for t in range(steps):
+        try:
+            v, n0, mob, mos, spill = tick(field, v)
+        except (NumericError, ValueError) as exc:
+            raise NumericError(f"tick {t} of {steps}: {exc}") from None
+        out_v[t] = v
+        out_n0[t] = n0
+        out_mob[t] = mob
+        out_mos[t] = mos
+        out_spb[t] = spill.bid
+        out_spa[t] = spill.ask
+        out_bid[t] = field.bid[tracked_cells]
+        out_ask[t] = field.ask[tracked_cells]
     return SimulationResult(
         times=times,
         velocities=out_v,
@@ -381,3 +375,24 @@ def simulate(
         dt=dt,
         final_field=field,
     )
+
+
+def simulate(
+    params: ModelParams,
+    field: OrderBookField,
+    steps: int,
+    dt: float,
+    seed: int,
+    tracked_cells=None,
+    v0: float = 0.0,
+) -> SimulationResult:
+    """Run ``steps`` ticks of the CF model from the given field (mutated in place).
+
+    tracked_cells: as in run_ticks.  Raises NumericError naming the tick
+    index if the velocity outgrows the grid; the field then holds the state
+    reached at that tick.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    engine = _TickEngine(params, field.length, field.dx, dt, np.random.default_rng(seed), steps)
+    return run_ticks(engine, field, steps, dt, tracked_cells, v0)

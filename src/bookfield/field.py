@@ -118,11 +118,13 @@ class PlacementActivityParams:
     k1_in: Profile
     v0_in: Profile
 
+    def evaluate(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(k0, k_inf, k1, v0) at x, in the argument order of dynamics.trend_response."""
+        return tuple(np.asarray(f(x), dtype=float)
+                     for f in (self.k0_in, self.k_inf_in, self.k1_in, self.v0_in))
+
     def validate_on(self, x: np.ndarray) -> None:
-        v0 = np.asarray(self.v0_in(x), dtype=float)
-        ki = np.asarray(self.k_inf_in(x), dtype=float)
-        k1 = np.asarray(self.k1_in(x), dtype=float)
-        k0 = np.asarray(self.k0_in(x), dtype=float)
+        k0, ki, k1, v0 = self.evaluate(x)
         if np.any(v0 <= 0.0):
             raise ValueError("v0_in(x) must be positive everywhere on the grid")
         if np.any(ki < k1):

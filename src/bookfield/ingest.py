@@ -64,12 +64,6 @@ class SnapshotRecord:
     asks: list[tuple[float, float]]
     crossed: bool = False
 
-    def best_bid(self) -> float | None:
-        return self.bids[0][0] if self.bids else None
-
-    def best_ask(self) -> float | None:
-        return self.asks[0][0] if self.asks else None
-
 
 @dataclass
 class MarketOrderRecord:
@@ -231,7 +225,6 @@ def build_frame(
     L: float,
     market_orders: Iterable[MarketOrderRecord] | None = None,
     gap_factor: float = 5.0,
-    price_ref: str = "trade",
 ) -> SeriesFrame:
     """Grid snapshot series onto the model lattice and align the companion series.
 
@@ -239,8 +232,6 @@ def build_frame(
     gap_factor * dt split the series into segments so no lagged difference
     crosses a gap.  Crossed-book records are excluded.
     """
-    if price_ref not in ("trade", "mid"):
-        raise ValueError(f"price_ref must be 'trade' or 'mid', got {price_ref!r}")
     recs = [r for r in snapshots if not r.crossed]
     if len(recs) < 2:
         raise DataError(f"need at least 2 uncrossed snapshots, got {len(recs)}")
@@ -254,9 +245,6 @@ def build_frame(
     ask = np.empty((T, n_cells))
     prices = np.empty(T)
     for i, r in enumerate(recs):
-        if price_ref == "mid" and r.bids and r.asks:
-            ref_price = 0.5 * (r.best_bid() + r.best_ask())
-            r = SnapshotRecord(r.ts, ref_price, r.bids, r.asks)
         bid[i], ask[i], _ = to_log_grid(r, dx, L)
         prices[i] = r.trade_price
     logp = np.log(prices)

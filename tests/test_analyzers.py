@@ -293,6 +293,7 @@ class TestRmsDeltaVsVelocity:
         assert rep.parameters["v0"][0] == pytest.approx(v0_true, rel=0.10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFitMarketOrderResponse:
     def test_noiseless_recovery_exact(self):
         p = MarketOrderParams(k0=3.0, k_inf=2.0, k1=1.5, v0=2e-4)
@@ -311,6 +312,8 @@ class TestFitMarketOrderResponse:
         flows *= 1.0 + 0.05 * rng.standard_normal(flows.shape)
         rep = fit_market_order_response(v, flows)
         assert rep.converged
+        # a warning raised as an error would only drop a start, so check none was lost
+        assert not any("error" in t for t in rep.diagnostics["residual_trace"])
         for name, truth in [("k0", 3.0), ("k_inf", 2.0), ("k1", 1.5), ("v0", 2e-4)]:
             assert rep.parameters[name][0] == pytest.approx(truth, rel=0.05)
 
@@ -330,3 +333,4 @@ class TestFitMarketOrderResponse:
         r1 = fit_market_order_response(v, flows)
         r2 = fit_market_order_response(v, flows)
         assert r1.parameters == r2.parameters
+        assert not any("error" in t for t in r1.diagnostics["residual_trace"])

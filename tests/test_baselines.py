@@ -5,7 +5,8 @@ from scipy import stats
 from bookfield import configs, profiles
 from bookfield.analyzers import rms_delta_vs_velocity, velocity_volume_correlation
 from bookfield.baselines import BaselineKind, CSParams, KSTTParams, run_baseline
-from bookfield.field import new_field
+from bookfield.errors import NumericError
+from bookfield.field import MarketOrderParams, PlacementActivityParams, new_field
 
 
 def run_cs(steps=80_000, seed=4):
@@ -96,3 +97,30 @@ def test_baseline_determinism():
     c = run_kstt(steps=2000, seed=9)
     d = run_kstt(steps=2000, seed=9)
     assert np.array_equal(c.velocities, d.velocities)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kstt_no_overflow_at_large_velocity():
+    # A thin book and a small v0 drive |v|/v0 to ~1e3, past where cosh overflows.
+    v0 = 1e-4
+    c = profiles.constant
+    params = KSTTParams(
+        activity=PlacementActivityParams(k0_in=c(1e4), k_inf_in=c(1e4), k1_in=c(5e3), v0_in=c(v0)),
+        cancel_prob=0.1,
+        mo=MarketOrderParams(k0=1e4, k_inf=1e4, k1=5e3, v0=v0),
+        n0_floor=10.0,
+    )
+    res = run_baseline(BaselineKind.KSTT, params, new_field(16, 1.0, c(3.0)), steps=200, seed=2)
+    assert np.max(np.abs(res.velocities)) / v0 >= 1e3
+    assert np.all(np.isfinite(res.velocities))
+
+
+def test_grid_overflow_is_numeric_error_naming_the_tick():
+    # An empty bid boundary and a nearly zero n0 floor: the first market order
+    # moves the price by far more than half the grid.
+    params = CSParams(placement_rate=profiles.constant(0.0), cancel_prob=0.0,
+                      mo_volume=5.0, n0_floor=1e-6)
+    f = new_field(16, 1.0, profiles.constant(3.0))
+    f.bid[0] = 0.0
+    with pytest.raises(NumericError, match=r"^tick 0 of 10: .*exceeds half the grid"):
+        run_baseline(BaselineKind.CS, params, f, steps=10, seed=1)

@@ -156,6 +156,13 @@ class TestPlacementScale:
         with pytest.raises(ValueError):
             placement_scale(0.1, 0.0, "mid", const_activity())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_overflow_at_large_velocity(self):
+        act = const_activity(k0_in=1.0, k_inf_in=2.0, k1_in=2.0, v0_in=0.5)
+        assert placement_scale(0.1, 500.0, "bid", act) == pytest.approx(1.5, rel=1e-12)
+        assert placement_scale(0.1, 500.0, "ask", act) == pytest.approx(0.5, rel=1e-12)
+        assert placement_scale(0.1, -500.0, "bid", act) == pytest.approx(0.5, rel=1e-12)
+
 
 class TestComputeVelocity:
     def test_all_off_is_zero(self):

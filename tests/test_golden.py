@@ -104,10 +104,13 @@ CF_GOLDEN = {
         "spills": (5033.098046711753, 447215.2462189932, 187.21577914463884),
         "final": (7494.3464608103895, 288906.4203067564, 181.66789717590532),
     }),
+    # Re-recorded when the activity response took the market-order expression
+    # order and the exp-based sech: elements moved by <= 2e-15 relative, these
+    # reductions by <= 1.6e-16.
     "cf_activity": (cf_activity, {
-        "v": (0.024855942306701715, 6.009595076242131e-06, 0.0004106292885175626),
+        "v": (0.02485594230670171, 6.009595076242131e-06, 0.0004106292885175626),
         "n0": (425.28466837894973, 1696.233098519056, 7.9555958780099285),
-        "mo": (0.013222658945529825, 6.947359621084025e-07, 6.931431560325492e-05),
+        "mo": (0.013222658945529823, 6.947359621084024e-07, 6.931431560325492e-05),
         "tracks": (3012.0393848678445, 5983.2602929126915, 3.982399875825843),
         "spills": (0.4389329304960064, 0.045395067272569464, 0.19546353516008488),
         "final": (2.589948773806362, 0.05378989421038102, 0.027366435119644286),
