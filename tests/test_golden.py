@@ -1,4 +1,4 @@
-"""Golden check of seeded runs: the refactors of the tick loop must not move them.
+"""Golden check of seeded runs and of the analysis files the CLI writes from them.
 
 CS and KSTT draw only integer Poisson/binomial counts and do exact float
 arithmetic on them, so their runs are pinned by sha256 of every result array
@@ -6,17 +6,27 @@ and of the final field.  The CF rows go through vectorized transcendentals
 (cos, tanh, exp) whose last bit is platform-specific, so they are pinned by
 reductions at rtol 1e-13 instead.
 
-To re-record after an intended change, print ``_digests(row())`` or
-``_reductions(row())`` and paste the values.
+The analysis golden runs ``analyze`` (all statistics at the sampling lag, and
+every statistic but velocity-correlation at lag 3), ``fit-mo`` and ``compare``
+on seeded 3000-tick CS, KSTT and CF runs.  Files derived from CS or KSTT are
+pinned by sha256 of their bytes; files derived from CF (and comparison.json,
+which holds CF numbers) by the sha256 of their text with every number replaced
+by ``#`` plus reductions of the numbers at rtol 1e-13.
+
+To re-record after an intended change, print ``_digests(row())``,
+``_reductions(row())`` or ``_file_golden(path, text)`` over
+``analysis_outputs`` and paste the values.
 """
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bookfield import configs, profiles
 from bookfield.baselines import BaselineKind, run_baseline
+from bookfield.cli import main
 from bookfield.dynamics import simulate
 from bookfield.field import MarketOrderParams, ModelParams, PlacementActivityParams, new_field
 from bookfield.stable_noise import StableParams
@@ -166,3 +176,210 @@ def test_cf_reductions_match_golden(name):
 def test_baseline_digests_match_golden(name):
     run, expected = DIGEST_GOLDEN[name]
     assert _digests(run()) == expected
+
+
+ANALYSIS_RUNS = (("cs", 4), ("kstt", 5), ("cf", 11))
+LAG3_STATS = ("conditional-delta,mean-delta,spatial-correlation,return-distribution,"
+              "variance-vs-n0,rms-delta")
+_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+@pytest.fixture(scope="module")
+def analysis_outputs(tmp_path_factory) -> dict[str, str]:
+    """{path relative to the output root: text} of every analysis file written."""
+    root = tmp_path_factory.mktemp("analysis")
+    runs = tmp_path_factory.mktemp("runs")
+    for model, seed in ANALYSIS_RUNS:
+        assert main(["simulate", "--model", model, "--steps", "3000", "--seed", str(seed),
+                     "--out", str(runs / model)]) == 0
+        records = str(runs / model / "records.jsonl")
+        assert main(["analyze", "--records", records, "--out", str(root / f"{model}_analyze")]) == 0
+        assert main(["analyze", "--records", records, "--lag", "3", "--stats", LAG3_STATS,
+                     "--out", str(root / f"{model}_lag3")]) == 0
+        assert main(["fit-mo", "--records", records, "--out", str(root / f"{model}_fit")]) == 0
+    assert main(["compare", "--models", "cf,cs,kstt", "--steps", "3000", "--seed", "11",
+                 "--out", str(root / "compare")]) == 0
+    return {p.relative_to(root).as_posix(): p.read_text()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _file_golden(path: str, text: str):
+    if "cf" not in path and not path.endswith("comparison.json"):
+        return hashlib.sha256(text.encode()).hexdigest()
+    nums = np.array([float(m) for m in _NUMBER.findall(text)])
+    skeleton = hashlib.sha256(_NUMBER.sub("#", text).encode()).hexdigest()
+    return (skeleton, len(nums), float(np.sum(np.abs(nums))), float(np.sum(nums * nums)),
+            float(np.max(np.abs(nums))))
+
+
+ANALYSIS_GOLDEN = {
+    "cf_analyze/conditional_delta.csv": (
+        "581aa5b2075e7e2ecc0e42bbc1b91aef74a8a45940f55e2662ff7bb067732598",
+        672, 8016.811658911852, 3985094.0897136377, 1307.0),
+    "cf_analyze/mean_delta_slope.csv": (
+        "0507e3f93400ebb98cf53086b67527f17bbc1c3fdfb4ac31d04774fe602f2f69",
+        85, 7.12315852306246, 2.439044065373758, 1.0),
+    "cf_analyze/return_distribution.csv": (
+        "7bb80003dbafd11283c7df5a7423e44d868268a599cc3e3619916e643a1b9834",
+        186, 106259.06317556463, 10018001621.39409, 100000.0),
+    "cf_analyze/rms_delta_ask.csv": (
+        "40d1aadade04bb0528c870845b318b5109aeba9a827180c5ead536abebf06fc8",
+        45, 3467.507915337108, 6329628.129898923, 2493.0),
+    "cf_analyze/rms_delta_bid.csv": (
+        "3189e5fcd24c49dfe8f695c6d504fd33bfc12cd2eb9b2d06110cd08d4376850b",
+        45, 3381.3411613430726, 6314959.78967622, 2493.0),
+    "cf_analyze/spatial_correlation.csv": (
+        "87fa3f1b3ae5df494bd6854734aeb98d89380dc351f98736ed07627a49e07efb",
+        86, 62982.34758624917, 188874023.0696839, 2999.0),
+    "cf_analyze/variance_vs_n0.csv": (
+        "c7b7e9339e32419a4cc0c502c0508eb0e40a7bd50d12c7af551134f8bce66f68",
+        47, 4469.7176380449655, 1826437.725910946, 715.0),
+    "cf_analyze/velocity_correlation_ask.csv": (
+        "4d1cf3063983be4d1db329448f44892d677ad09770ad6b6dd027d55308b5a740",
+        85, 62981.20737892985, 188874022.0613928, 2999.0),
+    "cf_analyze/velocity_correlation_bid.csv": (
+        "556449d8b1d079da51abc262d87b579737ab9c4aa406116221abf3eb1eac812b",
+        85, 62981.20681069551, 188874022.05927518, 2999.0),
+    "cf_fit/mo_fit.json": (
+        "2b0753bea1df793878ad66c42fb2eb6bba833d0e4d1a41fb6c5eb990b580a17d",
+        40, 3171.34159728747, 9016897.811260862, 3000.0),
+    "cf_lag3/conditional_delta.csv": (
+        "581aa5b2075e7e2ecc0e42bbc1b91aef74a8a45940f55e2662ff7bb067732598",
+        672, 8858.718642137565, 4092510.14709748, 1307.0),
+    "cf_lag3/mean_delta_slope.csv": (
+        "0507e3f93400ebb98cf53086b67527f17bbc1c3fdfb4ac31d04774fe602f2f69",
+        85, 13.00120564394962, 13.101258087175637, 3.0),
+    "cf_lag3/return_distribution.csv": (
+        "7bb80003dbafd11283c7df5a7423e44d868268a599cc3e3619916e643a1b9834",
+        186, 106261.06317556463, 10018001629.39409, 100000.0),
+    "cf_lag3/rms_delta_ask.csv": (
+        "40d1aadade04bb0528c870845b318b5109aeba9a827180c5ead536abebf06fc8",
+        45, 3467.507915337108, 6329628.129898923, 2493.0),
+    "cf_lag3/rms_delta_bid.csv": (
+        "3189e5fcd24c49dfe8f695c6d504fd33bfc12cd2eb9b2d06110cd08d4376850b",
+        45, 3381.3411613430726, 6314959.78967622, 2493.0),
+    "cf_lag3/spatial_correlation.csv": (
+        "87fa3f1b3ae5df494bd6854734aeb98d89380dc351f98736ed07627a49e07efb",
+        86, 62942.42185897497, 188622199.07098582, 2997.0),
+    "cf_lag3/variance_vs_n0.csv": (
+        "c7b7e9339e32419a4cc0c502c0508eb0e40a7bd50d12c7af551134f8bce66f68",
+        47, 4469.7176380449655, 1826437.725910946, 715.0),
+    "compare/cf_return_distribution.csv": (
+        "7bb80003dbafd11283c7df5a7423e44d868268a599cc3e3619916e643a1b9834",
+        186, 106259.06317556463, 10018001621.39409, 100000.0),
+    "compare/cf_rms_delta_ask.csv": (
+        "40d1aadade04bb0528c870845b318b5109aeba9a827180c5ead536abebf06fc8",
+        45, 3467.507915337108, 6329628.129898923, 2493.0),
+    "compare/cf_rms_delta_bid.csv": (
+        "3189e5fcd24c49dfe8f695c6d504fd33bfc12cd2eb9b2d06110cd08d4376850b",
+        45, 3381.3411613430726, 6314959.78967622, 2493.0),
+    "compare/cf_velocity_correlation_ask.csv": (
+        "4d1cf3063983be4d1db329448f44892d677ad09770ad6b6dd027d55308b5a740",
+        85, 62981.20737892985, 188874022.0613928, 2999.0),
+    "compare/cf_velocity_correlation_bid.csv": (
+        "556449d8b1d079da51abc262d87b579737ab9c4aa406116221abf3eb1eac812b",
+        85, 62981.20681069551, 188874022.05927518, 2999.0),
+    "compare/comparison.json": (
+        "d5ca4ca86572d7408c877c2c0022226748f054f8915151665238c9c7f0961fcf",
+        18, 346259.27500356955, 30745902917.250275, 100000.0),
+    "compare/cs_return_distribution.csv":
+        "47829685d9f41f6e28518f4c7ac0c0e3cfeb8d2847639b7ebb474113f7d15097",
+    "compare/cs_rms_delta_ask.csv":
+        "07cff11e77e2dce1d4ab822e5c0f896f1dba459737dc890a7af6be2ef5980fe8",
+    "compare/cs_rms_delta_bid.csv":
+        "58057a3304c96aed435860b1a9f6565ed9427053721dc72a292dbfd4fdf4eabc",
+    "compare/cs_velocity_correlation_ask.csv":
+        "5c6ea44961b7322facc727624ebae3e11d199fce2b0a74460e97af41e4bae389",
+    "compare/cs_velocity_correlation_bid.csv":
+        "2a77cb6b22dbe9bf0f89acbd0ada656293ad6ccac73a6f3464106ec232188307",
+    "compare/kstt_return_distribution.csv":
+        "786dc564959f634922797051085c896eb28fb6fcc97386681068ec147bee5565",
+    "compare/kstt_rms_delta_ask.csv":
+        "d2faf592814b23f0e1f2dc36557404db97422b187af774774b6228a5926d33e1",
+    "compare/kstt_rms_delta_bid.csv":
+        "b1085bbe0eb8ea32cc35eafbab78560a902dfe9f3343e29ba06283e5afa22066",
+    "compare/kstt_velocity_correlation_ask.csv":
+        "b5e69a7c732eeff385608c4db72f0a252d7227513b029bd8a83f7fab998f0cb0",
+    "compare/kstt_velocity_correlation_bid.csv":
+        "efeb1e100a61fdb2fc240f9f9a58979876b6cd961ea5448e01603a7c4e733d8f",
+    "cs_analyze/conditional_delta.csv":
+        "2e0756ff79e7214d1e96c726744ab8e5264c0cbc5278be69d2226fbaea306a06",
+    "cs_analyze/mean_delta_slope.csv":
+        "d1f931f95ddc4df9e925635c686e880dbb29d8a2f2c4e10eeff89c8320caf4e7",
+    "cs_analyze/return_distribution.csv":
+        "d268c003c47d03909e8ee385e99ee4ed3b96b5e03bb4011c5c310f266543137d",
+    "cs_analyze/rms_delta_ask.csv":
+        "c2b2411e8ea29f5a5f8473ae60e27596f3cfce9d193f7d8c125136910f7a4607",
+    "cs_analyze/rms_delta_bid.csv":
+        "a8c653fa533c31b366a66a55c1b33a20eeb51e35135d461ec6bd9cf7757ed85a",
+    "cs_analyze/spatial_correlation.csv":
+        "f3c54a9ec70b468abe5b44b03603cf7626ef2cf4032686af1c29e36a5da2e359",
+    "cs_analyze/variance_vs_n0.csv":
+        "2eb1b145cb93473215c76c875e7814173f9da1d06434884c9019d58492258b24",
+    "cs_analyze/velocity_correlation_ask.csv":
+        "9e8f266177cd9682cd93aadcf5231e6fd06eeecaaa49f61e9250079d1a300bea",
+    "cs_analyze/velocity_correlation_bid.csv":
+        "d5cee99094e91c11432d1567ee67e9adace4e3a0d3a5804ae78a9f9f31098efb",
+    "cs_fit/mo_fit.json":
+        "2952a688c69fccfd3c85a75a2af04d9e5d200ccb5d98c19fb6227e886916e0da",
+    "cs_lag3/conditional_delta.csv":
+        "9e0227a82d76ad38d044096b044a191721114b223d55401bdcf5e89e8294989f",
+    "cs_lag3/mean_delta_slope.csv":
+        "7a38b21aa70f9c532c8eaa75b3a46e196694c11e6fbcba74ff70d5677cb9e080",
+    "cs_lag3/return_distribution.csv":
+        "8af11039ab8252b5c3cd1435f77d67ba9af7eb709dfa6513e4fe403c347504b9",
+    "cs_lag3/rms_delta_ask.csv":
+        "c2b2411e8ea29f5a5f8473ae60e27596f3cfce9d193f7d8c125136910f7a4607",
+    "cs_lag3/rms_delta_bid.csv":
+        "a8c653fa533c31b366a66a55c1b33a20eeb51e35135d461ec6bd9cf7757ed85a",
+    "cs_lag3/spatial_correlation.csv":
+        "93f3f2ca3e33e6c582bd89f3ac3f70a4687dddf955d5fce8ffcc090b5e7ad027",
+    "cs_lag3/variance_vs_n0.csv":
+        "2eb1b145cb93473215c76c875e7814173f9da1d06434884c9019d58492258b24",
+    "kstt_analyze/conditional_delta.csv":
+        "e436ec45c4a6cd947c17ef2bf7e7a908c51d0ad23ab73c438537c17f867b2a80",
+    "kstt_analyze/return_distribution.csv":
+        "2f4574f2a14f659a6f5c93ddd17829bf04efb3258b8073a35e604d4836e0fbf1",
+    "kstt_analyze/rms_delta_ask.csv":
+        "46f8bae54315c49a26a4ba2c622ef451edfb5b0657e3b6913a9a83a0d36ed2f5",
+    "kstt_analyze/rms_delta_bid.csv":
+        "f36c2ba8b371a7f123e8e6ffbf88fbf06398a16eaac8ed23a549fe44bc2ff5d7",
+    "kstt_analyze/spatial_correlation.csv":
+        "843a76c1af55d14b10c9dac7c869ebcbadf1b610110f63765259eda3cfa42e2d",
+    "kstt_analyze/variance_vs_n0.csv":
+        "e55fdbdf63298ca30d4613e2397dcda1bcde3beba599b26959671ab6be031fc6",
+    "kstt_analyze/velocity_correlation_ask.csv":
+        "29951d49932a50c50be7f0ea3c3735c79c36d63994457b1259f88b486a8e0a60",
+    "kstt_analyze/velocity_correlation_bid.csv":
+        "8da38db98ac84ba002b21962eb2e694730a2adea759d9577bcc15b51860d3f29",
+    "kstt_fit/mo_fit.json":
+        "8c734281e367981db18ad251ec985127fe612e1106fcc7cd7273cec8e3b07348",
+    "kstt_lag3/conditional_delta.csv":
+        "a56204d24520528973746941e697ce78b82bd127bc03b946e759aafb7538eebf",
+    "kstt_lag3/return_distribution.csv":
+        "87805f5c7e6effc013628a980423dd8c44be85f57e64756b79f77f98962c6f4b",
+    "kstt_lag3/rms_delta_ask.csv":
+        "46f8bae54315c49a26a4ba2c622ef451edfb5b0657e3b6913a9a83a0d36ed2f5",
+    "kstt_lag3/rms_delta_bid.csv":
+        "f36c2ba8b371a7f123e8e6ffbf88fbf06398a16eaac8ed23a549fe44bc2ff5d7",
+    "kstt_lag3/spatial_correlation.csv":
+        "f4f4c96832832d47bd89e5a29be6a164bb50247a12b727ed99d032f040e2aff4",
+    "kstt_lag3/variance_vs_n0.csv":
+        "e55fdbdf63298ca30d4613e2397dcda1bcde3beba599b26959671ab6be031fc6",
+}
+
+
+def test_analysis_writes_the_golden_files(analysis_outputs):
+    assert sorted(analysis_outputs) == sorted(ANALYSIS_GOLDEN)
+
+
+@pytest.mark.parametrize("path", sorted(ANALYSIS_GOLDEN))
+def test_analysis_file_matches_golden(analysis_outputs, path):
+    got = _file_golden(path, analysis_outputs[path])
+    want = ANALYSIS_GOLDEN[path]
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[:2] == want[:2]
+        for g, w in zip(got[2:], want[2:]):
+            assert math.isclose(g, w, rel_tol=1e-13, abs_tol=0.0), (g, w)
