@@ -3,8 +3,11 @@
 All analyzers are pure functions of an immutable SeriesFrame (no hidden RNG;
 the nonlinear fit's multi-start points come from a fixed internal seed).
 Frames come either from simulation runs or from ingested snapshot series.
-Volume changes are measured at a lag, Delta n(x, t) = n(x, t) - n(x, t - dt),
-and never straddle a segment boundary (data gaps split frames into segments).
+Volume changes are measured at a lag, Delta n(x, t) = n(x, t + dt) - n(x, t),
+paired with the state at t, and never straddle a segment boundary (data gaps
+split frames into segments); one helper, ``_lagged``, forms these pairs for
+every statistic.  Correlations are column-wise Pearson coefficients, and
+binned second moments need at least 30 samples per bin.
 
 Binning follows the heavy-tail conventions: log-spaced bins for volumes and
 |Delta n| (mirrored for negative changes), linear bins for positions and
@@ -162,19 +165,41 @@ def _bin_column(frame: SeriesFrame, x: float) -> int:
     return int(np.argmin(np.abs(frame.x_bins - x)))
 
 
-def _segment_deltas(frame: SeriesFrame, series: np.ndarray, lag: int):
-    """(value at t, delta over [t, t+lag], segment-local index t) across segments."""
-    now, delta, idx = [], [], []
-    for a, b in frame.segments:
-        if b - a <= lag:
-            continue
-        s = series[a:b]
-        now.append(s[:-lag])
-        delta.append(s[lag:] - s[:-lag])
-        idx.append(np.arange(a, b - lag))
-    if not now:
+def _lagged(frame: SeriesFrame, series: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """(series[t], series[t + lag] - series[t]) for every t whose lag stays in its segment.
+
+    series is indexed by time along axis 0 (1-D, or (T, K) for the tracked bins).
+    """
+    parts = [(series[a : b - lag], series[a + lag : b] - series[a : b - lag])
+             for a, b in frame.segments if b - a > lag]
+    if not parts:
         raise DataError("no segment is longer than the requested lag")
-    return np.concatenate(now), np.concatenate(delta), np.concatenate(idx)
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _pearson_columns(ref: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Pearson correlation of ref with each column of d; NaN where either has zero variance."""
+    ref_c = ref - ref.mean()
+    ref_sd = ref_c.std()
+    out = np.full(d.shape[1], np.nan)
+    for k in range(d.shape[1]):
+        col = d[:, k] - d[:, k].mean()
+        sd = col.std()
+        if sd > 0.0 and ref_sd > 0.0:
+            out[k] = float((ref_c * col).mean() / (ref_sd * sd))
+    return out
+
+
+def _binned_mean_square(values: np.ndarray, which: np.ndarray, n_bins: int):
+    """(mean of values**2 per bin, NaN below 30 samples; sample count per bin)."""
+    out = np.full(n_bins, np.nan)
+    counts = np.zeros(n_bins, dtype=int)
+    for i in range(n_bins):
+        sel = which == i
+        counts[i] = int(sel.sum())
+        if counts[i] >= 30:
+            out[i] = float(np.mean(values[sel] ** 2))
+    return out, counts
 
 
 def _log_bins(values: np.ndarray, count: int) -> np.ndarray:
@@ -214,12 +239,8 @@ def conditional_delta_distribution(
     Conditioning bins with fewer than min_samples observations are dropped and
     flagged in ``kept``.
     """
-    if len(frame.times) == 0:
-        raise DataError("empty frame")
     lag = _lag_steps(frame, dt)
-    col = _bin_column(frame, x)
-    series = frame.side(side)[:, col]
-    now, delta, _ = _segment_deltas(frame, series, lag)
+    now, delta = _lagged(frame, frame.side(side)[:, _bin_column(frame, x)], lag)
     if isinstance(n_bin_edges, (int, np.integer)):
         n_edges = _log_bins(now, int(n_bin_edges))
     else:
@@ -261,10 +282,7 @@ def mean_delta_vs_n(
     The slope estimates -sigma_out(x) <zeta> dt and the intercept estimates
     sigma_in(x) <xi> dt.
     """
-    lag = _lag_steps(frame, dt)
-    col = _bin_column(frame, x)
-    series = frame.side(side)[:, col]
-    now, delta, _ = _segment_deltas(frame, series, lag)
+    now, delta = _lagged(frame, frame.side(side)[:, _bin_column(frame, x)], _lag_steps(frame, dt))
     edges = _log_bins(now, bins)
     which = np.digitize(now, edges) - 1
     xs, ys, cs = [], [], []
@@ -301,29 +319,11 @@ def spatial_correlation(frame: SeriesFrame, x_ref: float, dt: float, side: str =
 
     Bins with zero variance get NaN (undefined-correlation marker).
     """
-    lag = _lag_steps(frame, dt)
-    ref_col = _bin_column(frame, x_ref)
-    vol = frame.side(side)
-    deltas = []
-    for a, b in frame.segments:
-        if b - a > lag:
-            deltas.append(vol[a + lag : b] - vol[a : b - lag])
-    if not deltas:
-        raise DataError("no segment is longer than the requested lag")
-    d = np.concatenate(deltas, axis=0)
-    ref = d[:, ref_col]
-    ref_c = ref - ref.mean()
-    ref_sd = ref_c.std()
-    out = np.full(d.shape[1], np.nan)
-    for k in range(d.shape[1]):
-        col = d[:, k] - d[:, k].mean()
-        sd = col.std()
-        if sd > 0.0 and ref_sd > 0.0:
-            out[k] = float((ref_c * col).mean() / (ref_sd * sd))
+    _, d = _lagged(frame, frame.side(side), _lag_steps(frame, dt))
     return Curve(
         bin_centers=frame.x_bins.copy(),
-        values=out,
-        counts=np.full(d.shape[1], len(ref)),
+        values=_pearson_columns(d[:, _bin_column(frame, x_ref)], d),
+        counts=np.full(d.shape[1], len(d)),
         bin_edges=frame.x_bins.copy(),
         meta={"x_ref": x_ref, "side": side, "dt": dt, "statistic": "pearson_delta_correlation"},
     )
@@ -408,21 +408,10 @@ def velocity_variance_vs_n0(frame: SeriesFrame, n0_bins: np.ndarray | int = 12) 
     if len(frame.times) == 0:
         raise DataError("empty frame")
     n0 = frame.n0s
-    v = frame.velocities
     edges = _log_bins(n0, int(n0_bins)) if isinstance(n0_bins, (int, np.integer)) else np.asarray(n0_bins, dtype=float)
-    which = np.digitize(n0, edges) - 1
-    nb = len(edges) - 1
-    vals = np.full(nb, np.nan)
-    counts = np.zeros(nb, dtype=int)
-    centers = np.empty(nb)
-    for i in range(nb):
-        sel = which == i
-        counts[i] = int(sel.sum())
-        centers[i] = np.sqrt(edges[i] * edges[i + 1])
-        if counts[i] >= 30:
-            vals[i] = float(np.mean(v[sel] ** 2))
+    vals, counts = _binned_mean_square(frame.velocities, np.digitize(n0, edges) - 1, len(edges) - 1)
     return Curve(
-        bin_centers=centers,
+        bin_centers=np.sqrt(edges[:-1] * edges[1:]),
         values=vals,
         counts=counts,
         bin_edges=edges,
@@ -431,36 +420,22 @@ def velocity_variance_vs_n0(frame: SeriesFrame, n0_bins: np.ndarray | int = 12) 
 
 
 def velocity_volume_correlation(frame: SeriesFrame, dt: float) -> dict[str, Curve]:
-    """Pearson correlation of v with Delta n per tracked x bin, for each side."""
+    """Pearson correlation of v with Delta n per tracked x bin, for each side.
+
+    The velocity driving the change over [t, t + lag) is the mean of
+    v[t..t+lag-1], which is v[t] itself at lag 1.
+    """
     lag = _lag_steps(frame, dt)
+    # Zero-padded to length T; every window _lagged reads starts at t < b - lag
+    # and so ends inside its segment [a, b).
+    padded = np.concatenate([frame.velocities, np.zeros(lag - 1)])
+    vv, _ = _lagged(frame, np.lib.stride_tricks.sliding_window_view(padded, lag).mean(axis=1), lag)
     out: dict[str, Curve] = {}
-    vparts = []
-    for a, b in frame.segments:
-        if b - a > lag:
-            # velocity driving the interval [t, t+lag): average of v over it
-            vwin = frame.velocities[a : b - lag].astype(float).copy()
-            if lag > 1:
-                c = np.cumsum(np.concatenate([[0.0], frame.velocities[a:b]]))
-                vwin = (c[lag:] - c[:-lag]) / lag
-            vparts.append(vwin)
-    if not vparts:
-        raise DataError("no segment is longer than the requested lag")
-    vv = np.concatenate(vparts)
-    vc = vv - vv.mean()
-    vsd = vc.std()
     for side in ("bid", "ask"):
-        vol = frame.side(side)
-        dparts = [vol[a + lag : b] - vol[a : b - lag] for a, b in frame.segments if b - a > lag]
-        d = np.concatenate(dparts, axis=0)
-        vals = np.full(d.shape[1], np.nan)
-        for k in range(d.shape[1]):
-            col = d[:, k] - d[:, k].mean()
-            sd = col.std()
-            if sd > 0.0 and vsd > 0.0:
-                vals[k] = float((vc * col).mean() / (vsd * sd))
+        _, d = _lagged(frame, frame.side(side), lag)
         out[side] = Curve(
             bin_centers=frame.x_bins.copy(),
-            values=vals,
+            values=_pearson_columns(vv, d),
             counts=np.full(d.shape[1], len(vv)),
             bin_edges=frame.x_bins.copy(),
             meta={"side": side, "dt": dt, "statistic": "velocity_volume_correlation"},
@@ -474,11 +449,7 @@ def rms_delta_vs_velocity(frame: SeriesFrame, v_bins: np.ndarray | int = 13) -> 
     The total change sums Delta n over the tracked x bins; velocity bins are
     linear and symmetric around 0.
     """
-    lag = 1
-    vparts = [frame.velocities[a : b - lag] for a, b in frame.segments if b - a > lag]
-    if not vparts:
-        raise DataError("frame too short")
-    vv = np.concatenate(vparts)
+    vv, _ = _lagged(frame, frame.velocities, 1)
     if isinstance(v_bins, (int, np.integer)):
         vmax = np.quantile(np.abs(vv), 0.995)
         if vmax <= 0:
@@ -488,25 +459,12 @@ def rms_delta_vs_velocity(frame: SeriesFrame, v_bins: np.ndarray | int = 13) -> 
         edges = np.asarray(v_bins, dtype=float)
     out: dict[str, Curve] = {}
     which = np.digitize(vv, edges) - 1
-    nb = len(edges) - 1
     for side in ("bid", "ask"):
-        vol = frame.side(side)
-        dparts = [
-            (vol[a + lag : b] - vol[a : b - lag]).sum(axis=1)
-            for a, b in frame.segments
-            if b - a > lag
-        ]
-        d = np.concatenate(dparts)
-        vals = np.full(nb, np.nan)
-        counts = np.zeros(nb, dtype=int)
-        for i in range(nb):
-            sel = which == i
-            counts[i] = int(sel.sum())
-            if counts[i] >= 30:
-                vals[i] = float(np.sqrt(np.mean(d[sel] ** 2)))
+        _, d = _lagged(frame, frame.side(side), 1)
+        mean_square, counts = _binned_mean_square(d.sum(axis=1), which, len(edges) - 1)
         out[side] = Curve(
             bin_centers=0.5 * (edges[:-1] + edges[1:]),
-            values=vals,
+            values=np.sqrt(mean_square),
             counts=counts,
             bin_edges=edges,
             meta={"side": side, "statistic": "rms_delta_vs_velocity"},
@@ -561,7 +519,7 @@ def fit_market_order_response(
             sol = optimize.least_squares(
                 resid, theta0, bounds=(lo, hi), method="trf", max_nfev=max_nfev
             )
-        except Exception as exc:  # singular starts etc.; recorded, not fatal
+        except (ValueError, np.linalg.LinAlgError) as exc:  # a bad start; recorded, not fatal
             trace.append({"start": start, "error": str(exc)})
             continue
         trace.append({"start": start, "cost": float(sol.cost), "status": int(sol.status)})

@@ -10,10 +10,15 @@ fp             tabulate the stationary return density and regime report
 compare        run several models with a shared seed and emit side-by-side stats
 gen-synthetic  generate synthetic snapshot/market-order files
 
-Configuration is a JSON file (--config) whose keys mirror the flags; explicit
-flags win.  Every run writes the fully resolved configuration next to its
-outputs.  Exit codes: 0 success, 2 usage or validation error, 3 data error,
-4 numeric failure.
+simulate --config takes a JSON object laid out like the config.json a run
+writes.  It is merged over the reference values (grid, stable and mo key by
+key; profile specs, init_profile and activity whole), explicit flags win, and
+an unknown key is a usage error.  The resolved config is written to
+config.json before the run, so ``simulate --config <out>/config.json``
+repeats it.  cs and kstt run their reference configurations; of the config
+they take only model, steps, dt and seed.  analyze and compare draw their
+statistics from one table, ``STATISTICS``.  Exit codes: 0 success, 2 usage or
+validation error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,19 +36,11 @@ from . import analyzers, configs, ingest, profiles
 from .baselines import BaselineKind, run_baseline
 from .dynamics import market_order_rate, simulate
 from .errors import DataError, NumericError
-from .field import MarketOrderParams, ModelParams, PlacementActivityParams, new_field
+from .field import MarketOrderParams, ModelParams, PlacementActivityParams
 from .fokker_planck import FPParams, make_grid, regime_report, stationary_density
 from .stable_noise import StableParams
 
-STAT_NAMES = (
-    "conditional-delta",
-    "mean-delta",
-    "spatial-correlation",
-    "return-distribution",
-    "variance-vs-n0",
-    "velocity-correlation",
-    "rms-delta",
-)
+MODELS = ("cf", "cs", "kstt")
 
 
 def _load_config(path: str | None) -> dict:
@@ -57,122 +55,110 @@ def _load_config(path: str | None) -> dict:
         raise ValueError(f"config file is not valid JSON: {exc}") from None
 
 
-def _model_params_from_config(cfg: dict) -> ModelParams:
+def _reference_config() -> dict:
+    """The resolved config of a run without config file or flags; its keys are the schema."""
     ref = configs.reference_model_params()
-    stable_cfg = cfg.get("stable", {})
-    stable = StableParams(
-        alpha=stable_cfg.get("alpha", ref.stable.alpha),
-        scale=stable_cfg.get("scale", ref.stable.scale),
-        truncation_quantile=stable_cfg.get("truncation_quantile", ref.stable.truncation_quantile),
-    )
-    mo_cfg = cfg.get("mo", {})
-    mo = MarketOrderParams(
-        k0=mo_cfg.get("k0", ref.mo.k0),
-        k_inf=mo_cfg.get("k_inf", ref.mo.k_inf),
-        k1=mo_cfg.get("k1", ref.mo.k1),
-        v0=mo_cfg.get("v0", ref.mo.v0),
-    )
-    def prof(key, default):
-        return profiles.make_profile(cfg[key]) if key in cfg else default
-
-    activity = None
-    if cfg.get("activity"):
-        act = cfg["activity"]
-        activity = PlacementActivityParams(
-            k0_in=profiles.make_profile(act["k0_in"]),
-            k_inf_in=profiles.make_profile(act["k_inf_in"]),
-            k1_in=profiles.make_profile(act["k1_in"]),
-            v0_in=profiles.make_profile(act["v0_in"]),
-        )
-    return ModelParams(
-        stable=stable,
-        sigma_in=prof("sigma_in", ref.sigma_in),
-        sigma_out=prof("sigma_out", ref.sigma_out),
-        diffusion=prof("diffusion", ref.diffusion),
-        mo=mo,
-        tau=cfg.get("tau", ref.tau),
-        n0_floor=cfg.get("n0_floor", ref.n0_floor),
-        activity=activity,
-        noise_time_scaling=cfg.get("noise_time_scaling", ref.noise_time_scaling),
-    )
-
-
-def _resolved_model_config(params: ModelParams, grid, steps, dt, seed) -> dict:
-    def spec_of(p):
-        return getattr(p, "spec", "<custom callable>")
-
+    grid = configs.reference_grid()
     return {
         "model": "cf",
+        "steps": 100_000,
+        "dt": 1.0,
+        "seed": 1,
         "grid": {"length": grid.length, "dx": grid.dx},
-        "steps": steps,
-        "dt": dt,
-        "seed": seed,
-        "stable": {
-            "alpha": params.stable.alpha,
-            "scale": params.stable.scale,
-            "truncation_quantile": params.stable.truncation_quantile,
-        },
-        "sigma_in": spec_of(params.sigma_in),
-        "sigma_out": spec_of(params.sigma_out),
-        "diffusion": spec_of(params.diffusion),
-        "mo": {"k0": params.mo.k0, "k_inf": params.mo.k_inf, "k1": params.mo.k1, "v0": params.mo.v0},
-        "tau": params.tau,
-        "n0_floor": params.n0_floor,
-        "noise_time_scaling": params.noise_time_scaling,
+        "stable": asdict(ref.stable),
+        "sigma_in": ref.sigma_in.spec,
+        "sigma_out": ref.sigma_out.spec,
+        "diffusion": ref.diffusion.spec,
+        "mo": asdict(ref.mo),
+        "tau": ref.tau,
+        "n0_floor": ref.n0_floor,
+        "noise_time_scaling": ref.noise_time_scaling,
+        "init_profile": configs.reference_init_profile().spec,
+        "activity": None,
     }
 
 
-def _run_model(model: str, cfg: dict, steps: int, dt: float, seed: int, grid_cfg: dict):
-    if model == "cf":
-        grid = configs.GridSpec(
-            length=int(grid_cfg.get("length", configs.reference_grid().length)),
-            dx=float(grid_cfg.get("dx", configs.reference_grid().dx)),
-        )
-        params = _model_params_from_config(cfg)
-        init = (
-            profiles.make_profile(cfg["init_profile"])
-            if "init_profile" in cfg
-            else configs.reference_init_profile()
-        )
-        field = grid.new_field(init)
+def _merge(ref: dict, cfg, where: str = "") -> dict:
+    """cfg over ref: sections (grid, stable, mo) merge key by key, other values replace."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {where.rstrip('.') or 'file'} must be a JSON object, got {cfg!r}")
+    out = dict(ref)
+    for key, value in cfg.items():
+        if key not in ref:
+            raise ValueError(f"unknown config key {where + key!r}; valid keys: {', '.join(ref)}")
+        section = isinstance(ref[key], dict) and "kind" not in ref[key]
+        out[key] = _merge(ref[key], value, f"{where}{key}.") if section else value
+    return out
+
+
+def _resolve_config(cfg: dict, **flags) -> dict:
+    """The config merged over the reference values, then the flags that are set."""
+    resolved = _merge(_reference_config(), cfg)
+    resolved.update({key: value for key, value in flags.items() if value is not None})
+    for key, kind in (("steps", int), ("dt", float), ("seed", int)):
+        resolved[key] = kind(resolved[key])
+    if resolved["model"] not in MODELS:
+        raise ValueError(f"unknown model {resolved['model']!r}; valid: {', '.join(MODELS)}")
+    if resolved["model"] != "cf":  # the baselines run their reference configurations
+        resolved = {key: resolved[key] for key in ("model", "steps", "dt", "seed")}
+    return resolved
+
+
+def _model_params(cfg: dict) -> ModelParams:
+    activity = cfg["activity"]
+    if activity:  # every profile is required: a missing one stays None and is rejected
+        specs = _merge(dict.fromkeys(f.name for f in fields(PlacementActivityParams)), activity,
+                       "activity.")
+        activity = PlacementActivityParams(
+            **{name: profiles.make_profile(spec) for name, spec in specs.items()})
+    return ModelParams(
+        stable=StableParams(**cfg["stable"]),
+        sigma_in=profiles.make_profile(cfg["sigma_in"]),
+        sigma_out=profiles.make_profile(cfg["sigma_out"]),
+        diffusion=profiles.make_profile(cfg["diffusion"]),
+        mo=MarketOrderParams(**cfg["mo"]),
+        tau=cfg["tau"],
+        n0_floor=cfg["n0_floor"],
+        activity=activity or None,
+        noise_time_scaling=cfg["noise_time_scaling"],
+    )
+
+
+def _run_model(cfg: dict):
+    """Run the model of a resolved config (see ``_resolve_config``)."""
+    if cfg["model"] == "cf":
+        grid = configs.GridSpec(length=int(cfg["grid"]["length"]), dx=float(cfg["grid"]["dx"]))
+        field = grid.new_field(profiles.make_profile(cfg["init_profile"]))
         tracked = np.unique(np.geomspace(1, grid.length - 1, 24).astype(int))
-        result = simulate(params, field, steps=steps, dt=dt, seed=seed, tracked_cells=tracked)
-        resolved = _resolved_model_config(params, grid, steps, dt, seed)
-        return result, resolved
-    if model == "cs":
-        field = configs.cs_reference_field()
-        result = run_baseline(BaselineKind.CS, configs.cs_reference(), field, steps=steps,
-                              seed=seed, tracked_cells=np.arange(field.length))
-        return result, {"model": "cs", "steps": steps, "seed": seed, "reference": True}
-    if model == "kstt":
-        field = configs.kstt_reference_field()
-        result = run_baseline(BaselineKind.KSTT, configs.kstt_reference(), field, steps=steps,
-                              seed=seed, tracked_cells=np.arange(field.length))
-        return result, {"model": "kstt", "steps": steps, "seed": seed, "reference": True}
-    raise ValueError(f"unknown model {model!r}; valid: cf, cs, kstt")
+        return simulate(_model_params(cfg), field, steps=cfg["steps"], dt=cfg["dt"],
+                        seed=cfg["seed"], tracked_cells=tracked)
+    if cfg["model"] == "cs":
+        kind, params, field = BaselineKind.CS, configs.cs_reference(), configs.cs_reference_field()
+    else:
+        kind, params, field = BaselineKind.KSTT, configs.kstt_reference(), configs.kstt_reference_field()
+    return run_baseline(kind, params, field, steps=cfg["steps"], seed=cfg["seed"],
+                        tracked_cells=np.arange(field.length))
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    steps = args.steps if args.steps is not None else int(cfg.get("steps", 100_000))
-    dt = args.dt if args.dt is not None else float(cfg.get("dt", 1.0))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 1))
-    model = args.model or cfg.get("model", "cf")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    cfg = _resolve_config(_load_config(args.config), model=args.model, steps=args.steps,
+                          dt=args.dt, seed=args.seed)
+    if cfg["steps"] < 1:
+        raise ValueError(f"steps must be >= 1, got {cfg['steps']}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(json.dumps(cfg, indent=2))
     t0 = time.time()
-    result, resolved = _run_model(model, cfg, steps, dt, seed, cfg.get("grid", {}))
+    result = _run_model(cfg)
     runtime = time.time() - t0
     if args.records:
         with open(out / "records.jsonl", "w") as fh:
             ingest.write_step_records(result, fh)
-    rd = analyzers.return_distribution(result.velocities, tau=dt)
+    rd = analyzers.return_distribution(result.velocities, tau=cfg["dt"])
     summary = {
-        "model": model,
-        "steps": steps,
-        "seed": seed,
+        "model": cfg["model"],
+        "steps": cfg["steps"],
+        "seed": cfg["seed"],
         "runtime_seconds": runtime,
         "mean_n0": float(np.mean(result.n0s)),
         "velocity_std": float(np.std(result.velocities)),
@@ -181,7 +167,6 @@ def cmd_simulate(args) -> int:
         "tail_flags": rd.flags,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
-    (out / "config.json").write_text(json.dumps(resolved, indent=2, default=str))
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -204,70 +189,82 @@ def _frame_from_args(args) -> analyzers.SeriesFrame:
     raise ValueError("provide --records or --snapshots as the frame source")
 
 
+def _x_ref(frame: analyzers.SeriesFrame) -> float:
+    """Reference position of the per-x statistics: the tracked bin a quarter of the way out."""
+    return frame.x_bins[min(len(frame.x_bins) // 4, len(frame.x_bins) - 1)]
+
+
+def _mean_delta_slopes(frame: analyzers.SeriesFrame, dt: float) -> analyzers.Curve:
+    """Slope of <Delta n> against n at every tracked bin with enough volume samples."""
+    fits = []
+    for x in frame.x_bins:
+        try:
+            fits.append((x, analyzers.mean_delta_vs_n(frame, x, dt)))
+        except DataError:
+            continue
+    if not fits:
+        raise DataError("no x bin had enough volume samples for mean-delta")
+    xs = np.array([x for x, _ in fits])
+    return analyzers.Curve(
+        bin_centers=xs, values=np.array([fit.slope for _, fit in fits]),
+        counts=np.full(len(xs), 0), bin_edges=xs,
+        meta={"statistic": "mean_delta_slope", "dt": dt},
+    )
+
+
+# name -> (file stem, compute(frame, dt), ingest writer, value column of a curve file).
+# compute returns one result, or {side: result} written to <stem>_<side>.csv.
+# analyzers.* and ingest.* are looked up when called, not when this is built.
+STATISTICS = {
+    "conditional-delta": (
+        "conditional_delta",
+        lambda frame, dt: analyzers.conditional_delta_distribution(frame, _x_ref(frame), 6, dt),
+        "write_histogram_family_csv", None),
+    "mean-delta": ("mean_delta_slope", _mean_delta_slopes, "write_curve_csv", "slope"),
+    "spatial-correlation": (
+        "spatial_correlation",
+        lambda frame, dt: analyzers.spatial_correlation(frame, _x_ref(frame), dt),
+        "write_curve_csv", "correlation"),
+    "return-distribution": (
+        "return_distribution",
+        lambda frame, dt: analyzers.return_distribution(frame.velocities, tau=dt),
+        "write_return_distribution_csv", None),
+    "variance-vs-n0": ("variance_vs_n0", lambda frame, dt: analyzers.velocity_variance_vs_n0(frame),
+                       "write_curve_csv", "velocity_variance"),
+    "velocity-correlation": (
+        "velocity_correlation", lambda frame, dt: analyzers.velocity_volume_correlation(frame, dt),
+        "write_curve_csv", "correlation"),
+    "rms-delta": ("rms_delta", lambda frame, dt: analyzers.rms_delta_vs_velocity(frame),
+                  "write_curve_csv", "rms_delta"),
+}
+COMPARE_STATISTICS = ("return-distribution", "rms-delta", "velocity-correlation")
+
+
+def _write_statistic(name: str, frame, dt: float, out: Path, prefix: str = ""):
+    """Compute statistic ``name`` and write its files; returns (result, file names)."""
+    stem, compute, writer, column = STATISTICS[name]
+    result = compute(frame, dt)
+    written = []
+    for side, part in result.items() if isinstance(result, dict) else [("", result)]:
+        written.append(f"{prefix}{stem}{'_' + side if side else ''}.csv")
+        with open(out / written[-1], "w") as fh:
+            getattr(ingest, writer)(part, fh, **({"name": column} if column else {}))
+    return result, written
+
+
 def cmd_analyze(args) -> int:
-    wanted = [s.strip() for s in args.stats.split(",") if s.strip()] if args.stats else list(STAT_NAMES)
-    bad = [s for s in wanted if s not in STAT_NAMES]
+    wanted = [s.strip() for s in args.stats.split(",") if s.strip()] if args.stats else list(STATISTICS)
+    bad = [s for s in wanted if s not in STATISTICS]
     if bad:
-        raise ValueError(f"unknown statistic(s) {bad}; valid names: {', '.join(STAT_NAMES)}")
+        raise ValueError(f"unknown statistic(s) {bad}; valid names: {', '.join(STATISTICS)}")
     frame = _frame_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dt = args.lag if args.lag is not None else float(np.median(np.diff(frame.times)))
-    x_mid = frame.x_bins[min(len(frame.x_bins) // 4, len(frame.x_bins) - 1)]
     written = []
     for stat in wanted:
         try:
-            if stat == "conditional-delta":
-                fam = analyzers.conditional_delta_distribution(frame, x_mid, 6, dt)
-                with open(out / "conditional_delta.csv", "w") as fh:
-                    ingest.write_histogram_family_csv(fam, fh)
-                written.append("conditional_delta.csv")
-            elif stat == "mean-delta":
-                rows = []
-                for x in frame.x_bins:
-                    try:
-                        fit = analyzers.mean_delta_vs_n(frame, x, dt)
-                        rows.append((x, fit.slope, fit.intercept, fit.slope_stderr))
-                    except DataError:
-                        continue
-                if not rows:
-                    raise DataError("no x bin had enough volume samples for mean-delta")
-                arr = np.array(rows)
-                curve = analyzers.Curve(
-                    bin_centers=arr[:, 0], values=arr[:, 1],
-                    counts=np.full(len(arr), 0), bin_edges=arr[:, 0],
-                    meta={"statistic": "mean_delta_slope", "dt": dt},
-                )
-                with open(out / "mean_delta_slope.csv", "w") as fh:
-                    ingest.write_curve_csv(curve, fh, name="slope")
-                written.append("mean_delta_slope.csv")
-            elif stat == "spatial-correlation":
-                c = analyzers.spatial_correlation(frame, x_mid, dt)
-                with open(out / "spatial_correlation.csv", "w") as fh:
-                    ingest.write_curve_csv(c, fh, name="correlation")
-                written.append("spatial_correlation.csv")
-            elif stat == "return-distribution":
-                rd = analyzers.return_distribution(frame.velocities, tau=dt)
-                with open(out / "return_distribution.csv", "w") as fh:
-                    ingest.write_return_distribution_csv(rd, fh)
-                written.append("return_distribution.csv")
-            elif stat == "variance-vs-n0":
-                c = analyzers.velocity_variance_vs_n0(frame)
-                with open(out / "variance_vs_n0.csv", "w") as fh:
-                    ingest.write_curve_csv(c, fh, name="velocity_variance")
-                written.append("variance_vs_n0.csv")
-            elif stat == "velocity-correlation":
-                cur = analyzers.velocity_volume_correlation(frame, dt)
-                for side, c in cur.items():
-                    with open(out / f"velocity_correlation_{side}.csv", "w") as fh:
-                        ingest.write_curve_csv(c, fh, name="correlation")
-                    written.append(f"velocity_correlation_{side}.csv")
-            elif stat == "rms-delta":
-                cur = analyzers.rms_delta_vs_velocity(frame)
-                for side, c in cur.items():
-                    with open(out / f"rms_delta_{side}.csv", "w") as fh:
-                        ingest.write_curve_csv(c, fh, name="rms_delta")
-                    written.append(f"rms_delta_{side}.csv")
+            written += _write_statistic(stat, frame, dt, out)[1]
         except DataError as exc:
             print(f"warning: {stat}: {exc}", file=sys.stderr)
     if not written:
@@ -316,32 +313,23 @@ def cmd_fp(args) -> int:
 
 def cmd_compare(args) -> int:
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    bad = [m for m in models if m not in ("cf", "cs", "kstt")]
+    bad = [m for m in models if m not in MODELS]
     if bad:
-        raise ValueError(f"unknown model(s) {bad}; valid: cf, cs, kstt")
+        raise ValueError(f"unknown model(s) {bad}; valid: {', '.join(MODELS)}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
     for model in models:
-        result, _ = _run_model(model, {}, args.steps, 1.0, args.seed, {})
+        result = _run_model(_resolve_config({}, model=model, steps=args.steps, seed=args.seed))
         frame = result.to_frame()
-        v = result.velocities
-        rd = analyzers.return_distribution(v, tau=1.0)
-        with open(out / f"{model}_return_distribution.csv", "w") as fh:
-            ingest.write_return_distribution_csv(rd, fh)
-        rms = analyzers.rms_delta_vs_velocity(frame)
-        for side, c in rms.items():
-            with open(out / f"{model}_rms_delta_{side}.csv", "w") as fh:
-                ingest.write_curve_csv(c, fh, name="rms_delta")
-        cor = analyzers.velocity_volume_correlation(frame, 1.0)
-        for side, c in cor.items():
-            with open(out / f"{model}_velocity_correlation_{side}.csv", "w") as fh:
-                ingest.write_curve_csv(c, fh, name="correlation")
+        results = {name: _write_statistic(name, frame, 1.0, out, prefix=f"{model}_")[0]
+                   for name in COMPARE_STATISTICS}
+        rd = results["return-distribution"]
         from scipy import stats as sps
 
         summary[model] = {
-            "velocity_std": float(np.std(v)),
-            "excess_kurtosis": float(sps.kurtosis(v)),
+            "velocity_std": float(np.std(result.velocities)),
+            "excess_kurtosis": float(sps.kurtosis(result.velocities)),
             "tail_exponent": rd.tail_exponent,
             "tail_flags": rd.flags,
             "mean_n0": float(np.mean(result.n0s)),
@@ -401,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a model and write tick records + summary")
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--model", choices=["cf", "cs", "kstt"], default=None)
+    p.add_argument("--model", choices=MODELS, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -410,25 +398,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip writing records.jsonl (summary only)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("analyze", help="compute statistics from records or snapshots")
-    p.add_argument("--records", help="step-record JSONL file from simulate")
-    p.add_argument("--snapshots", help="snapshot JSONL file")
-    p.add_argument("--market-orders", help="market-order CSV aligned with snapshots")
-    p.add_argument("--dx", type=float, default=2e-4, help="lattice spacing for snapshot gridding")
-    p.add_argument("--L", type=float, default=0.05, help="lattice extent for snapshot gridding")
-    p.add_argument("--dt", type=float, default=None, help="frame build interval for snapshots")
+    frame_source = argparse.ArgumentParser(add_help=False)
+    frame_source.add_argument("--records", help="step-record JSONL file from simulate")
+    frame_source.add_argument("--snapshots", help="snapshot JSONL file")
+    frame_source.add_argument("--market-orders", help="market-order CSV aligned with snapshots")
+    frame_source.add_argument("--dx", type=float, default=2e-4,
+                              help="lattice spacing for snapshot gridding")
+    frame_source.add_argument("--L", type=float, default=0.05,
+                              help="lattice extent for snapshot gridding")
+    frame_source.add_argument("--dt", type=float, default=None,
+                              help="frame build interval for snapshots")
+
+    p = sub.add_parser("analyze", parents=[frame_source],
+                       help="compute statistics from records or snapshots")
     p.add_argument("--lag", type=float, default=None, help="lag for delta statistics")
-    p.add_argument("--stats", default="", help=f"comma list of: {', '.join(STAT_NAMES)} (default all)")
+    p.add_argument("--stats", default="", help=f"comma list of: {', '.join(STATISTICS)} (default all)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("fit-mo", help="fit market-order response constants")
-    p.add_argument("--records", help="step-record JSONL file")
-    p.add_argument("--snapshots", help="snapshot JSONL file")
-    p.add_argument("--market-orders", help="market-order CSV")
-    p.add_argument("--dx", type=float, default=2e-4)
-    p.add_argument("--L", type=float, default=0.05)
-    p.add_argument("--dt", type=float, default=None)
+    p = sub.add_parser("fit-mo", parents=[frame_source], help="fit market-order response constants")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_mo)
 

@@ -69,4 +69,7 @@ def make_profile(spec: dict) -> Profile:
     except KeyError:
         raise ValueError(f"unknown profile kind {kind!r}; valid kinds: {profile_spec_names()}") from None
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
-    return ctor(**kwargs)
+    try:
+        return ctor(**kwargs)
+    except TypeError as exc:  # a missing or unknown parameter of the kind
+        raise ValueError(f"bad {kind!r} profile spec: {exc}") from None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bookfield import profiles
+from bookfield import analyzers, profiles
 from bookfield.analyzers import (
     SeriesFrame,
     conditional_delta_distribution,
@@ -243,6 +243,19 @@ class TestVelocityVolumeCorrelation:
         assert np.allclose(a["bid"].values, -b["ask"].values, atol=1e-12)
         assert np.allclose(a["ask"].values, -b["bid"].values, atol=1e-12)
 
+    def test_lag_correlates_with_window_mean_velocity(self):
+        # bid at bin 2 integrates v, so its change over 3 ticks is
+        # proportional to v[t] + v[t+1] + v[t+2] inside each segment.
+        def vol_fn(rng, T, K):
+            return rng.uniform(1.0, 2.0, (T, K)), rng.uniform(1.0, 2.0, (T, K))
+
+        frame = synthetic_frame(T=3000, seed=21, vol_fn=vol_fn,
+                                segments=((0, 1000), (1000, 1002), (1002, 3000)))
+        frame.bid[:, 2] = 10.0 + 5e3 * np.concatenate([[0.0], np.cumsum(frame.velocities)[:-1]])
+        out = velocity_volume_correlation(frame, 3.0)
+        assert out["bid"].values[2] == pytest.approx(1.0, abs=1e-12)
+        assert out["bid"].counts[2] == (1000 - 3) + (1998 - 3)
+
 
 def activity_frame(k0_in, k_inf_in, k1_in, v0_in, T=60_000, seed=16):
     """Pure-placement synthetic: delta n driven by the activity function."""
@@ -323,6 +336,15 @@ class TestFitMarketOrderResponse:
         flows = np.array([market_order_rate(vi, p) for vi in v])
         rep = fit_market_order_response(v, flows, n0s=np.full(200, 3.3))
         assert rep.diagnostics["n0_over_k0"] == pytest.approx(1.1, rel=1e-3)
+
+    def test_error_outside_a_bad_start_propagates(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("broken model")
+
+        monkeypatch.setattr(analyzers, "trend_response", broken)
+        v = np.linspace(-8e-4, 8e-4, 50)
+        with pytest.raises(TypeError, match="broken model"):
+            fit_market_order_response(v, np.ones((50, 2)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(18)

@@ -55,6 +55,38 @@ class TestSimulate:
         assert resolved["mo"]["k0"] == 1.0  # config value recorded
 
 
+    def test_config_json_reproduces_the_run(self, tmp_path):
+        const = {"kind": "constant"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "init_profile": {**const, "value": 5.0},
+            "activity": {
+                "k0_in": {**const, "value": 0.4},
+                "k_inf_in": {**const, "value": 0.5},
+                "k1_in": {**const, "value": 0.3},
+                "v0_in": {"kind": "exp_decay", "amplitude": 2e-4, "length_scale": 0.1,
+                          "floor": 5e-5},
+            },
+        }))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["simulate", "--config", str(cfg), "--steps", "300", "--seed", "3",
+                    "--out", str(first)]) == 0
+        assert run(["simulate", "--config", str(first / "config.json"),
+                    "--out", str(second)]) == 0
+        assert (first / "records.jsonl").read_bytes() == (second / "records.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("config, key", [({"mo": {"k_0": 1.0}}, "mo.k_0"),
+                                             ({"stepz": 50}, "stepz"),
+                                             ({"sigma_in": {"kind": "constant", "valu": 1.0}},
+                                              "valu")])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["simulate", "--config", str(cfg), "--steps", "10",
+                    "--out", str(tmp_path / "u")]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+
 class TestAnalyze:
     @pytest.fixture()
     def records(self, tmp_path):
@@ -69,6 +101,11 @@ class TestAnalyze:
         assert "spatial_correlation.csv" in names
         assert "return_distribution.csv" in names
         assert "rms_delta_bid.csv" in names
+
+    def test_lag_3_runs_all_statistics(self, records, tmp_path):
+        out = tmp_path / "lag3"
+        assert run(["analyze", "--records", str(records), "--lag", "3", "--out", str(out)]) == 0
+        assert (out / "velocity_correlation_bid.csv").exists()
 
     def test_unknown_statistic_is_usage_error(self, records, tmp_path, capsys):
         code = run(["analyze", "--records", str(records), "--stats", "nope",
