@@ -207,7 +207,7 @@ def _mean_delta_slopes(frame: analyzers.SeriesFrame, dt: float) -> analyzers.Cur
     xs = np.array([x for x, _ in fits])
     return analyzers.Curve(
         bin_centers=xs, values=np.array([fit.slope for _, fit in fits]),
-        counts=np.full(len(xs), 0), bin_edges=xs,
+        counts=np.array([fit.sample_count for _, fit in fits]), bin_edges=xs,
         meta={"statistic": "mean_delta_slope", "dt": dt},
     )
 

@@ -101,6 +101,8 @@ class TestAnalyze:
         assert "spatial_correlation.csv" in names
         assert "return_distribution.csv" in names
         assert "rms_delta_bid.csv" in names
+        rows = (out / "mean_delta_slope.csv").read_text().splitlines()[2:]
+        assert rows and all(float(row.split(",")[2]) >= 30 for row in rows)  # fit sample counts
 
     def test_lag_3_runs_all_statistics(self, records, tmp_path):
         out = tmp_path / "lag3"

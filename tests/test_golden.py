@@ -212,13 +212,15 @@ def _file_golden(path: str, text: str):
             float(np.max(np.abs(nums))))
 
 
+# The four mean_delta_slope.csv entries were re-recorded when its count column
+# changed from all zeros to the sample count of each bin's fit.
 ANALYSIS_GOLDEN = {
     "cf_analyze/conditional_delta.csv": (
         "581aa5b2075e7e2ecc0e42bbc1b91aef74a8a45940f55e2662ff7bb067732598",
         672, 8016.811658911852, 3985094.0897136377, 1307.0),
     "cf_analyze/mean_delta_slope.csv": (
         "0507e3f93400ebb98cf53086b67527f17bbc1c3fdfb4ac31d04774fe602f2f69",
-        85, 7.12315852306246, 2.439044065373758, 1.0),
+        85, 59698.123158523056, 169735391.4390441, 2883.0),
     "cf_analyze/return_distribution.csv": (
         "7bb80003dbafd11283c7df5a7423e44d868268a599cc3e3619916e643a1b9834",
         186, 106259.06317556463, 10018001621.39409, 100000.0),
@@ -248,7 +250,7 @@ ANALYSIS_GOLDEN = {
         672, 8858.718642137565, 4092510.14709748, 1307.0),
     "cf_lag3/mean_delta_slope.csv": (
         "0507e3f93400ebb98cf53086b67527f17bbc1c3fdfb4ac31d04774fe602f2f69",
-        85, 13.00120564394962, 13.101258087175637, 3.0),
+        85, 59662.00120564394, 169496722.10125807, 2881.0),
     "cf_lag3/return_distribution.csv": (
         "7bb80003dbafd11283c7df5a7423e44d868268a599cc3e3619916e643a1b9834",
         186, 106261.06317556463, 10018001629.39409, 100000.0),
@@ -305,7 +307,7 @@ ANALYSIS_GOLDEN = {
     "cs_analyze/conditional_delta.csv":
         "2e0756ff79e7214d1e96c726744ab8e5264c0cbc5278be69d2226fbaea306a06",
     "cs_analyze/mean_delta_slope.csv":
-        "d1f931f95ddc4df9e925635c686e880dbb29d8a2f2c4e10eeff89c8320caf4e7",
+        "0532fa6575e4fed9a58e860778235dc7682926feca532cec0314c5ae727d14f9",
     "cs_analyze/return_distribution.csv":
         "d268c003c47d03909e8ee385e99ee4ed3b96b5e03bb4011c5c310f266543137d",
     "cs_analyze/rms_delta_ask.csv":
@@ -325,7 +327,7 @@ ANALYSIS_GOLDEN = {
     "cs_lag3/conditional_delta.csv":
         "9e0227a82d76ad38d044096b044a191721114b223d55401bdcf5e89e8294989f",
     "cs_lag3/mean_delta_slope.csv":
-        "7a38b21aa70f9c532c8eaa75b3a46e196694c11e6fbcba74ff70d5677cb9e080",
+        "4cc8c972ec857301ce3b18dd615c96d7ebd7f7b435fdc1f6d43bcd2b990b8aa8",
     "cs_lag3/return_distribution.csv":
         "8af11039ab8252b5c3cd1435f77d67ba9af7eb709dfa6513e4fe403c347504b9",
     "cs_lag3/rms_delta_ask.csv":
