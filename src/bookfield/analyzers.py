@@ -174,6 +174,8 @@ def _lagged(frame: SeriesFrame, series: np.ndarray, lag: int) -> tuple[np.ndarra
              for a, b in frame.segments if b - a > lag]
     if not parts:
         raise DataError("no segment is longer than the requested lag")
+    if len(parts) == 1:  # no copy of ``now`` (callers only read it) unless it is strided
+        return np.ascontiguousarray(parts[0][0]), parts[0][1]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
@@ -426,8 +428,7 @@ def velocity_volume_correlation(frame: SeriesFrame, dt: float) -> dict[str, Curv
     v[t..t+lag-1], which is v[t] itself at lag 1.
     """
     lag = _lag_steps(frame, dt)
-    # Zero-padded to length T; every window _lagged reads starts at t < b - lag
-    # and so ends inside its segment [a, b).
+    # The zero tail pads to length T; a window starting at a t < b - lag ends before b.
     padded = np.concatenate([frame.velocities, np.zeros(lag - 1)])
     vv, _ = _lagged(frame, np.lib.stride_tricks.sliding_window_view(padded, lag).mean(axis=1), lag)
     out: dict[str, Curve] = {}
@@ -460,8 +461,8 @@ def rms_delta_vs_velocity(frame: SeriesFrame, v_bins: np.ndarray | int = 13) -> 
     out: dict[str, Curve] = {}
     which = np.digitize(vv, edges) - 1
     for side in ("bid", "ask"):
-        _, d = _lagged(frame, frame.side(side), 1)
-        mean_square, counts = _binned_mean_square(d.sum(axis=1), which, len(edges) - 1)
+        total = _lagged(frame, frame.side(side), 1)[1].sum(axis=1)
+        mean_square, counts = _binned_mean_square(total, which, len(edges) - 1)
         out[side] = Curve(
             bin_centers=0.5 * (edges[:-1] + edges[1:]),
             values=np.sqrt(mean_square),

@@ -176,9 +176,8 @@ def _frame_from_args(args) -> analyzers.SeriesFrame:
         with open(args.records) as fh:
             return ingest.read_step_records_frame(fh)
     if args.snapshots:
-        rep = ingest.ParseReport()
         with open(args.snapshots) as fh:
-            snaps = list(ingest.parse_snapshots(fh, rep))
+            snaps = list(ingest.parse_snapshots(fh))
         mos = None
         if args.market_orders:
             with open(args.market_orders) as fh:
