@@ -10,15 +10,19 @@ fp             tabulate the stationary return density and regime report
 compare        run several models with a shared seed and emit side-by-side stats
 gen-synthetic  generate synthetic snapshot/market-order files
 
-simulate --config takes a JSON object laid out like the config.json a run
-writes.  It is merged over the reference values (grid, stable and mo key by
-key; profile specs, init_profile and activity whole), explicit flags win, and
-an unknown key is a usage error.  The resolved config is written to
+Each model has one config schema, ``configs.reference_config(model)``: the
+config.json a run of that model writes, with the values a run takes by
+default.  cf configs hold the whole field model; cs and kstt run their
+reference parameters on unit ticks, so their configs hold only model, steps
+and seed.  simulate --config takes a JSON object laid out like that schema;
+it is merged over the model's reference config (grid, stable and mo key by
+key; profile specs, init_profile and activity whole), then the flags that are
+set are merged over the result.  A key the model does not run, whether from
+the file or a flag, is a usage error.  The resolved config is written to
 config.json before the run, so ``simulate --config <out>/config.json``
-repeats it.  cs and kstt run their reference configurations; of the config
-they take only model, steps, dt and seed.  analyze and compare draw their
-statistics from one table, ``STATISTICS``.  Exit codes: 0 success, 2 usage or
-validation error, 3 data error, 4 numeric failure.
+repeats it.  analyze and compare draw their statistics from one table,
+``STATISTICS``.  Exit codes: 0 success, 2 usage or validation error, 3 data
+error, 4 numeric failure.
 """
 from __future__ import annotations
 
@@ -27,7 +31,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +39,8 @@ from . import analyzers, configs, ingest, profiles
 from .baselines import BaselineKind, run_baseline
 from .dynamics import market_order_rate, simulate
 from .errors import DataError, NumericError
-from .field import MarketOrderParams, ModelParams, PlacementActivityParams
+from .field import MarketOrderParams
 from .fokker_planck import FPParams, make_grid, regime_report, stationary_density
-from .stable_noise import StableParams
-
-MODELS = ("cf", "cs", "kstt")
 
 
 def _load_config(path: str | None) -> dict:
@@ -50,38 +50,18 @@ def _load_config(path: str | None) -> dict:
     if not p.exists():
         raise ValueError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text())
+        cfg = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file is not valid JSON: {exc}") from None
-
-
-def _reference_config() -> dict:
-    """The resolved config of a run without config file or flags; its keys are the schema."""
-    ref = configs.reference_model_params()
-    grid = configs.reference_grid()
-    return {
-        "model": "cf",
-        "steps": 100_000,
-        "dt": 1.0,
-        "seed": 1,
-        "grid": {"length": grid.length, "dx": grid.dx},
-        "stable": asdict(ref.stable),
-        "sigma_in": ref.sigma_in.spec,
-        "sigma_out": ref.sigma_out.spec,
-        "diffusion": ref.diffusion.spec,
-        "mo": asdict(ref.mo),
-        "tau": ref.tau,
-        "n0_floor": ref.n0_floor,
-        "noise_time_scaling": ref.noise_time_scaling,
-        "init_profile": configs.reference_init_profile().spec,
-        "activity": None,
-    }
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file must be a JSON object, got {cfg!r}")
+    return cfg
 
 
 def _merge(ref: dict, cfg, where: str = "") -> dict:
     """cfg over ref: sections (grid, stable, mo) merge key by key, other values replace."""
     if not isinstance(cfg, dict):
-        raise ValueError(f"config {where.rstrip('.') or 'file'} must be a JSON object, got {cfg!r}")
+        raise ValueError(f"config {where.rstrip('.')} must be a JSON object, got {cfg!r}")
     out = dict(ref)
     for key, value in cfg.items():
         if key not in ref:
@@ -92,36 +72,14 @@ def _merge(ref: dict, cfg, where: str = "") -> dict:
 
 
 def _resolve_config(cfg: dict, **flags) -> dict:
-    """The config merged over the reference values, then the flags that are set."""
-    resolved = _merge(_reference_config(), cfg)
-    resolved.update({key: value for key, value in flags.items() if value is not None})
+    """cfg, then the flags that are set, merged over the reference config of the run's model."""
+    flags = {key: value for key, value in flags.items() if value is not None}
+    model = flags.get("model", cfg.get("model", "cf"))
+    resolved = _merge(_merge(configs.reference_config(model), cfg), flags)
     for key, kind in (("steps", int), ("dt", float), ("seed", int)):
-        resolved[key] = kind(resolved[key])
-    if resolved["model"] not in MODELS:
-        raise ValueError(f"unknown model {resolved['model']!r}; valid: {', '.join(MODELS)}")
-    if resolved["model"] != "cf":  # the baselines run their reference configurations
-        resolved = {key: resolved[key] for key in ("model", "steps", "dt", "seed")}
+        if key in resolved:
+            resolved[key] = kind(resolved[key])
     return resolved
-
-
-def _model_params(cfg: dict) -> ModelParams:
-    activity = cfg["activity"]
-    if activity:  # every profile is required: a missing one stays None and is rejected
-        specs = _merge(dict.fromkeys(f.name for f in fields(PlacementActivityParams)), activity,
-                       "activity.")
-        activity = PlacementActivityParams(
-            **{name: profiles.make_profile(spec) for name, spec in specs.items()})
-    return ModelParams(
-        stable=StableParams(**cfg["stable"]),
-        sigma_in=profiles.make_profile(cfg["sigma_in"]),
-        sigma_out=profiles.make_profile(cfg["sigma_out"]),
-        diffusion=profiles.make_profile(cfg["diffusion"]),
-        mo=MarketOrderParams(**cfg["mo"]),
-        tau=cfg["tau"],
-        n0_floor=cfg["n0_floor"],
-        activity=activity or None,
-        noise_time_scaling=cfg["noise_time_scaling"],
-    )
 
 
 def _run_model(cfg: dict):
@@ -130,7 +88,7 @@ def _run_model(cfg: dict):
         grid = configs.GridSpec(length=int(cfg["grid"]["length"]), dx=float(cfg["grid"]["dx"]))
         field = grid.new_field(profiles.make_profile(cfg["init_profile"]))
         tracked = np.unique(np.geomspace(1, grid.length - 1, 24).astype(int))
-        return simulate(_model_params(cfg), field, steps=cfg["steps"], dt=cfg["dt"],
+        return simulate(configs.model_params(cfg), field, steps=cfg["steps"], dt=cfg["dt"],
                         seed=cfg["seed"], tracked_cells=tracked)
     if cfg["model"] == "cs":
         kind, params, field = BaselineKind.CS, configs.cs_reference(), configs.cs_reference_field()
@@ -138,6 +96,16 @@ def _run_model(cfg: dict):
         kind, params, field = BaselineKind.KSTT, configs.kstt_reference(), configs.kstt_reference_field()
     return run_baseline(kind, params, field, steps=cfg["steps"], seed=cfg["seed"],
                         tracked_cells=np.arange(field.length))
+
+
+def _run_summary(result, rd: analyzers.ReturnDistribution, **extra) -> dict:
+    """Velocity std, the ``extra`` entries, tail exponent, tail flags and mean n0 of a run.
+
+    The entries keep the order comparison.json has always had.
+    """
+    return {"velocity_std": float(np.std(result.velocities)), **extra,
+            "tail_exponent": rd.tail_exponent, "tail_flags": rd.flags,
+            "mean_n0": float(np.mean(result.n0s))}
 
 
 def cmd_simulate(args) -> int:
@@ -148,24 +116,16 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg, indent=2))
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = _run_model(cfg)
-    runtime = time.time() - t0
+    runtime = time.perf_counter() - t0
     if args.records:
         with open(out / "records.jsonl", "w") as fh:
             ingest.write_step_records(result, fh)
-    rd = analyzers.return_distribution(result.velocities, tau=cfg["dt"])
-    summary = {
-        "model": cfg["model"],
-        "steps": cfg["steps"],
-        "seed": cfg["seed"],
-        "runtime_seconds": runtime,
-        "mean_n0": float(np.mean(result.n0s)),
-        "velocity_std": float(np.std(result.velocities)),
-        "tail_exponent": rd.tail_exponent,
-        "tail_exponent_ols": rd.tail_exponent_ols,
-        "tail_flags": rd.flags,
-    }
+    rd = analyzers.return_distribution(result.velocities, tau=result.dt)
+    summary = {"model": cfg["model"], "steps": cfg["steps"], "seed": cfg["seed"],
+               "runtime_seconds": runtime,
+               **_run_summary(result, rd, tail_exponent_ols=rd.tail_exponent_ols)}
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary, indent=2))
     return 0
@@ -312,9 +272,11 @@ def cmd_fp(args) -> int:
 
 def cmd_compare(args) -> int:
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    bad = [m for m in models if m not in MODELS]
+    bad = [m for m in models if m not in configs.MODELS]
     if bad:
-        raise ValueError(f"unknown model(s) {bad}; valid: {', '.join(MODELS)}")
+        raise ValueError(f"unknown model(s) {bad}; valid: {', '.join(configs.MODELS)}")
+    from scipy import stats as sps  # here, not at module level: it slows every command's start
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
@@ -323,16 +285,8 @@ def cmd_compare(args) -> int:
         frame = result.to_frame()
         results = {name: _write_statistic(name, frame, 1.0, out, prefix=f"{model}_")[0]
                    for name in COMPARE_STATISTICS}
-        rd = results["return-distribution"]
-        from scipy import stats as sps
-
-        summary[model] = {
-            "velocity_std": float(np.std(result.velocities)),
-            "excess_kurtosis": float(sps.kurtosis(result.velocities)),
-            "tail_exponent": rd.tail_exponent,
-            "tail_flags": rd.flags,
-            "mean_n0": float(np.mean(result.n0s)),
-        }
+        summary[model] = _run_summary(result, results["return-distribution"],
+                                      excess_kurtosis=float(sps.kurtosis(result.velocities)))
     (out / "comparison.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary, indent=2))
     return 0
@@ -388,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a model and write tick records + summary")
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--model", choices=MODELS, default=None)
+    p.add_argument("--model", choices=configs.MODELS, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -1,18 +1,19 @@
 """Reference configurations for the simulator and the comparison models.
 
-These are the tuned parameter sets used by the command line defaults, the
-demo scripts and the acceptance suite.  The continuous-field reference run
-reproduces the quartic return law with the trend-following constant matched
-to the mean boundary volume; the baseline configurations are sized so that
-their velocity noise stays deep inside one price cell over runs of ~1e6
-ticks (their lattices never relabel, matching models defined on a fixed
-price grid).
+``reference_config(model)`` is the config schema of a model: the JSON object
+a run of that model writes to ``config.json``, and the values a config file
+is merged over.  The continuous-field (cf) reference produces fat return
+tails, but its trend-following constant is not matched to the boundary
+volume: at the reference config n0/k0 is about 41 (the seed-11 golden run
+has mean n0 = 82.2 against k0 = 2).  The cs and kstt configs hold only model,
+steps and seed: those models run on unit ticks with their reference
+parameters, which are sized so that their velocity noise stays deep inside
+one price cell over runs of ~1e6 ticks (their lattices never relabel,
+matching models defined on a fixed price grid).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, fields
 
 from . import profiles
 from .baselines import CSParams, KSTTParams
@@ -20,7 +21,10 @@ from .field import MarketOrderParams, ModelParams, OrderBookField, PlacementActi
 from .stable_noise import StableParams
 
 __all__ = [
+    "MODELS",
     "GridSpec",
+    "reference_config",
+    "model_params",
     "reference_grid",
     "reference_model_params",
     "reference_init_profile",
@@ -30,48 +34,83 @@ __all__ = [
     "kstt_reference_field",
 ]
 
+MODELS = ("cf", "cs", "kstt")
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    length: int = 512
-    dx: float = 2e-4
+    length: int
+    dx: float
 
     def new_field(self, init_profile) -> OrderBookField:
         return new_field(self.length, self.dx, init_profile)
 
 
+def reference_config(model: str) -> dict:
+    """The config.json of a ``model`` run without config file or flags; its keys are the schema."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; valid: {', '.join(MODELS)}")
+    if model != "cf":  # unit ticks, reference parameters
+        return {"model": model, "steps": 100_000, "seed": 1}
+    return {
+        "model": "cf",
+        "steps": 100_000,
+        "dt": 1.0,
+        "seed": 1,
+        "grid": {"length": 512, "dx": 2e-4},
+        "stable": {"alpha": 0.5, "scale": 1.0, "truncation_quantile": 0.99},
+        "sigma_in": {"kind": "exp_decay", "amplitude": 0.05, "length_scale": 0.02, "floor": 0.0},
+        "sigma_out": {"kind": "constant", "value": 0.004},
+        "diffusion": {"kind": "constant", "value": 2e-9},
+        "mo": {"k0": 2.0, "k_inf": 0.5, "k1": 0.5, "v0": 5e-5},
+        "tau": 1.0,
+        "n0_floor": 5.0,
+        "noise_time_scaling": "linear",
+        # sigma_in / sigma_out: the book where placement balances cancellation
+        "init_profile": {"kind": "exp_decay", "amplitude": 12.5, "length_scale": 0.02, "floor": 0.0},
+        "activity": None,
+    }
+
+
+def _activity(specs) -> PlacementActivityParams:
+    """The activity block of a cf config; each of its four profiles is required."""
+    if not isinstance(specs, dict):
+        raise ValueError(f"config activity must be a JSON object, got {specs!r}")
+    names = [f.name for f in fields(PlacementActivityParams)]
+    for key in specs:
+        if key not in names:
+            raise ValueError(f"unknown config key {'activity.' + key!r}; valid keys: {', '.join(names)}")
+    for name in names:
+        if name not in specs:
+            raise ValueError(f"missing config key {'activity.' + name!r}")
+    return PlacementActivityParams(**{name: profiles.make_profile(specs[name]) for name in names})
+
+
+def model_params(cfg: dict) -> ModelParams:
+    """The ModelParams of a cf config laid out like ``reference_config("cf")``."""
+    return ModelParams(
+        stable=StableParams(**cfg["stable"]),
+        sigma_in=profiles.make_profile(cfg["sigma_in"]),
+        sigma_out=profiles.make_profile(cfg["sigma_out"]),
+        diffusion=profiles.make_profile(cfg["diffusion"]),
+        mo=MarketOrderParams(**cfg["mo"]),
+        tau=cfg["tau"],
+        n0_floor=cfg["n0_floor"],
+        activity=_activity(cfg["activity"]) if cfg["activity"] else None,
+        noise_time_scaling=cfg["noise_time_scaling"],
+    )
+
+
 def reference_grid() -> GridSpec:
-    return GridSpec(length=512, dx=2e-4)
-
-
-# Continuous-field reference constants (calibrated; see the acceptance suite).
-REF_SIGMA_IN_PEAK = 0.05
-REF_SIGMA_IN_SCALE = 0.02
-REF_SIGMA_OUT = 0.004
-REF_DIFFUSION = 2e-9
-REF_K0 = 2.0
-REF_K_INF = 0.5
-REF_V0 = 5e-5
-REF_ALPHA = 0.5
-REF_NOISE_SCALE = 1.0
-REF_TRUNCATION = 0.99
-REF_N0_FLOOR = 5.0
+    return GridSpec(**reference_config("cf")["grid"])
 
 
 def reference_init_profile():
-    return profiles.exp_decay(REF_SIGMA_IN_PEAK / REF_SIGMA_OUT, REF_SIGMA_IN_SCALE)
+    return profiles.make_profile(reference_config("cf")["init_profile"])
 
 
 def reference_model_params() -> ModelParams:
-    return ModelParams(
-        stable=StableParams(alpha=REF_ALPHA, scale=REF_NOISE_SCALE, truncation_quantile=REF_TRUNCATION),
-        sigma_in=profiles.exp_decay(REF_SIGMA_IN_PEAK, REF_SIGMA_IN_SCALE),
-        sigma_out=profiles.constant(REF_SIGMA_OUT),
-        diffusion=profiles.constant(REF_DIFFUSION),
-        mo=MarketOrderParams(k0=REF_K0, k_inf=REF_K_INF, k1=REF_K_INF, v0=REF_V0),
-        tau=1.0,
-        n0_floor=REF_N0_FLOOR,
-    )
+    return model_params(reference_config("cf"))
 
 
 def cs_reference() -> CSParams:

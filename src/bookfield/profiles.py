@@ -3,8 +3,8 @@
 Model coefficients (placement scale, cancellation rate, diffusion rate,
 activity constants) vary with the log-price distance x.  Profiles are plain
 callables x -> value; this module provides the named constructors that config
-files and the command line can refer to, plus (de)serialization of the spec
-dictionaries.
+files and the command line can refer to, and builds a profile from its spec
+dictionary.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ def constant(value: float) -> Profile:
     def f(x):
         return np.full_like(np.asarray(x, dtype=float), value) if np.ndim(x) else float(value)
 
-    f.spec = {"kind": "constant", "value": value}
     return f
 
 
@@ -31,7 +30,6 @@ def exp_decay(amplitude: float, length_scale: float, floor: float = 0.0) -> Prof
     def f(x):
         return amplitude * np.exp(-np.asarray(x, dtype=float) / length_scale) + floor
 
-    f.spec = {"kind": "exp_decay", "amplitude": amplitude, "length_scale": length_scale, "floor": floor}
     return f
 
 
@@ -47,7 +45,6 @@ def hump(amplitude: float, peak_x: float, power: float = 1.0, floor: float = 0.0
         xr = np.asarray(x, dtype=float) / peak_x
         return amplitude * xr**power * np.exp(power * (1.0 - xr)) + floor
 
-    f.spec = {"kind": "hump", "amplitude": amplitude, "peak_x": peak_x, "power": power, "floor": floor}
     return f
 
 

@@ -7,6 +7,15 @@ import pytest
 from bookfield.cli import main
 
 
+CONST = {"kind": "constant"}
+ACTIVITY = {
+    "k0_in": {**CONST, "value": 0.4},
+    "k_inf_in": {**CONST, "value": 0.5},
+    "k1_in": {**CONST, "value": 0.3},
+    "v0_in": {"kind": "exp_decay", "amplitude": 2e-4, "length_scale": 0.1, "floor": 5e-5},
+}
+
+
 def run(args):
     return main(args)
 
@@ -54,20 +63,20 @@ class TestSimulate:
         resolved = json.loads((tmp_path / "c" / "config.json").read_text())
         assert resolved["mo"]["k0"] == 1.0  # config value recorded
 
+    def test_baseline_dt_flag_is_usage_error(self, tmp_path, capsys):
+        # cs and kstt run on unit ticks; a dt they would not use is rejected.
+        assert run(["simulate", "--model", "kstt", "--dt", "0.5", "--steps", "10",
+                    "--out", str(tmp_path / "k")]) == 2
+        assert repr("dt") in capsys.readouterr().err
+        assert not (tmp_path / "k" / "config.json").exists()
 
-    def test_config_json_reproduces_the_run(self, tmp_path):
-        const = {"kind": "constant"}
+    @pytest.mark.parametrize("model", ["cf", "cs", "kstt"])
+    def test_config_json_reproduces_the_run(self, tmp_path, model):
+        config = {"model": model}
+        if model == "cf":
+            config.update(init_profile={**CONST, "value": 5.0}, activity=ACTIVITY)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "init_profile": {**const, "value": 5.0},
-            "activity": {
-                "k0_in": {**const, "value": 0.4},
-                "k_inf_in": {**const, "value": 0.5},
-                "k1_in": {**const, "value": 0.3},
-                "v0_in": {"kind": "exp_decay", "amplitude": 2e-4, "length_scale": 0.1,
-                          "floor": 5e-5},
-            },
-        }))
+        cfg.write_text(json.dumps(config))
         first, second = tmp_path / "first", tmp_path / "second"
         assert run(["simulate", "--config", str(cfg), "--steps", "300", "--seed", "3",
                     "--out", str(first)]) == 0
@@ -75,10 +84,14 @@ class TestSimulate:
                     "--out", str(second)]) == 0
         assert (first / "records.jsonl").read_bytes() == (second / "records.jsonl").read_bytes()
 
-    @pytest.mark.parametrize("config, key", [({"mo": {"k_0": 1.0}}, "mo.k_0"),
-                                             ({"stepz": 50}, "stepz"),
-                                             ({"sigma_in": {"kind": "constant", "valu": 1.0}},
-                                              "valu")])
+    @pytest.mark.parametrize("config, key", [
+        ({"mo": {"k_0": 1.0}}, "mo.k_0"),
+        ({"stepz": 50}, "stepz"),
+        ({"sigma_in": {"kind": "constant", "valu": 1.0}}, "valu"),
+        ({"activity": {k: v for k, v in ACTIVITY.items() if k != "k1_in"}}, "activity.k1_in"),
+        ({"activity": {**ACTIVITY, "k2_in": {**CONST, "value": 0.3}}}, "activity.k2_in"),
+        ({"model": "cs", "mo": {"k0": 99.0}, "stable": {"alpha": 0.9}}, "mo"),
+    ])
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, config, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
