@@ -103,9 +103,13 @@ def _run_summary(result, rd: analyzers.ReturnDistribution, **extra) -> dict:
 
     The entries keep the order comparison.json has always had.
     """
-    return {"velocity_std": float(np.std(result.velocities)), **extra,
-            "tail_exponent": rd.tail_exponent, "tail_flags": rd.flags,
-            "mean_n0": float(np.mean(result.n0s))}
+    return {
+        "velocity_std": float(np.std(result.velocities)),
+        **extra,
+        "tail_exponent": rd.tail_exponent,
+        "tail_flags": rd.flags,
+        "mean_n0": float(np.mean(result.n0s)),
+    }
 
 
 def cmd_simulate(args) -> int:
@@ -123,9 +127,13 @@ def cmd_simulate(args) -> int:
         with open(out / "records.jsonl", "w") as fh:
             ingest.write_step_records(result, fh)
     rd = analyzers.return_distribution(result.velocities, tau=result.dt)
-    summary = {"model": cfg["model"], "steps": cfg["steps"], "seed": cfg["seed"],
-               "runtime_seconds": runtime,
-               **_run_summary(result, rd, tail_exponent_ols=rd.tail_exponent_ols)}
+    summary = {
+        "model": cfg["model"],
+        "steps": cfg["steps"],
+        "seed": cfg["seed"],
+        "runtime_seconds": runtime,
+        **_run_summary(result, rd, tail_exponent_ols=rd.tail_exponent_ols),
+    }
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary, indent=2))
     return 0

@@ -4,12 +4,12 @@
 a run of that model writes to ``config.json``, and the values a config file
 is merged over.  The continuous-field (cf) reference produces fat return
 tails, but its trend-following constant is not matched to the boundary
-volume: at the reference config n0/k0 is about 41 (the seed-11 golden run
-has mean n0 = 82.2 against k0 = 2).  The cs and kstt configs hold only model,
-steps and seed: those models run on unit ticks with their reference
-parameters, which are sized so that their velocity noise stays deep inside
-one price cell over runs of ~1e6 ticks (their lattices never relabel,
-matching models defined on a fixed price grid).
+volume: at the reference config n0/k0 is about 41 (the seed-11, 2000-tick
+golden run has mean n0 = 82.2 against k0 = 2).  The cs and kstt configs hold
+only model, steps and seed: those models run on unit ticks with their
+reference parameters, which are sized so that their velocity noise stays
+deep inside one price cell over runs of ~1e6 ticks (their lattices never
+relabel, matching models defined on a fixed price grid).
 """
 from __future__ import annotations
 
