@@ -14,6 +14,9 @@ against squared tanh/sech terms), evaluated through sech^2 = 1 - tanh^2 as
 (k0^2 + k1) tanh^2 + (k_inf - k1) so that no cosh overflows at large |v|; see
 diffusion_coefficient.
 
+The exponent integral is tabulated by an 8-node Gauss-Legendre rule on every
+grid segment, in ln|v| away from 0, summed cumulatively; see _exponent_profile.
+
 Asymptotically the density has a Gaussian core inside |v| <~ v_c (the core
 width, nonzero only when k_inf > k1), a power-law mid regime v_c << |v| << v0
 with pdf exponent near 2 + 2 n0^2/k0^2 when k1 is small against k0^2, and a
@@ -27,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NumericError
 
@@ -44,6 +46,9 @@ __all__ = [
     "log_log_slope",
     "regime_report",
 ]
+
+# Gauss-Legendre nodes and weights on [-1, 1] for the exponent integral over one grid segment.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -92,10 +97,7 @@ def _bracket(w, p: FPParams):
 def diffusion_coefficient(v, p: FPParams):
     """sigma^2(v), as printed in the model: prefactor v0^2/(n0^2 tau^2) times the bracket."""
     w = np.asarray(v, dtype=float) / p.v0
-    br = _bracket(w, p)
-    if np.any(br < -1e-15):
-        raise ValueError("negative diffusion bracket: k1 exceeds k_inf at small v")
-    out = (p.v0**2 / (p.n0**2 * p.tau**2)) * np.maximum(br, 0.0)
+    out = (p.v0**2 / (p.n0**2 * p.tau**2)) * _bracket(w, p)  # >= 0: FPParams holds k_inf >= k1
     return out if np.ndim(v) else float(out)
 
 
@@ -111,24 +113,25 @@ def tail_exponent(p: FPParams) -> float:
     return 2.0 + 2.0 * p.n0**2 / p.k0**2
 
 
-def _exponent_profile(pos: np.ndarray, p: FPParams) -> np.ndarray:
-    """Cumulative 2*int mu/sigma^2 along the positive grid points."""
-    def integrand(u):
-        return 2.0 * drift(u, p.tau) / diffusion_coefficient(u, p)
+def _exponent_profile(half: np.ndarray, p: FPParams) -> np.ndarray:
+    """Cumulative 2*int mu/sigma^2 from half[0] to each point of the increasing grid half >= 0.
 
-    sigma0 = diffusion_coefficient(0.0, p)
-    start = 0.0 if sigma0 > 0.0 else 1e-8 * p.v0
-    vals = np.empty(len(pos))
-    acc = 0.0
-    prev = start
-    for i, v in enumerate(pos):
-        lo, hi = min(prev, v), max(prev, v)
-        if hi > lo:
-            seg, _ = integrate.quad(integrand, lo, hi, limit=400)
-            acc += seg if v >= prev else -seg
-        vals[i] = acc
-        prev = v
-    return vals
+    Each segment gets one fixed-order Gauss-Legendre rule, all segments at
+    once.  A segment that starts at u > 0 is integrated in s = ln u, where the
+    1/u integrand of sigma^2(0) = 0 is smooth; the segment from 0 in u.
+    """
+    def integral(u, du):
+        f = 2.0 * drift(u, p.tau) / diffusion_coefficient(u, p) * du
+        return f @ _GL_WEIGHTS
+
+    ln_pos = np.log(half[half > 0.0])[:, None]
+    half_width = (ln_pos[1:] - ln_pos[:-1]) / 2.0
+    u = np.exp((ln_pos[1:] + ln_pos[:-1]) / 2.0 + half_width * _GL_NODES)
+    seg = integral(u, half_width * u)
+    if half[0] == 0.0:
+        h = half[1] / 2.0
+        seg = np.concatenate([[integral(h * (1.0 + _GL_NODES), h)], seg])
+    return np.concatenate([[0.0], np.cumsum(seg)])
 
 
 def stationary_density(p: FPParams, grid: np.ndarray) -> ReturnDensity:
@@ -136,6 +139,8 @@ def stationary_density(p: FPParams, grid: np.ndarray) -> ReturnDensity:
 
     The grid must be strictly increasing and symmetric about 0; it must
     exclude 0 itself when sigma^2(0) = 0 (the prefactor is singular there).
+    The exponent integral is exact to rounding on grids whose segments span small
+    ratios of |v|, and whose segment from 0 is short against the core, as make_grid's.
     Raises NumericError when the mass near the inner cutoff diverges, which
     happens when k1 = k_inf exactly (no Gaussian core regularizes the origin).
     """
@@ -147,34 +152,21 @@ def stationary_density(p: FPParams, grid: np.ndarray) -> ReturnDensity:
     scale = float(np.max(np.abs(grid)))
     if np.max(np.abs(grid + grid[::-1])) > 1e-9 * scale:
         raise ValueError("grid must be symmetric about 0")
-    sigma0 = diffusion_coefficient(0.0, p)
-    if sigma0 == 0.0 and np.any(grid == 0.0):
+    if diffusion_coefficient(0.0, p) == 0.0 and np.any(grid == 0.0):
         raise ValueError("grid must exclude 0 when sigma^2(0) = 0")
-    pos = grid[grid > 0.0]
-    has_zero = bool(np.any(grid == 0.0))
-    expo = _exponent_profile(pos, p)
-    ln_pref = -np.log(diffusion_coefficient(pos, p) / 2.0)
-    ln_dens = ln_pref + expo
-    if has_zero:
-        ln_zero = math.log(2.0 / sigma0)
-        ln_dens = np.concatenate([[ln_zero], ln_dens])
-    ln_dens -= ln_dens.max()
-    dens_half = np.exp(ln_dens)
-    # Mirror onto the negative half; the density is even in v.
-    dens = np.concatenate([dens_half[:0:-1], dens_half]) if has_zero else np.concatenate(
-        [dens_half[::-1], dens_half]
-    )
+    half = grid[grid >= 0.0]
+    ln_dens = _exponent_profile(half, p) - np.log(diffusion_coefficient(half, p) / 2.0)
     # Diverging mass toward the inner cutoff: local log-log slope <= -1 there.
-    inner = dens_half[0] if not has_zero else None
-    if inner is not None and len(pos) >= 3:
-        s = (math.log(dens_half[1]) - math.log(dens_half[0])) / (
-            math.log(pos[1]) - math.log(pos[0])
-        )
+    if half[0] > 0.0:
+        s = (ln_dens[1] - ln_dens[0]) / math.log(half[1] / half[0])
         if s <= -1.0:
             raise NumericError(
                 "non-normalizable stationary density: small-|v| regime has "
                 f"log-log slope {s:.2f} <= -1 (k1 = k_inf leaves no Gaussian core)"
             )
+    dens_half = np.exp(ln_dens - ln_dens.max())
+    # Mirror onto the negative half; the density is even in v.
+    dens = np.concatenate([dens_half[::-1][: len(grid) - len(half)], dens_half])
     mass = float(np.trapezoid(dens, grid))
     if not np.isfinite(mass) or mass <= 0.0:
         raise NumericError("stationary density mass is not finite on the grid")

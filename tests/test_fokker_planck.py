@@ -1,8 +1,10 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from bookfield.errors import NumericError
 from bookfield.fokker_planck import (
+    _exponent_profile,
     FPParams,
     diffusion_coefficient,
     drift,
@@ -133,6 +135,12 @@ class TestStationaryDensity:
         p = FPParams(k0=1.0, k_inf=0.3, k1=0.3, v0=1.0, n0=1.0, tau=1.0)
         with pytest.raises(NumericError, match="non-normalizable"):
             stationary_density(p, make_grid(p))
+        # a grid deep in the Gaussian far tail: the density underflows to 0
+        # beyond its first point, so the inner slope is taken from log density
+        p = FPParams(k0=1.0, k_inf=0.3, k1=0.3, v0=5e-5, n0=1.0, tau=1.0)
+        pos = np.linspace(1e-3, 5.0, 500)
+        with pytest.raises(NumericError, match="non-normalizable"):
+            stationary_density(p, np.concatenate([-pos[::-1], pos]))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -142,6 +150,37 @@ class TestStationaryDensity:
         p0 = FPParams(k0=1.0, k_inf=0.3, k1=0.3, v0=1.0, n0=1.0)
         with pytest.raises(ValueError, match="exclude 0"):
             stationary_density(p0, np.linspace(-1, 1, 101))
+
+
+class TestExponentProfile:
+    """The cumulative exponent 2 int mu/sigma^2 against a 30-digit mpmath quadrature."""
+
+    @staticmethod
+    def exact(p: FPParams, half: np.ndarray, i: int) -> float:
+        """2 int mu/sigma^2 from half[0] to half[i], sigma^2 in its printed sech form."""
+        def integrand(u):
+            w = u / p.v0
+            bracket = p.k0**2 * mp.tanh(w) ** 2 + (p.k_inf - p.k1 * mp.sech(w) ** 2)
+            return 2 * (-u / p.tau) / (p.v0**2 / (p.n0**2 * p.tau**2) * bracket)
+
+        # breakpoints a factor ~e apart resolve the core and the 1/u regime
+        pts = [half[0], *np.geomspace(half[1], half[i], 2 + int(np.log(half[i] / half[1])))]
+        with mp.workdps(30):
+            return float(mp.quad(integrand, [mp.mpf(x) for x in pts]))
+
+    @pytest.mark.parametrize("p", [
+        BASE,
+        FPParams(k0=1.0, k_inf=0.5, k1=0.2, v0=1.0, n0=1.5, tau=1.0),
+        FPParams(k0=2.0, k_inf=0.5, k1=0.1, v0=0.3, n0=3.0, tau=2.5),
+        FPParams(k0=1.0, k_inf=0.3, k1=0.3, v0=1.0, n0=1.0, tau=1.0),  # sigma^2(0) = 0
+    ])
+    def test_matches_mpmath(self, p):
+        grid = make_grid(p)
+        half = grid[grid >= 0.0]
+        profile = _exponent_profile(half, p)
+        assert profile[0] == 0.0
+        for i in (1, 10, 200, 700, len(half) - 1):
+            assert profile[i] == pytest.approx(self.exact(p, half, i), rel=1e-12)
 
 
 class TestVarianceGivenN0:
