@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _FIT_SEED = 718293  # fixed so analyzers stay deterministic per input
+_FIT_MAX_NFEV = 4000  # residual evaluations per start of the market-order fit
 _MIN_BIN_SAMPLES = 1000
 
 
@@ -338,19 +339,19 @@ def hill_tail_index(samples: np.ndarray, top_fraction: float = 0.01) -> float:
     k = max(int(len(s) * top_fraction), 20)
     if len(s) <= k + 1:
         raise DataError(f"too few positive samples ({len(s)}) for Hill estimation")
-    tail = s[-k:]
-    return float(1.0 / np.mean(np.log(tail / s[-k - 1])))
+    if s[-1] == s[-k - 1]:
+        raise DataError(f"the top {k + 1} samples tie at {s[-1]:g}; the Hill estimate is undefined")
+    return float(1.0 / np.mean(np.log(s[-k:] / s[-k - 1])))
 
 
 def return_distribution(
     velocities: np.ndarray,
     tau: float,
-    normalization: str = "std",
     bins: int = 60,
     top_fraction: float = 0.01,
     min_samples_for_tail: int = 100_000,
 ) -> ReturnDistribution:
-    """pdf of the normalized absolute one-tick return |v tau| with tail exponents.
+    """pdf of the absolute one-tick return |v tau|, over the std of v tau, with tail exponents.
 
     The Hill estimate over the top fraction gives the primary pdf exponent
     (ccdf index + 1); an OLS fit of the log-log pdf over the same window is
@@ -359,7 +360,7 @@ def return_distribution(
     """
     v = np.asarray(velocities, dtype=float)
     r = np.abs(v) * tau
-    norm = float(np.std(v * tau)) if normalization == "std" else 1.0
+    norm = float(np.std(v * tau))
     if norm <= 0.0:
         raise DataError("velocity series has zero dispersion; nothing to normalize")
     r = r / norm
@@ -400,7 +401,7 @@ def return_distribution(
         normalization=norm,
         sample_count=len(pos),
         flags=flags,
-        meta={"tau": tau, "normalization": normalization, "top_fraction": top_fraction,
+        meta={"tau": tau, "normalization": "std", "top_fraction": top_fraction,
               "bin_edges": edges.tolist()},
     )
 
@@ -482,7 +483,6 @@ def fit_market_order_response(
     v_samples: np.ndarray,
     mo_flows: np.ndarray,
     n0s: np.ndarray | None = None,
-    max_nfev: int = 4000,
 ) -> FitReport:
     """Joint nonlinear least squares of the buy/sell market-order response.
 
@@ -518,7 +518,7 @@ def fit_market_order_response(
         theta0 = np.clip(theta0, lo + 1e-12, None)
         try:
             sol = optimize.least_squares(
-                resid, theta0, bounds=(lo, hi), method="trf", max_nfev=max_nfev
+                resid, theta0, bounds=(lo, hi), method="trf", max_nfev=_FIT_MAX_NFEV
             )
         except (ValueError, np.linalg.LinAlgError) as exc:  # a bad start; recorded, not fatal
             trace.append({"start": start, "error": str(exc)})

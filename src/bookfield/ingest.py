@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _MALFORMED_HARD_LIMIT = 0.10
+_GAP_FACTOR = 5.0  # a snapshot spacing above this many dt is a data gap
 
 
 def fmt(x: float) -> str:
@@ -224,12 +225,11 @@ def build_frame(
     dx: float,
     L: float,
     market_orders: Iterable[MarketOrderRecord] | None = None,
-    gap_factor: float = 5.0,
 ) -> SeriesFrame:
     """Grid snapshot series onto the model lattice and align the companion series.
 
     Velocities come from log trade-price differences; spacings larger than
-    gap_factor * dt split the series into segments so no lagged difference
+    _GAP_FACTOR * dt split the series into segments so no lagged difference
     crosses a gap.  Crossed-book records are excluded.
     """
     recs = [r for r in snapshots if not r.crossed]
@@ -249,7 +249,7 @@ def build_frame(
         prices[i] = r.trade_price
     logp = np.log(prices)
     gaps = np.diff(ts)
-    breaks = np.flatnonzero(gaps > gap_factor * dt)
+    breaks = np.flatnonzero(gaps > _GAP_FACTOR * dt)
     bounds = [0, *(breaks + 1), T]
     segments = tuple(
         (a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b - a >= 2

@@ -201,6 +201,14 @@ class TestReturnDistribution:
         assert rd.tail_exponent is None
         assert any(f.startswith("insufficient_samples") for f in rd.flags)
 
+    def test_hill_ties_at_the_threshold_rejected(self):
+        # a point mass above the bulk: the top k + 1 samples are equal and
+        # every log ratio of the Hill mean is 0
+        rng = np.random.default_rng(14)
+        samples = np.concatenate([np.full(5000, 2.0), rng.uniform(0.0, 1.0, 1000)])
+        with pytest.raises(DataError, match="tie"):
+            hill_tail_index(samples)
+
     def test_density_integrates_to_one(self):
         rng = np.random.default_rng(13)
         rd = return_distribution(rng.standard_t(3, 200_000), tau=1.0)
