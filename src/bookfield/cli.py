@@ -27,6 +27,7 @@ error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,15 +60,21 @@ def _load_config(path: str | None) -> dict:
 
 
 def _merge(ref: dict, cfg, where: str = "") -> dict:
-    """cfg over ref: sections (grid, stable, mo) merge key by key, other values replace."""
+    """cfg over ref: sections (grid, stable, mo) merge key by key, numbers take ref's type, others replace."""
     if not isinstance(cfg, dict):
         raise ValueError(f"config {where.rstrip('.')} must be a JSON object, got {cfg!r}")
     out = dict(ref)
     for key, value in cfg.items():
         if key not in ref:
             raise ValueError(f"unknown config key {where + key!r}; valid keys: {', '.join(ref)}")
-        section = isinstance(ref[key], dict) and "kind" not in ref[key]
-        out[key] = _merge(ref[key], value, f"{where}{key}.") if section else value
+        if isinstance(ref[key], dict) and "kind" not in ref[key]:
+            value = _merge(ref[key], value, f"{where}{key}.")
+        elif isinstance(ref[key], (int, float)):
+            try:
+                value = type(ref[key])(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"config key {where + key!r} must be a number, got {value!r}") from None
+        out[key] = value
     return out
 
 
@@ -75,27 +82,23 @@ def _resolve_config(cfg: dict, **flags) -> dict:
     """cfg, then the flags that are set, merged over the reference config of the run's model."""
     flags = {key: value for key, value in flags.items() if value is not None}
     model = flags.get("model", cfg.get("model", "cf"))
-    resolved = _merge(_merge(configs.reference_config(model), cfg), flags)
-    for key, kind in (("steps", int), ("dt", float), ("seed", int)):
-        if key in resolved:
-            resolved[key] = kind(resolved[key])
-    return resolved
+    return _merge(_merge(configs.reference_config(model), cfg), flags)
 
 
-def _run_model(cfg: dict):
-    """Run the model of a resolved config (see ``_resolve_config``)."""
+def _model_run(cfg: dict):
+    """The run of a resolved config (see ``_resolve_config``), validated, as a call without arguments."""
     if cfg["model"] == "cf":
-        grid = configs.GridSpec(length=int(cfg["grid"]["length"]), dx=float(cfg["grid"]["dx"]))
+        grid = configs.GridSpec(**cfg["grid"])
         field = grid.new_field(profiles.make_profile(cfg["init_profile"]))
         tracked = np.unique(np.geomspace(1, grid.length - 1, 24).astype(int))
-        return simulate(configs.model_params(cfg), field, steps=cfg["steps"], dt=cfg["dt"],
-                        seed=cfg["seed"], tracked_cells=tracked)
+        return functools.partial(simulate, configs.model_params(cfg), field, steps=cfg["steps"],
+                                 dt=cfg["dt"], seed=cfg["seed"], tracked_cells=tracked)
     if cfg["model"] == "cs":
         kind, params, field = BaselineKind.CS, configs.cs_reference(), configs.cs_reference_field()
     else:
         kind, params, field = BaselineKind.KSTT, configs.kstt_reference(), configs.kstt_reference_field()
-    return run_baseline(kind, params, field, steps=cfg["steps"], seed=cfg["seed"],
-                        tracked_cells=np.arange(field.length))
+    return functools.partial(run_baseline, kind, params, field, steps=cfg["steps"],
+                             seed=cfg["seed"], tracked_cells=np.arange(field.length))
 
 
 def _run_summary(result, rd: analyzers.ReturnDistribution, **extra) -> dict:
@@ -117,11 +120,12 @@ def cmd_simulate(args) -> int:
                           dt=args.dt, seed=args.seed)
     if cfg["steps"] < 1:
         raise ValueError(f"steps must be >= 1, got {cfg['steps']}")
+    run = _model_run(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg, indent=2))
     t0 = time.perf_counter()
-    result = _run_model(cfg)
+    result = run()
     runtime = time.perf_counter() - t0
     if args.records:
         with open(out / "records.jsonl", "w") as fh:
@@ -289,7 +293,7 @@ def cmd_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
     for model in models:
-        result = _run_model(_resolve_config({}, model=model, steps=args.steps, seed=args.seed))
+        result = _model_run(_resolve_config({}, model=model, steps=args.steps, seed=args.seed))()
         frame = result.to_frame()
         results = {name: _write_statistic(name, frame, 1.0, out, prefix=f"{model}_")[0]
                    for name in COMPARE_STATISTICS}

@@ -34,6 +34,7 @@ class TestSimulate:
 
     def test_zero_steps_is_usage_error(self, tmp_path):
         assert run(["simulate", "--steps", "0", "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
 
     def test_summary_written(self, tmp_path):
         assert run(["simulate", "--steps", "1500", "--seed", "3",
@@ -68,7 +69,7 @@ class TestSimulate:
         assert run(["simulate", "--model", "kstt", "--dt", "0.5", "--steps", "10",
                     "--out", str(tmp_path / "k")]) == 2
         assert repr("dt") in capsys.readouterr().err
-        assert not (tmp_path / "k" / "config.json").exists()
+        assert not (tmp_path / "k").exists()
 
     @pytest.mark.parametrize("model", ["cf", "cs", "kstt"])
     def test_config_json_reproduces_the_run(self, tmp_path, model):
@@ -91,13 +92,19 @@ class TestSimulate:
         ({"activity": {k: v for k, v in ACTIVITY.items() if k != "k1_in"}}, "activity.k1_in"),
         ({"activity": {**ACTIVITY, "k2_in": {**CONST, "value": 0.3}}}, "activity.k2_in"),
         ({"model": "cs", "mo": {"k0": 99.0}, "stable": {"alpha": 0.9}}, "mo"),
+        ({"activity": {"k0_in": ACTIVITY["k0_in"]}}, "activity.k_inf_in"),
+        # a value of the wrong type is a usage error naming its key
+        ({"steps": None}, "steps"),
+        ({"tau": "a"}, "tau"),
+        ({"stable": {"alpha": "a"}}, "stable.alpha"),
+        ({"grid": {"length": None}}, "grid.length"),
     ])
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, config, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        assert run(["simulate", "--config", str(cfg), "--steps", "10",
-                    "--out", str(tmp_path / "u")]) == 2
+        cfg.write_text(json.dumps({"steps": 10, **config}))
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "u")]) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "u").exists()
 
 
 class TestAnalyze:
