@@ -124,6 +124,17 @@ def test_unit_quantile_inverts_survival():
             assert unit_survival(alpha, x) == pytest.approx(1.0 - q, rel=1e-6, abs=1e-15)
 
 
+def test_unit_quantile_matches_closed_form_at_alpha_half():
+    # The alpha = 1/2 law has cdf erfc(1 / (2 sqrt(x))), so its q-quantile is
+    # 1 / (4 erfcinv(q)^2).  The brentq inversion stops at xtol = rtol = 1e-12
+    # on x; the measured differences are <= 6.6e-11 relative (the largest at
+    # q = 1 - 1e-6, where the survival series is flattest), so 1e-9 leaves room
+    # for platform rounding and still catches a wrong bracket or series.
+    for q in (0.5, 0.99, 1.0 - 1e-6):
+        exact = 1.0 / (4.0 * special.erfcinv(q) ** 2)
+        assert unit_quantile(0.5, q) == pytest.approx(exact, rel=1e-9)
+
+
 def test_draw_consumes_stream_reproducibly():
     p = StableParams(alpha=0.5, scale=1.0)
     r1 = np.random.default_rng(8)
