@@ -47,8 +47,12 @@ __all__ = [
     "regime_report",
 ]
 
-# Gauss-Legendre nodes and weights on [-1, 1] for the exponent integral over one grid segment.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# The 8-point Gauss-Legendre rule on [-1, 1] for the exponent integral over one grid segment,
+# as numpy's leggauss(8) gives it; written out because computing it starts LAPACK (~0.75 MB RSS).
+_GL_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+                      0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+                        0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
 
 
 @dataclass(frozen=True)
@@ -121,8 +125,8 @@ def _exponent_profile(half: np.ndarray, p: FPParams) -> np.ndarray:
     1/u integrand of sigma^2(0) = 0 is smooth; the segment from 0 in u.
     """
     def integral(u, du):
-        f = 2.0 * drift(u, p.tau) / diffusion_coefficient(u, p) * du
-        return f @ _GL_WEIGHTS
+        # a sum, not a matrix product: the fp command never starts BLAS
+        return (2.0 * drift(u, p.tau) / diffusion_coefficient(u, p) * du * _GL_WEIGHTS).sum(axis=-1)
 
     ln_pos = np.log(half[half > 0.0])[:, None]
     half_width = (ln_pos[1:] - ln_pos[:-1]) / 2.0
