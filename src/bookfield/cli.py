@@ -17,9 +17,9 @@ reference parameters on unit ticks, so their configs hold only model, steps
 and seed.  simulate --config takes a JSON object laid out like that schema;
 it is merged over the model's reference config (grid, stable and mo key by
 key; profile specs, init_profile and activity whole), then the flags that are
-set are merged over the result.  A key the model does not run, whether from
-the file or a flag, is a usage error.  The resolved config is written to
-config.json before the run, so ``simulate --config <out>/config.json``
+set are merged over the result.  A key the model does not run, or a value that
+is not a number where the schema has one, is a usage error.  The resolved config
+is validated, then written to config.json, so ``simulate --config <out>/config.json``
 repeats it.  analyze and compare draw their statistics from one table,
 ``STATISTICS``.  Exit codes: 0 success, 2 usage or validation error, 3 data
 error, 4 numeric failure.
