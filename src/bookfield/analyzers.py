@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy import optimize
 
 from .dynamics import trend_response
 from .errors import DataError
@@ -498,6 +497,7 @@ def fit_market_order_response(
     if len(v) < 8:
         raise DataError(f"need at least 8 (v, flow) pairs, got {len(v)}")
     y = np.concatenate([flows[:, 0], flows[:, 1]])
+    from scipy import optimize  # here, not at module level: only this fit needs scipy
 
     def resid(theta):
         return _mo_model(theta, v) - y

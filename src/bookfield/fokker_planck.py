@@ -73,6 +73,8 @@ class FPParams:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.k0 < 0.0 or self.k1 < 0.0:
             raise ValueError("k0 and k1 must be nonnegative")
+        if self.k0**2 + self.k1 == 0.0:
+            raise ValueError(f"k0^2 + k1 must be positive, got k0 = {self.k0}, k1 = {self.k1}")
         if not (self.k_inf >= self.k1):
             raise ValueError(f"k_inf >= k1 required, got {self.k_inf} < {self.k1}")
 

@@ -21,19 +21,20 @@ form above.  Both paths consume the same (U, W) pair per variate, so the RNG
 stream, and hence every seeded draw sequence, is the same for either path.
 
 Draws can be capped at a configurable quantile of the unit law to keep a
-single astronomically large variate from destroying a lattice cell.  The cap
-is computed from the convergent series for the unit survival function, not
-from an asymptotic.
+single astronomically large variate from destroying a lattice cell.  At
+alpha = 1/2 the cap is the closed-form quantile 1/(4 erfcinv(q)**2); every
+other alpha inverts the convergent series for the unit survival function, not
+an asymptotic, and only that path imports scipy.
 """
 from __future__ import annotations
 
 import math
+import statistics
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 __all__ = [
     "StableParams",
@@ -97,6 +98,7 @@ def unit_survival(alpha: float, x: float) -> float:
     """
     if x <= 0.0:
         return 1.0
+    from scipy import integrate, special
     y = x ** (-alpha / (1.0 - alpha))
 
     def integrand(theta):
@@ -122,9 +124,13 @@ def unit_survival(alpha: float, x: float) -> float:
 
 @lru_cache(maxsize=256)
 def unit_quantile(alpha: float, q: float) -> float:
-    """Quantile of the unit one-sided stable law, by inverting the survival series."""
+    """Unit-law quantile: 1/(4 erfcinv(q)**2) at alpha = 1/2, else by inverting the survival series."""
     if not (0.0 < q < 1.0):
         raise ValueError(f"quantile must be in (0, 1), got {q}")
+    if alpha == 0.5:
+        z = statistics.NormalDist().inv_cdf(q / 2.0)  # erfcinv(q) = -z / sqrt(2)
+        return 1.0 / (2.0 * z * z)
+    from scipy import optimize, special
     target = 1.0 - q
     # Bracket around the Pareto-tail estimate x ~ (Gamma(1-alpha) * (1-q))^(-1/alpha).
     guess = (special.gamma(1.0 - alpha) * target) ** (-1.0 / alpha)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from bookfield.cli import main
+from bookfield.cli import _excess_kurtosis, main
 
 
 CONST = {"kind": "constant"}
@@ -181,8 +181,29 @@ class TestFp:
         assert run(["fp", "--k0", "1.0", "--k-inf", "0.1", "--k1", "0.25",
                     "--v0", "1.0", "--n0", "1.0", "--out", str(tmp_path / "bad")]) == 2
 
+    def test_k0_and_k1_zero_usage_error(self, tmp_path, capsys):
+        assert run(["fp", "--k0", "0", "--k-inf", "0.3", "--k1", "0", "--v0", "1", "--n0", "1",
+                    "--out", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert "k0" in err and "k1" in err
+        assert not (tmp_path / "bad").exists()
+
 
 class TestCompare:
+    def test_excess_kurtosis_equals_scipy(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(5)
+        arrays = [rng.standard_t(4.0, 200), rng.normal(size=1001), rng.uniform(size=7),
+                  1e-4 * rng.standard_t(3.0, 5000) + 2e-3, np.array([0.0, 0.0, 1.0])]
+        for v in arrays:
+            assert _excess_kurtosis(v) == float(stats.kurtosis(v))
+
+    def test_excess_kurtosis_nan_at_zero_variance(self):
+        # no RuntimeWarning either: tier-1 turns one into an error
+        assert np.isnan(_excess_kurtosis(np.zeros(10)))
+        assert np.isnan(_excess_kurtosis(np.full(10, 3.0)))
+
     def test_unknown_model_usage_error(self, tmp_path):
         assert run(["compare", "--models", "cf,quantum", "--out", str(tmp_path / "c")]) == 2
 

@@ -1,0 +1,53 @@
+"""Cold-start guard: only the market-order fit imports scipy.
+
+Every command but ``fit-mo`` runs on numpy and the standard library, so a
+fresh interpreter that imports the CLI and runs them must load none of the
+scipy submodules below.  A module-level scipy import anywhere on those paths
+adds ~0.6 s to every command's start and fails this test.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import bookfield
+
+SCIPY_MODULES = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.stats")
+
+CHILD = """
+import json, sys
+from pathlib import Path
+
+import bookfield.cli
+from bookfield import configs
+
+out = Path(sys.argv[1])
+configs.reference_model_params().stable.unit_cap
+runs = [
+    ["simulate", "--model", "cf", "--steps", "50", "--no-records", "--out", str(out / "cf")],
+    ["fp", "--k0", "1.0", "--k-inf", "0.3", "--k1", "0.25", "--v0", "1.0", "--n0", "4",
+     "--out", str(out / "fp")],
+    ["simulate", "--model", "cs", "--steps", "1000", "--seed", "3", "--out", str(out / "cs")],
+    ["analyze", "--records", str(out / "cs" / "records.jsonl"), "--out", str(out / "stats")],
+    ["compare", "--steps", "200", "--out", str(out / "cmp")],
+]
+codes = [bookfield.cli.main(args) for args in runs]
+loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+fit = bookfield.cli.main(["fit-mo", "--records", str(out / "cs" / "records.jsonl"),
+                          "--out", str(out / "fit")])
+print(json.dumps({"codes": codes, "loaded": loaded, "fit": fit,
+                  "fit_loaded": sorted(m for m in sys.modules if m.startswith("scipy."))}))
+"""
+
+
+def test_commands_other_than_fit_mo_load_no_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(bookfield.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0] * 5
+    assert not [m for m in SCIPY_MODULES if m in got["loaded"]], got["loaded"]
+    assert got["fit"] == 0
+    assert "scipy.optimize" in got["fit_loaded"]

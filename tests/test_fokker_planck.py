@@ -67,6 +67,11 @@ class TestDiffusionCoefficient:
         with pytest.raises(ValueError):
             FPParams(k0=1.0, k_inf=0.3, k1=0.2, v0=1.0, n0=0.0)
 
+    def test_k0_and_k1_both_zero_rejected(self):
+        # k0^2 + k1 = 0 leaves the Gaussian core width a division by zero
+        with pytest.raises(ValueError, match="k0.*k1"):
+            FPParams(k0=0.0, k_inf=0.3, k1=0.0, v0=1.0, n0=1.0)
+
 
 class TestTailExponent:
     def test_quartic_at_matched_volumes(self):
@@ -83,6 +88,9 @@ class TestTailExponent:
     def test_k0_zero_rejected(self):
         with pytest.raises(ValueError):
             tail_exponent(FPParams(k0=0.0, k_inf=0.1, k1=0.0, v0=1.0, n0=1.0))
+        p = FPParams(k0=0.0, k_inf=0.3, k1=0.25, v0=1.0, n0=1.0)  # valid: the guard is tail_exponent's
+        with pytest.raises(ValueError, match="no power-law regime"):
+            tail_exponent(p)
 
     def test_monotone_in_n0(self):
         vals = [tail_exponent(FPParams(k0=1.0, k_inf=0.1, k1=0.0, v0=1.0, n0=n)) for n in (0.5, 1.0, 2.0, 4.0)]

@@ -118,7 +118,8 @@ def test_unit_survival_against_exact_and_scipy():
 
 
 def test_unit_quantile_inverts_survival():
-    for alpha in (0.45, 0.6, 0.85):
+    # at alpha = 0.5 this checks the survival series against the closed-form quantile
+    for alpha in (0.45, 0.5, 0.6, 0.85):
         for q in (0.9, 0.999, 1.0 - 1e-6):
             x = unit_quantile(alpha, q)
             assert unit_survival(alpha, x) == pytest.approx(1.0 - q, rel=1e-6, abs=1e-15)
@@ -126,13 +127,13 @@ def test_unit_quantile_inverts_survival():
 
 def test_unit_quantile_matches_closed_form_at_alpha_half():
     # The alpha = 1/2 law has cdf erfc(1 / (2 sqrt(x))), so its q-quantile is
-    # 1 / (4 erfcinv(q)^2).  The brentq inversion stops at xtol = rtol = 1e-12
-    # on x; the measured differences are <= 6.6e-11 relative (the largest at
-    # q = 1 - 1e-6, where the survival series is flattest), so 1e-9 leaves room
-    # for platform rounding and still catches a wrong bracket or series.
+    # 1 / (4 erfcinv(q)^2).  unit_quantile evaluates it as 1 / (2 z^2) with
+    # z = NormalDist().inv_cdf(q / 2); the measured differences from scipy's
+    # erfcinv form are <= 6.7e-16 relative, so 1e-14 allows a few ulps of
+    # platform rounding and catches a wrong identity or a series inversion.
     for q in (0.5, 0.99, 1.0 - 1e-6):
         exact = 1.0 / (4.0 * special.erfcinv(q) ** 2)
-        assert unit_quantile(0.5, q) == pytest.approx(exact, rel=1e-9)
+        assert unit_quantile(0.5, q) == pytest.approx(exact, rel=1e-14)
 
 
 def test_draw_consumes_stream_reproducibly():
