@@ -15,7 +15,7 @@ from bookfield.analyzers import (
     rms_delta_vs_velocity,
     velocity_volume_correlation,
 )
-from bookfield.baselines import BaselineKind, run_baseline
+from bookfield.baselines import run_baseline
 from bookfield.dynamics import simulate
 
 STEPS = 150_000
@@ -25,11 +25,11 @@ cf_field = configs.GridSpec(length=256, dx=2e-4).new_field(configs.reference_ini
 cf = simulate(configs.reference_model_params(), cf_field, steps=STEPS, dt=1.0, seed=11)
 
 cs_field = configs.cs_reference_field()
-cs = run_baseline(BaselineKind.CS, configs.cs_reference(), cs_field, steps=STEPS, seed=11,
+cs = run_baseline(configs.cs_reference(), cs_field, steps=STEPS, seed=11,
                   tracked_cells=np.arange(cs_field.length))
 
 kstt_field = configs.kstt_reference_field()
-kstt = run_baseline(BaselineKind.KSTT, configs.kstt_reference(), kstt_field, steps=STEPS,
+kstt = run_baseline(configs.kstt_reference(), kstt_field, steps=STEPS,
                     seed=11, tracked_cells=np.arange(kstt_field.length))
 
 print(f"\n{'model':6s} {'kurtosis(v)':>12s} {'tail exponent':>14s}")

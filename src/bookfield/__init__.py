@@ -13,7 +13,7 @@ from .analyzers import (
     velocity_variance_vs_n0,
     velocity_volume_correlation,
 )
-from .baselines import BaselineKind, CSParams, KSTTParams, run_baseline
+from .baselines import CSParams, KSTTParams, run_baseline
 from .dynamics import (
     SimulationResult,
     StepRecord,

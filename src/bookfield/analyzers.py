@@ -44,6 +44,11 @@ __all__ = [
 _FIT_SEED = 718293  # fixed so analyzers stay deterministic per input
 _FIT_MAX_NFEV = 4000  # residual evaluations per start of the market-order fit
 _MIN_BIN_SAMPLES = 1000
+_DELTA_BINS = 40  # mirrored log bins of Delta n in conditional_delta_distribution
+_MEAN_DELTA_BINS = 12  # log volume bins of mean_delta_vs_n
+_RETURN_BINS = 60  # log bins of the return pdf
+_TAIL_FRACTION = 0.01  # top fraction of |returns| the tail exponents are fitted over
+_MIN_TAIL_SAMPLES = 100_000  # fewer nonzero returns than this: tail exponents omitted
 
 
 @dataclass(frozen=True)
@@ -84,13 +89,6 @@ class SeriesFrame:
     def dt_sample(self) -> float:
         return float(np.median(np.diff(self.times))) if len(self.times) > 1 else 0.0
 
-    def side(self, name: str) -> np.ndarray:
-        if name == "bid":
-            return self.bid
-        if name == "ask":
-            return self.ask
-        raise ValueError(f"side must be 'bid' or 'ask', got {name!r}")
-
 
 @dataclass
 class Curve:
@@ -110,7 +108,7 @@ class HistogramFamily:
     delta_edges: np.ndarray
     delta_centers: np.ndarray
     n_edges: np.ndarray
-    densities: np.ndarray  # shape (n_bins, delta_bins); rows integrate to 1
+    densities: np.ndarray  # shape (n_bins, _DELTA_BINS); rows integrate to 1
     counts: np.ndarray
     kept: np.ndarray  # bool per n bin; sparse bins are dropped but reported
     meta: dict = dataclass_field(default_factory=dict)
@@ -232,22 +230,20 @@ def conditional_delta_distribution(
     x: float,
     n_bin_edges: np.ndarray | int,
     dt: float,
-    side: str = "bid",
-    delta_bins: int = 40,
     min_samples: int = _MIN_BIN_SAMPLES,
 ) -> HistogramFamily:
-    """P(Delta n | n) at position x: one normalized histogram per conditioning bin.
+    """P(Delta n | n) of bid volume at x: one normalized histogram per conditioning bin.
 
     Conditioning bins with fewer than min_samples observations are dropped and
     flagged in ``kept``.
     """
     lag = _lag_steps(frame, dt)
-    now, delta = _lagged(frame, frame.side(side)[:, _bin_column(frame, x)], lag)
+    now, delta = _lagged(frame, frame.bid[:, _bin_column(frame, x)], lag)
     if isinstance(n_bin_edges, (int, np.integer)):
         n_edges = _log_bins(now, int(n_bin_edges))
     else:
         n_edges = np.asarray(n_bin_edges, dtype=float)
-    d_edges = _mirrored_delta_edges(delta, delta_bins)
+    d_edges = _mirrored_delta_edges(delta, _DELTA_BINS)
     centers = 0.5 * (d_edges[:-1] + d_edges[1:])
     widths = np.diff(d_edges)
     n_bins = len(n_edges) - 1
@@ -272,20 +268,18 @@ def conditional_delta_distribution(
         densities=densities,
         counts=counts,
         kept=kept,
-        meta={"x": x, "side": side, "dt": dt, "lag_steps": lag, "min_samples": min_samples},
+        meta={"x": x, "side": "bid", "dt": dt, "lag_steps": lag, "min_samples": min_samples},
     )
 
 
-def mean_delta_vs_n(
-    frame: SeriesFrame, x: float, dt: float, side: str = "bid", bins: int = 12
-) -> AffineFit:
-    """OLS of the binned mean volume change against the current volume.
+def mean_delta_vs_n(frame: SeriesFrame, x: float, dt: float) -> AffineFit:
+    """OLS of the binned mean bid volume change against the current volume.
 
     The slope estimates -sigma_out(x) <zeta> dt and the intercept estimates
     sigma_in(x) <xi> dt.
     """
-    now, delta = _lagged(frame, frame.side(side)[:, _bin_column(frame, x)], _lag_steps(frame, dt))
-    edges = _log_bins(now, bins)
+    now, delta = _lagged(frame, frame.bid[:, _bin_column(frame, x)], _lag_steps(frame, dt))
+    edges = _log_bins(now, _MEAN_DELTA_BINS)
     which = np.digitize(now, edges) - 1
     xs, ys, cs = [], [], []
     for i in range(len(edges) - 1):
@@ -312,22 +306,22 @@ def mean_delta_vs_n(
         intercept_stderr=float(np.sqrt(cov[1, 1])),
         n_bins=len(xs),
         sample_count=int(sum(cs)),
-        meta={"x": x, "side": side, "dt": dt, "bin_means": xs.tolist()},
+        meta={"x": x, "side": "bid", "dt": dt, "bin_means": xs.tolist()},
     )
 
 
-def spatial_correlation(frame: SeriesFrame, x_ref: float, dt: float, side: str = "bid") -> Curve:
-    """Pearson correlation of Delta n at x_ref against Delta n at every tracked bin.
+def spatial_correlation(frame: SeriesFrame, x_ref: float, dt: float) -> Curve:
+    """Pearson correlation of bid Delta n at x_ref against bid Delta n at every tracked bin.
 
     Bins with zero variance get NaN (undefined-correlation marker).
     """
-    _, d = _lagged(frame, frame.side(side), _lag_steps(frame, dt))
+    _, d = _lagged(frame, frame.bid, _lag_steps(frame, dt))
     return Curve(
         bin_centers=frame.x_bins.copy(),
         values=_pearson_columns(d[:, _bin_column(frame, x_ref)], d),
         counts=np.full(d.shape[1], len(d)),
         bin_edges=frame.x_bins.copy(),
-        meta={"x_ref": x_ref, "side": side, "dt": dt, "statistic": "pearson_delta_correlation"},
+        meta={"x_ref": x_ref, "side": "bid", "dt": dt, "statistic": "pearson_delta_correlation"},
     )
 
 
@@ -343,13 +337,7 @@ def hill_tail_index(samples: np.ndarray, top_fraction: float = 0.01) -> float:
     return float(1.0 / np.mean(np.log(s[-k:] / s[-k - 1])))
 
 
-def return_distribution(
-    velocities: np.ndarray,
-    tau: float,
-    bins: int = 60,
-    top_fraction: float = 0.01,
-    min_samples_for_tail: int = 100_000,
-) -> ReturnDistribution:
+def return_distribution(velocities: np.ndarray, tau: float) -> ReturnDistribution:
     """pdf of the absolute one-tick return |v tau|, over the std of v tau, with tail exponents.
 
     The Hill estimate over the top fraction gives the primary pdf exponent
@@ -366,24 +354,24 @@ def return_distribution(
     pos = r[r > 0.0]
     if len(pos) == 0:
         raise DataError("all returns are exactly zero")
-    edges = _log_bins(pos, bins)
+    edges = _log_bins(pos, _RETURN_BINS)
     hist, _ = np.histogram(pos, bins=edges)
     widths = np.diff(edges)
     dens = hist / (hist.sum() * widths)
     centers = np.sqrt(edges[:-1] * edges[1:])
     flags: list[str] = []
     tail_hill = tail_ols = None
-    if len(pos) < min_samples_for_tail:
-        flags.append(f"insufficient_samples({len(pos)}<{min_samples_for_tail})")
+    if len(pos) < _MIN_TAIL_SAMPLES:
+        flags.append(f"insufficient_samples({len(pos)}<{_MIN_TAIL_SAMPLES})")
     else:
-        ccdf_index = hill_tail_index(pos, top_fraction)
+        ccdf_index = hill_tail_index(pos, _TAIL_FRACTION)
         tail_hill = ccdf_index + 1.0
         # a true power law gives depth-independent Hill estimates; thin tails
         # (Gaussian and the like) drift upward as the window narrows
-        deeper = hill_tail_index(pos, top_fraction / 2.0)
+        deeper = hill_tail_index(pos, _TAIL_FRACTION / 2.0)
         if abs(deeper - ccdf_index) > 0.5:
             flags.append("no_stable_power_law")
-        lo = np.quantile(pos, 1.0 - top_fraction)
+        lo = np.quantile(pos, 1.0 - _TAIL_FRACTION)
         sel = (centers > lo) & (dens > 0.0)
         if sel.sum() >= 4:
             slope = np.polyfit(np.log(centers[sel]), np.log(dens[sel]), 1)[0]
@@ -400,18 +388,20 @@ def return_distribution(
         normalization=norm,
         sample_count=len(pos),
         flags=flags,
-        meta={"tau": tau, "normalization": "std", "top_fraction": top_fraction,
+        meta={"tau": tau, "normalization": "std", "top_fraction": _TAIL_FRACTION,
               "bin_edges": edges.tolist()},
     )
 
 
-def velocity_variance_vs_n0(frame: SeriesFrame, n0_bins: np.ndarray | int = 12) -> Curve:
-    """<v^2> per n0 bin (log-spaced by default), for comparison with theory."""
+def velocity_variance_vs_n0(frame: SeriesFrame, n0_bins: int = 12) -> Curve:
+    """<v^2> per log-spaced n0 bin, for comparison with theory; DataError if no bin has 30 samples."""
     if len(frame.times) == 0:
         raise DataError("empty frame")
     n0 = frame.n0s
-    edges = _log_bins(n0, int(n0_bins)) if isinstance(n0_bins, (int, np.integer)) else np.asarray(n0_bins, dtype=float)
+    edges = _log_bins(n0, n0_bins)
     vals, counts = _binned_mean_square(frame.velocities, np.digitize(n0, edges) - 1, len(edges) - 1)
+    if counts.max() < 30:
+        raise DataError("no n0 bin holds the 30 samples a velocity variance needs")
     return Curve(
         bin_centers=np.sqrt(edges[:-1] * edges[1:]),
         values=vals,
@@ -432,8 +422,8 @@ def velocity_volume_correlation(frame: SeriesFrame, dt: float) -> dict[str, Curv
     padded = np.concatenate([frame.velocities, np.zeros(lag - 1)])
     vv, _ = _lagged(frame, np.lib.stride_tricks.sliding_window_view(padded, lag).mean(axis=1), lag)
     out: dict[str, Curve] = {}
-    for side in ("bid", "ask"):
-        _, d = _lagged(frame, frame.side(side), lag)
+    for side, volumes in (("bid", frame.bid), ("ask", frame.ask)):
+        _, d = _lagged(frame, volumes, lag)
         out[side] = Curve(
             bin_centers=frame.x_bins.copy(),
             values=_pearson_columns(vv, d),
@@ -460,8 +450,8 @@ def rms_delta_vs_velocity(frame: SeriesFrame, v_bins: np.ndarray | int = 13) -> 
         edges = np.asarray(v_bins, dtype=float)
     out: dict[str, Curve] = {}
     which = np.digitize(vv, edges) - 1
-    for side in ("bid", "ask"):
-        total = _lagged(frame, frame.side(side), 1)[1].sum(axis=1)
+    for side, volumes in (("bid", frame.bid), ("ask", frame.ask)):
+        total = _lagged(frame, volumes, 1)[1].sum(axis=1)
         mean_square, counts = _binned_mean_square(total, which, len(edges) - 1)
         out[side] = Curve(
             bin_centers=0.5 * (edges[:-1] + edges[1:]),

@@ -1,9 +1,9 @@
 """Minimal CS- and KSTT-style comparison models.
 
 Both baselines reuse the co-moving lattice but replace the stable-noise field
-updates with finite-variance point processes (Poisson order placement and
-market-order arrivals, binomial cancellation), which is what makes their
-return distributions thin-tailed:
+updates with finite-variance point processes of unit-size orders (Poisson
+placement and market-order arrivals, binomial cancellation), which is what
+makes their return distributions thin-tailed:
 
 * CS: placement and cancellation rates ignore the velocity entirely, and
   market orders arrive at a constant rate on both sides -- no reaction to the
@@ -22,7 +22,6 @@ profiles evaluated once per run.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +30,7 @@ from .dynamics import SimulationResult, market_order_rate, run_ticks, trend_resp
 from .field import MarketOrderParams, OrderBookField, PlacementActivityParams, shift_boundary
 from .profiles import Profile
 
-__all__ = ["BaselineKind", "CSParams", "KSTTParams", "run_baseline"]
-
-
-class BaselineKind(str, enum.Enum):
-    CS = "cs"
-    KSTT = "kstt"
+__all__ = ["CSParams", "KSTTParams", "run_baseline"]
 
 
 @dataclass(frozen=True)
@@ -46,14 +40,13 @@ class CSParams:
     placement_rate: Profile  # expected orders per cell per tick
     cancel_prob: float  # per-order cancellation probability per tick
     mo_volume: float  # mean market-order volume per side per tick (velocity-independent)
-    order_size: float = 1.0
     n0_floor: float = 1e-6
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.cancel_prob <= 1.0):
             raise ValueError(f"cancel_prob must be in [0, 1], got {self.cancel_prob}")
-        if self.mo_volume < 0.0 or self.order_size <= 0.0 or self.n0_floor <= 0.0:
-            raise ValueError("mo_volume >= 0, order_size > 0, n0_floor > 0 required")
+        if self.mo_volume < 0.0 or self.n0_floor <= 0.0:
+            raise ValueError("mo_volume >= 0 and n0_floor > 0 required")
 
 
 @dataclass(frozen=True)
@@ -63,14 +56,13 @@ class KSTTParams:
     activity: PlacementActivityParams  # k0_in must be constant in x
     cancel_prob: float
     mo: MarketOrderParams  # market-order arrival means follow the velocity response
-    order_size: float = 1.0
     n0_floor: float = 1e-6
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.cancel_prob <= 1.0):
             raise ValueError(f"cancel_prob must be in [0, 1], got {self.cancel_prob}")
-        if self.order_size <= 0.0 or self.n0_floor <= 0.0:
-            raise ValueError("order_size > 0 and n0_floor > 0 required")
+        if self.n0_floor <= 0.0:
+            raise ValueError(f"n0_floor must be positive, got {self.n0_floor}")
 
 
 class _PointProcessEngine:
@@ -89,29 +81,28 @@ class _PointProcessEngine:
             self.activity = params.activity.evaluate(x)
 
     def tick(self, field: OrderBookField, v: float):
-        p, rng, os_ = self.p, self.rng, self.p.order_size
+        p, rng = self.p, self.rng
         bid, ask = field.bid, field.ask
         # placement: Poisson counts of unit orders; KSTT means follow the trend response
         if isinstance(p, CSParams):
             lam_bid = lam_ask = self.rate
             mean_buy = mean_sell = p.mo_volume
         else:
-            mb, ma = trend_response(v, *self.activity)
-            lam_bid, lam_ask = mb / os_, ma / os_
+            lam_bid, lam_ask = trend_response(v, *self.activity)
             mean_buy, mean_sell = market_order_rate(v, p.mo)
-        bid += os_ * rng.poisson(lam_bid)
-        ask += os_ * rng.poisson(lam_ask)
+        bid += rng.poisson(lam_bid)
+        ask += rng.poisson(lam_ask)
         # cancellation: binomial thinning of resting orders
         if p.cancel_prob > 0.0:
-            nb = np.floor(bid / os_).astype(np.int64)
-            na = np.floor(ask / os_).astype(np.int64)
-            bid -= os_ * rng.binomial(nb, p.cancel_prob)
-            ask -= os_ * rng.binomial(na, p.cancel_prob)
+            nb = np.floor(bid).astype(np.int64)
+            na = np.floor(ask).astype(np.int64)
+            bid -= rng.binomial(nb, p.cancel_prob)
+            ask -= rng.binomial(na, p.cancel_prob)
             np.maximum(bid, 0.0, out=bid)
             np.maximum(ask, 0.0, out=ask)
         # market orders: Poisson volumes
-        buy = os_ * rng.poisson(mean_buy / os_)
-        sell = os_ * rng.poisson(mean_sell / os_)
+        buy = float(rng.poisson(mean_buy))
+        sell = float(rng.poisson(mean_sell))
         eaten_ask = min(buy, float(ask[0]))
         eaten_bid = min(sell, float(bid[0]))
         ask[0] -= eaten_ask
@@ -124,22 +115,18 @@ class _PointProcessEngine:
 
 
 def run_baseline(
-    kind: BaselineKind | str,
     params: CSParams | KSTTParams,
     field: OrderBookField,
     steps: int,
     seed: int,
     tracked_cells=None,
 ) -> SimulationResult:
-    """Run a comparison model on the given field (mutated in place).
+    """Run the comparison model of ``params`` (CS or KSTT) on the given field (mutated in place).
 
     Raises NumericError naming the tick if the velocity outgrows the grid.
     """
-    kind = BaselineKind(kind)
-    if kind is BaselineKind.CS and not isinstance(params, CSParams):
-        raise ValueError("CS baseline requires CSParams")
-    if kind is BaselineKind.KSTT and not isinstance(params, KSTTParams):
-        raise ValueError("KSTT baseline requires KSTTParams")
+    if not isinstance(params, (CSParams, KSTTParams)):
+        raise ValueError(f"params must be CSParams or KSTTParams, got {type(params).__name__}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     engine = _PointProcessEngine(params, field.x, np.random.default_rng(seed))

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analyzers, configs, ingest, profiles
-from .baselines import BaselineKind, run_baseline
+from .baselines import run_baseline
 from .dynamics import market_order_rate, simulate
 from .errors import DataError, NumericError
 from .field import MarketOrderParams
@@ -94,10 +94,10 @@ def _model_run(cfg: dict):
         return functools.partial(simulate, configs.model_params(cfg), field, steps=cfg["steps"],
                                  dt=cfg["dt"], seed=cfg["seed"], tracked_cells=tracked)
     if cfg["model"] == "cs":
-        kind, params, field = BaselineKind.CS, configs.cs_reference(), configs.cs_reference_field()
+        params, field = configs.cs_reference(), configs.cs_reference_field()
     else:
-        kind, params, field = BaselineKind.KSTT, configs.kstt_reference(), configs.kstt_reference_field()
-    return functools.partial(run_baseline, kind, params, field, steps=cfg["steps"],
+        params, field = configs.kstt_reference(), configs.kstt_reference_field()
+    return functools.partial(run_baseline, params, field, steps=cfg["steps"],
                              seed=cfg["seed"], tracked_cells=np.arange(field.length))
 
 
@@ -155,7 +155,7 @@ def _frame_from_args(args) -> analyzers.SeriesFrame:
             with open(args.market_orders) as fh:
                 mos = ingest.parse_market_orders(fh)
         return ingest.build_frame(
-            snaps, dt=args.dt or 1.0, dx=args.dx, L=args.L, market_orders=mos
+            snaps, dt=args.dt, dx=args.dx, L=args.L, market_orders=mos
         )
     raise ValueError("provide --records or --snapshots as the frame source")
 
@@ -231,7 +231,7 @@ def cmd_analyze(args) -> int:
     frame = _frame_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dt = args.lag if args.lag is not None else float(np.median(np.diff(frame.times)))
+    dt = args.lag if args.lag is not None else frame.dt_sample
     written = []
     for stat in wanted:
         try:
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     frame_source.add_argument("--L", type=float, default=0.05,
                               help="lattice extent for snapshot gridding")
     frame_source.add_argument("--dt", type=float, default=None,
-                              help="frame build interval for snapshots")
+                              help="frame build interval for snapshots (default: median spacing)")
 
     p = sub.add_parser("analyze", parents=[frame_source],
                        help="compute statistics from records or snapshots")

@@ -118,7 +118,6 @@ def cs_reference() -> CSParams:
         placement_rate=profiles.exp_decay(100.0, 10.0),
         cancel_prob=0.01,
         mo_volume=5.0,
-        order_size=1.0,
         n0_floor=100.0,
     )
 
@@ -137,7 +136,6 @@ def kstt_reference() -> KSTTParams:
         ),
         cancel_prob=0.01,
         mo=MarketOrderParams(k0=2.5e3, k_inf=1.5e4, k1=0.0, v0=2e-4),
-        order_size=1.0,
         n0_floor=100.0,
     )
 

@@ -322,8 +322,8 @@ class SimulationResult:
 
 
 def run_ticks(engine, field: OrderBookField, steps: int, dt: float,
-              tracked_cells=None, v0: float = 0.0) -> SimulationResult:
-    """Run and record ``steps`` ticks of ``engine`` from the given field (mutated in place).
+              tracked_cells=None) -> SimulationResult:
+    """Run and record ``steps`` ticks of ``engine``, from v = 0, on the field (mutated in place).
 
     ``engine.tick(field, v)`` advances the field one tick of length ``dt``
     from velocity ``v`` and returns ``(v, n0, eaten_ask, eaten_bid, spill)``.
@@ -346,7 +346,7 @@ def run_ticks(engine, field: OrderBookField, steps: int, dt: float,
     out_bid = np.empty((steps, len(tracked_cells)))
     out_ask = np.empty_like(out_bid)
     tick = engine.tick
-    v = v0
+    v = 0.0
     for t in range(steps):
         try:
             v, n0, mob, mos, spill = tick(field, v)
@@ -384,7 +384,6 @@ def simulate(
     dt: float,
     seed: int,
     tracked_cells=None,
-    v0: float = 0.0,
 ) -> SimulationResult:
     """Run ``steps`` ticks of the CF model from the given field (mutated in place).
 
@@ -395,4 +394,4 @@ def simulate(
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     engine = _TickEngine(params, field.length, field.dx, dt, np.random.default_rng(seed), steps)
-    return run_ticks(engine, field, steps, dt, tracked_cells, v0)
+    return run_ticks(engine, field, steps, dt, tracked_cells)

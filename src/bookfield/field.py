@@ -173,16 +173,14 @@ class ModelParams:
             self.activity.validate_on(x)
 
 
-def new_field(length: int, dx: float, init_profile: Callable[[float], float]) -> OrderBookField:
-    """Create a field with both sides initialized to init_profile(i*dx)."""
+def new_field(length: int, dx: float, init_profile: Callable[[np.ndarray], np.ndarray]) -> OrderBookField:
+    """Create a field with both sides initialized to init_profile(x) at the cells x = i*dx."""
     if length < 4:
         raise ValueError(f"length must be >= 4, got {length}")
     if not (dx > 0.0):
         raise ValueError(f"dx must be positive, got {dx}")
     x = np.arange(length) * dx
     vals = np.asarray(init_profile(x), dtype=float)
-    if vals.shape != x.shape:
-        vals = np.array([float(init_profile(xi)) for xi in x])
     if np.any(vals < 0.0):
         raise ValueError("init_profile must be nonnegative on the grid")
     return OrderBookField(bid=vals.copy(), ask=vals.copy(), dx=dx)

@@ -221,7 +221,7 @@ def to_log_grid(
 
 def build_frame(
     snapshots: Iterable[SnapshotRecord],
-    dt: float,
+    dt: float | None,
     dx: float,
     L: float,
     market_orders: Iterable[MarketOrderRecord] | None = None,
@@ -229,14 +229,16 @@ def build_frame(
     """Grid snapshot series onto the model lattice and align the companion series.
 
     Velocities come from log trade-price differences; spacings larger than
-    _GAP_FACTOR * dt split the series into segments so no lagged difference
-    crosses a gap.  Crossed-book records are excluded.
+    _GAP_FACTOR * dt (dt=None: the median spacing) split the series into
+    segments so no lagged difference crosses a gap.  Crossed-book records are excluded.
     """
     recs = [r for r in snapshots if not r.crossed]
     if len(recs) < 2:
         raise DataError(f"need at least 2 uncrossed snapshots, got {len(recs)}")
     ts = np.array([r.ts for r in recs])
     spacing = float(np.median(np.diff(ts)))
+    if dt is None:
+        dt = spacing
     if dt < spacing:
         raise ValueError(f"dt={dt} is below the median snapshot spacing {spacing}")
     n_cells = int(round(L / dx))

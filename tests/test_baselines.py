@@ -4,40 +4,33 @@ from scipy import stats
 
 from bookfield import configs, profiles
 from bookfield.analyzers import rms_delta_vs_velocity, velocity_volume_correlation
-from bookfield.baselines import BaselineKind, CSParams, KSTTParams, run_baseline
+from bookfield.baselines import CSParams, KSTTParams, run_baseline
 from bookfield.errors import NumericError
 from bookfield.field import MarketOrderParams, PlacementActivityParams, new_field
 
 
 def run_cs(steps=80_000, seed=4):
     f = configs.cs_reference_field()
-    return run_baseline(BaselineKind.CS, configs.cs_reference(), f, steps=steps,
+    return run_baseline(configs.cs_reference(), f, steps=steps,
                         seed=seed, tracked_cells=np.arange(f.length))
 
 
 def run_kstt(steps=80_000, seed=5):
     f = configs.kstt_reference_field()
-    return run_baseline(BaselineKind.KSTT, configs.kstt_reference(), f, steps=steps,
+    return run_baseline(configs.kstt_reference(), f, steps=steps,
                         seed=seed, tracked_cells=np.arange(f.length))
 
 
 def test_unknown_tag_rejected():
     with pytest.raises(ValueError):
-        run_baseline("gauss", configs.cs_reference(), configs.cs_reference_field(), 10, 0)
-
-
-def test_params_kind_mismatch_rejected():
-    with pytest.raises(ValueError):
-        run_baseline(BaselineKind.CS, configs.kstt_reference(), configs.cs_reference_field(), 10, 0)
-    with pytest.raises(ValueError):
-        run_baseline(BaselineKind.KSTT, configs.cs_reference(), configs.kstt_reference_field(), 10, 0)
+        run_baseline("gauss", configs.cs_reference_field(), 10, 0)
 
 
 def test_cs_all_rates_zero_is_frozen():
     params = CSParams(placement_rate=profiles.constant(0.0), cancel_prob=0.0,
-                      mo_volume=0.0, order_size=1.0, n0_floor=1.0)
+                      mo_volume=0.0, n0_floor=1.0)
     f = new_field(16, 1.0, profiles.constant(5.0))
-    res = run_baseline(BaselineKind.CS, params, f, steps=200, seed=1,
+    res = run_baseline(params, f, steps=200, seed=1,
                        tracked_cells=np.arange(16))
     assert np.all(res.velocities == 0.0)
     assert np.all(res.bid_tracks == 5.0)
@@ -110,7 +103,7 @@ def test_kstt_no_overflow_at_large_velocity():
         mo=MarketOrderParams(k0=1e4, k_inf=1e4, k1=5e3, v0=v0),
         n0_floor=10.0,
     )
-    res = run_baseline(BaselineKind.KSTT, params, new_field(16, 1.0, c(3.0)), steps=200, seed=2)
+    res = run_baseline(params, new_field(16, 1.0, c(3.0)), steps=200, seed=2)
     assert np.max(np.abs(res.velocities)) / v0 >= 1e3
     assert np.all(np.isfinite(res.velocities))
 
@@ -123,4 +116,4 @@ def test_grid_overflow_is_numeric_error_naming_the_tick():
     f = new_field(16, 1.0, profiles.constant(3.0))
     f.bid[0] = 0.0
     with pytest.raises(NumericError, match=r"^tick 0 of 10: .*exceeds half the grid"):
-        run_baseline(BaselineKind.CS, params, f, steps=10, seed=1)
+        run_baseline(params, f, steps=10, seed=1)

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from bookfield import configs, ingest
+from bookfield.baselines import run_baseline
 from bookfield.cli import _excess_kurtosis, main
 
 
@@ -147,6 +149,39 @@ class TestAnalyze:
 
     def test_missing_source_is_usage_error(self, tmp_path):
         assert run(["analyze", "--out", str(tmp_path / "z")]) == 2
+
+    def test_one_tick_frame_is_data_error(self, tmp_path, capsys):
+        # No statistic has two samples to work with; none may warn or write an all-NaN table.
+        result = run_baseline(configs.cs_reference(), configs.cs_reference_field(), steps=1, seed=1)
+        records = tmp_path / "records.jsonl"
+        with open(records, "w") as fh:
+            ingest.write_step_records(result, fh)
+        out = tmp_path / "one"
+        assert run(["analyze", "--records", str(records), "--out", str(out)]) == 3
+        assert "no statistic could be computed" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+class TestSnapshotFeed:
+    """The CLI's own synthetic feed, gridded without --dt (the median snapshot spacing)."""
+
+    @pytest.fixture()
+    def feed(self, tmp_path):
+        snaps, mos = tmp_path / "snaps.jsonl", tmp_path / "mo.csv"
+        for kind, path in (("snapshots", snaps), ("market-orders", mos)):
+            assert run(["gen-synthetic", "--kind", kind, "--count", "3000", "--seed", "1",
+                        "--out", str(path)]) == 0
+        return ["--snapshots", str(snaps), "--market-orders", str(mos)]
+
+    def test_analyze_writes_every_statistic(self, feed, tmp_path):
+        out = tmp_path / "stats"
+        assert run(["analyze", *feed, "--out", str(out)]) == 0
+        assert len(list(out.iterdir())) == 9
+
+    def test_fit_mo_converges(self, feed, tmp_path):
+        out = tmp_path / "fit"
+        assert run(["fit-mo", *feed, "--out", str(out)]) == 0
+        assert json.loads((out / "mo_fit.json").read_text())["converged"] is True
 
 
 class TestFp:

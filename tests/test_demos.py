@@ -3,15 +3,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bookfield
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-def test_stationary_theory_demo_runs(tmp_path):
-    # the demo writes its CSV into the working directory
+def run_demo(name, cwd):
+    # demos write their outputs into the working directory
     env = {**os.environ, "PYTHONPATH": str(Path(bookfield.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, str(DEMOS / "03_stationary_theory.py")], cwd=tmp_path,
+    return subprocess.run([sys.executable, str(DEMOS / name)], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", ["01_stable_noise_basics.py", "05_snapshot_ingestion.py"])
+def test_demo_runs(name, tmp_path):
+    proc = run_demo(name, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_stationary_theory_demo_runs(tmp_path):
+    proc = run_demo("03_stationary_theory.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "stationary_density.csv").exists()

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from bookfield import configs, profiles
-from bookfield.baselines import BaselineKind, run_baseline
+from bookfield.baselines import run_baseline
 from bookfield.cli import main
 from bookfield.dynamics import simulate
 from bookfield.field import MarketOrderParams, ModelParams, PlacementActivityParams, new_field
@@ -96,12 +96,12 @@ def cf_activity():
 
 def cs_reference():
     f = configs.cs_reference_field()
-    return run_baseline(BaselineKind.CS, configs.cs_reference(), f, steps=2000, seed=4)
+    return run_baseline(configs.cs_reference(), f, steps=2000, seed=4)
 
 
 def kstt_reference():
     f = configs.kstt_reference_field()
-    return run_baseline(BaselineKind.KSTT, configs.kstt_reference(), f, steps=2000, seed=5,
+    return run_baseline(configs.kstt_reference(), f, steps=2000, seed=5,
                         tracked_cells=np.arange(f.length))
 
 
