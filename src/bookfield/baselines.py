@@ -16,9 +16,9 @@ makes their return distributions thin-tailed:
 
 Each model is a tick engine for ``dynamics.run_ticks``, the run loop the
 continuous-field simulator uses, so every run emits the same per-tick records
-and every analyzer applies unchanged.  KSTT's placement and market-order means
-are the one tanh/sech law ``dynamics.trend_response``, with the activity
-profiles evaluated once per run.
+and every analyzer applies unchanged.  The engine picks CS or KSTT once, when
+it is built: KSTT's placement and market-order means are the one tanh/sech law
+``dynamics.trend_response``, with the activity profiles evaluated once per run.
 """
 from __future__ import annotations
 
@@ -68,6 +68,7 @@ class KSTTParams:
 class _PointProcessEngine:
     """The CS/KSTT tick on a unit-tick lattice, for run_ticks.
 
+    ``means(v)`` is the model's (bid, ask, buy, sell) Poisson means at velocity v.
     Per tick it draws, in this order: Poisson bid and ask placements, binomial
     bid and ask cancellations, Poisson buy and sell market orders.
     """
@@ -76,20 +77,17 @@ class _PointProcessEngine:
         self.p = params
         self.rng = rng
         if isinstance(params, CSParams):
-            self.rate = np.maximum(np.asarray(params.placement_rate(x), dtype=float), 0.0)
+            rate = np.maximum(np.asarray(params.placement_rate(x), dtype=float), 0.0)
+            self.means = lambda v: (rate, rate, params.mo_volume, params.mo_volume)
         else:
-            self.activity = params.activity.evaluate(x)
+            activity = params.activity.evaluate(x)
+            self.means = lambda v: (*trend_response(v, *activity), *market_order_rate(v, params.mo))
 
     def tick(self, field: OrderBookField, v: float):
         p, rng = self.p, self.rng
         bid, ask = field.bid, field.ask
-        # placement: Poisson counts of unit orders; KSTT means follow the trend response
-        if isinstance(p, CSParams):
-            lam_bid = lam_ask = self.rate
-            mean_buy = mean_sell = p.mo_volume
-        else:
-            lam_bid, lam_ask = trend_response(v, *self.activity)
-            mean_buy, mean_sell = market_order_rate(v, p.mo)
+        lam_bid, lam_ask, mean_buy, mean_sell = self.means(v)
+        # placement: Poisson counts of unit orders
         bid += rng.poisson(lam_bid)
         ask += rng.poisson(lam_ask)
         # cancellation: binomial thinning of resting orders

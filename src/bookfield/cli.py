@@ -19,8 +19,8 @@ it is merged over the model's reference config (grid, stable and mo key by
 key; profile specs, init_profile and activity whole), then the flags that are
 set are merged over the result.  A key the model does not run, or a value that
 is not a number where the schema has one, is a usage error.  The resolved config
-is validated, then written to config.json, so ``simulate --config <out>/config.json``
-repeats it.  analyze and compare draw their statistics from one table,
+is validated and run, then written to config.json, so ``simulate --config
+<out>/config.json`` repeats it; a run that fails writes nothing.  analyze and compare draw their statistics from one table,
 ``STATISTICS``.  Exit codes: 0 success, 2 usage or validation error, 3 data
 error, 4 numeric failure.
 """
@@ -121,16 +121,16 @@ def cmd_simulate(args) -> int:
     if cfg["steps"] < 1:
         raise ValueError(f"steps must be >= 1, got {cfg['steps']}")
     run = _model_run(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(cfg, indent=2))
     t0 = time.perf_counter()
     result = run()
     runtime = time.perf_counter() - t0
+    rd = analyzers.return_distribution(result.velocities, tau=result.dt)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(json.dumps(cfg, indent=2))
     if args.records:
         with open(out / "records.jsonl", "w") as fh:
             ingest.write_step_records(result, fh)
-    rd = analyzers.return_distribution(result.velocities, tau=result.dt)
     summary = {
         "model": cfg["model"],
         "steps": cfg["steps"],
@@ -313,42 +313,46 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
+    # Both kinds build this snapshot path: a log-normal price walk with 12 gamma-volume levels a
+    # side, one snapshot every U(0.8, 1.2) s.
     rng = np.random.default_rng(args.seed)
+    price = 10_000.0
+    snapshots = []
+    t = 0.0
+    for _ in range(args.count):
+        t += float(rng.uniform(0.8, 1.2))
+        price *= math.exp(rng.normal(0.0, 2e-4))
+        bids = [
+            (price * math.exp(-x), float(rng.gamma(2.0, 2.0)))
+            for x in np.sort(rng.uniform(5e-5, 0.02, 12))
+        ]
+        asks = [
+            (price * math.exp(x), float(rng.gamma(2.0, 2.0)))
+            for x in np.sort(rng.uniform(5e-5, 0.02, 12))
+        ]
+        snapshots.append(ingest.SnapshotRecord(ts=t, trade_price=price, bids=bids, asks=asks))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "snapshots":
-        price = 10_000.0
-        records = []
-        t = 0.0
-        for _ in range(args.count):
-            t += float(rng.uniform(0.8, 1.2))
-            price *= math.exp(rng.normal(0.0, 2e-4))
-            bids = [
-                (price * math.exp(-x), float(rng.gamma(2.0, 2.0)))
-                for x in np.sort(rng.uniform(5e-5, 0.02, 12))
-            ]
-            asks = [
-                (price * math.exp(x), float(rng.gamma(2.0, 2.0)))
-                for x in np.sort(rng.uniform(5e-5, 0.02, 12))
-            ]
-            records.append(ingest.SnapshotRecord(ts=t, trade_price=price, bids=bids, asks=asks))
         with open(out, "w") as fh:
-            ingest.write_snapshots(records, fh)
-    elif args.kind == "market-orders":
+            ingest.write_snapshots(snapshots, fh)
+    else:
+        # Flows answer the path's velocity as build_frame computes it, at the snapshot times.
         p = MarketOrderParams(k0=3.0, k_inf=2.0, k1=1.5, v0=2e-4)
+        ts = np.array([r.ts for r in snapshots])
+        logp = np.log([r.trade_price for r in snapshots])
+        velocities = np.concatenate(([0.0], np.diff(logp) / np.diff(ts)))
+        flow_rng = np.random.default_rng([args.seed, 1])  # leaves the snapshot stream alone
         rows = []
-        for i in range(args.count):
-            v = float(rng.normal(0.0, 2.5e-4))
-            buy, sell = market_order_rate(v, p)
-            noise = 1.0 + 0.05 * rng.standard_normal(2)
+        for t, v in zip(ts, velocities):
+            buy, sell = market_order_rate(float(v), p)
+            noise = 1.0 + 0.05 * flow_rng.standard_normal(2)
             rows.append(ingest.MarketOrderRecord(
-                ts=float(i), buy_volume=max(buy * noise[0], 0.0),
+                ts=float(t), buy_volume=max(buy * noise[0], 0.0),
                 sell_volume=max(sell * noise[1], 0.0),
             ))
         with open(out, "w") as fh:
             ingest.write_market_orders(rows, fh)
-    else:
-        raise ValueError(f"unknown synthetic kind {args.kind!r}; valid: snapshots, market-orders")
     print(json.dumps({"written": str(out), "kind": args.kind, "count": args.count}))
     return 0
 

@@ -24,9 +24,11 @@ market-order fit use it too.
 per-cell volume changes).  ``run_ticks`` is the one run loop of the package:
 it records ``steps`` ticks of an engine -- the CF engine here, the CS/KSTT
 engine in ``baselines`` -- into a SimulationResult.  ``simulate`` is the CF
-engine plus ``run_ticks``.  The CF engine has the same arithmetic as ``step``
-and consumes the RNG stream identically, so a simulate() run is bit-for-bit
-the same trajectory as repeated step() calls on one stream.
+engine plus ``run_ticks``.  Each engine picks its model once, when it is
+built, not on every tick (CF: static or velocity-coupled placement).  The CF
+engine has the same arithmetic as ``step`` and consumes the RNG stream
+identically, so a simulate() run is bit-for-bit the same trajectory as
+repeated step() calls on one stream.
 
 The CF engine draws the noise of ``NOISE_CHUNK`` ticks at a time: it fills the
 uniforms and exponentials tick by tick in the order ``step`` draws them,
@@ -39,7 +41,7 @@ ends the run with NumericError naming the tick.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,6 +153,7 @@ def check_stability(params: ModelParams, length: int, dx: float, dt: float) -> N
 class _TickEngine:
     """Per-grid precomputation and the CF tick update.
 
+    ``placement_scales(v)``, fixed when the engine is built, is sigma_in or the activity response.
     ``update`` advances one tick on given unit-scale noise (``step`` draws it).
     ``tick`` is the run_ticks interface: it takes the noise from the stream of
     ``rng``, drawn NOISE_CHUNK ticks at a time for a run of ``steps`` ticks.
@@ -165,20 +168,19 @@ class _TickEngine:
         self.dt = dt
         x = np.arange(length) * dx
         self.d_arr = np.asarray(params.diffusion(x), dtype=float)
-        self.sigma_out_arr = np.asarray(params.sigma_out(x), dtype=float)
         self.c_diff = dt / dx**2
         self.mo_frac = dt / params.tau
         alpha = params.stable.alpha
         power = 1.0 if params.noise_time_scaling == "linear" else 1.0 / alpha
-        self.dt_noise = params.tau * (dt / params.tau) ** power
-        self.scale_in = params.stable.scale * self.dt_noise
-        self.scale_out = self.sigma_out_arr * self.dt_noise * params.stable.scale
+        dt_noise = params.tau * (dt / params.tau) ** power
+        self.scale_in = params.stable.scale * dt_noise
+        self.scale_out = np.asarray(params.sigma_out(x), dtype=float) * dt_noise * params.stable.scale
         if params.activity is None:
             s = np.asarray(params.sigma_in(x), dtype=float)
-            self._static_scales = (s, s)
+            self.placement_scales = lambda v: (s, s)
         else:
-            self._static_scales = None
-            self.activity = params.activity.evaluate(x)
+            activity = params.activity.evaluate(x)
+            self.placement_scales = lambda v: trend_response(v, *activity)
         self.diffusive = bool(np.any(self.d_arr > 0.0))
         self.rng = rng
         self.cap = params.stable.unit_cap
@@ -187,11 +189,6 @@ class _TickEngine:
         self.w_buf = np.empty_like(self.u_buf)
         self.noise = self.u_buf[:0]
         self.next = 0
-
-    def placement_scales(self, v: float) -> tuple[np.ndarray, np.ndarray]:
-        if self._static_scales is not None:
-            return self._static_scales
-        return trend_response(v, *self.activity)
 
     def _draw_chunk(self) -> None:
         m = min(NOISE_CHUNK, self.steps_left)
@@ -262,7 +259,7 @@ def step(
     engine = _TickEngine(params, field.length, field.dx, dt)
     bid0 = field.bid.copy()
     ask0 = field.ask.copy()
-    xi_b, xi_a, ze_b, ze_a = _draw_tick_noise(params.stable, field.length, rng)
+    xi_b, xi_a, ze_b, ze_a = stable_noise.draw(replace(params.stable, scale=1.0), (4, field.length), rng)
     v, n0, mo_buy, mo_sell, spill = engine.update(field, v_prev, xi_b, xi_a, ze_b, ze_a)
     rec = StepRecord(
         t=field.t,
@@ -276,15 +273,6 @@ def step(
         spill_ask=spill.ask,
     )
     return field, rec
-
-
-def _draw_tick_noise(stable: stable_noise.StableParams, length: int, rng: np.random.Generator):
-    """Unit-scale noise for one tick: rows are (xi_bid, xi_ask, zeta_bid, zeta_ask)."""
-    unit = stable_noise.StableParams(
-        alpha=stable.alpha, scale=1.0, truncation_quantile=stable.truncation_quantile
-    )
-    block = stable_noise.draw(unit, (4, length), rng)
-    return block[0], block[1], block[2], block[3]
 
 
 @dataclass

@@ -16,7 +16,7 @@ of the grid piles up in the last cell so translation conserves volume exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,6 +30,7 @@ __all__ = [
     "PlacementActivityParams",
     "ModelParams",
     "BoundarySpill",
+    "check_trend_constants",
     "new_field",
     "boundary_volume",
     "shift_boundary",
@@ -49,7 +50,6 @@ class OrderBookField:
     ask: np.ndarray
     dx: float
     t: float = 0.0
-    log_price: float = 0.0
     fractional_offset: float = 0.0
 
     def __post_init__(self) -> None:
@@ -86,9 +86,19 @@ class OrderBookField:
             ask=self.ask.copy(),
             dx=self.dx,
             t=self.t,
-            log_price=self.log_price,
             fractional_offset=self.fractional_offset,
         )
+
+
+def check_trend_constants(k0, k_inf, k1, v0, where: str = "") -> None:
+    """Require v0 > 0, k0 >= 0, k1 >= 0, k_inf >= k1 of numbers or grid arrays; NaN fails.
+
+    The ValueError names ``where`` and the failed condition, never the values.
+    """
+    for holds, condition in ((v0 > 0.0, "v0 > 0"), (k0 >= 0.0, "k0 >= 0"),
+                             (k1 >= 0.0, "k1 >= 0"), (k_inf >= k1, "k_inf >= k1")):
+        if not np.all(holds):
+            raise ValueError(f"{where + ': ' if where else ''}{condition} required (NaN fails it)")
 
 
 @dataclass(frozen=True)
@@ -101,12 +111,7 @@ class MarketOrderParams:
     v0: float
 
     def __post_init__(self) -> None:
-        if not (self.v0 > 0.0):
-            raise ValueError(f"v0 must be positive, got {self.v0}")
-        if self.k0 < 0.0 or self.k1 < 0.0:
-            raise ValueError("k0 and k1 must be nonnegative")
-        if not (self.k_inf >= self.k1):
-            raise ValueError(f"k_inf >= k1 required for nonnegative volume, got {self.k_inf} < {self.k1}")
+        check_trend_constants(self.k0, self.k_inf, self.k1, self.v0, "market-order constants")
 
 
 @dataclass(frozen=True)
@@ -124,13 +129,7 @@ class PlacementActivityParams:
                      for f in (self.k0_in, self.k_inf_in, self.k1_in, self.v0_in))
 
     def validate_on(self, x: np.ndarray) -> None:
-        k0, ki, k1, v0 = self.evaluate(x)
-        if np.any(v0 <= 0.0):
-            raise ValueError("v0_in(x) must be positive everywhere on the grid")
-        if np.any(ki < k1):
-            raise ValueError("k_inf_in(x) >= k1_in(x) required everywhere on the grid")
-        if np.any(k0 < 0.0) or np.any(k1 < 0.0):
-            raise ValueError("activity constants must be nonnegative")
+        check_trend_constants(*self.evaluate(x), "activity profiles on the grid")
 
 
 @dataclass(frozen=True)
@@ -225,7 +224,6 @@ def shift_boundary(field: OrderBookField, d_logprice: float) -> tuple[OrderBookF
     if field.fractional_offset >= field.dx:
         field.fractional_offset -= field.dx
         k += 1
-    field.log_price += d_logprice
     spill_bid = 0.0
     spill_ask = 0.0
     if k > 0:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
+from .field import check_trend_constants
 
 __all__ = [
     "FPParams",
@@ -65,18 +66,13 @@ class FPParams:
     tau: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.v0 > 0.0):
-            raise ValueError(f"v0 must be positive, got {self.v0}")
+        check_trend_constants(self.k0, self.k_inf, self.k1, self.v0, "Fokker-Planck constants")
         if not (self.n0 > 0.0):
             raise ValueError(f"n0 must be positive, got {self.n0}")
         if not (self.tau > 0.0):
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.k0 < 0.0 or self.k1 < 0.0:
-            raise ValueError("k0 and k1 must be nonnegative")
         if self.k0**2 + self.k1 == 0.0:
             raise ValueError(f"k0^2 + k1 must be positive, got k0 = {self.k0}, k1 = {self.k1}")
-        if not (self.k_inf >= self.k1):
-            raise ValueError(f"k_inf >= k1 required, got {self.k_inf} < {self.k1}")
 
 
 @dataclass

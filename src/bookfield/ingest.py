@@ -17,7 +17,6 @@ use is bounded by a single record, not the file size.
 """
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -76,7 +75,6 @@ class MarketOrderRecord:
 @dataclass
 class ParseReport:
     total_lines: int = 0
-    parsed: int = 0
     failures: list[tuple[int, str]] = dataclass_field(default_factory=list)
 
     @property
@@ -133,7 +131,6 @@ def parse_snapshots(
             rep.failures.append((lineno, str(exc)))
             continue
         last_ts = rec.ts
-        rep.parsed += 1
         yield rec
     if rep.total_lines and rep.malformed_fraction > _MALFORMED_HARD_LIMIT:
         raise DataError(
@@ -199,9 +196,8 @@ def to_log_grid(
         raise ValueError("need dx > 0 and L > dx")
     n_cells = int(round(L / dx))
     lp = math.log(record.trade_price)
-    over = OverflowTotals()
-    grids = []
-    for side, ladder in (("bid", record.bids), ("ask", record.asks)):
+    grids, spills = [], []
+    for ladder in (record.bids, record.asks):
         cells = np.zeros(n_cells)
         spill = 0.0
         for price, vol in ladder:
@@ -212,11 +208,8 @@ def to_log_grid(
             else:
                 spill += vol
         grids.append(cells)
-        if side == "bid":
-            over.bid = spill
-        else:
-            over.ask = spill
-    return grids[0], grids[1], over
+        spills.append(spill)
+    return grids[0], grids[1], OverflowTotals(*spills)
 
 
 def build_frame(
@@ -378,7 +371,7 @@ def read_density_csv(lines: Iterable[str]) -> ReturnDensity:
 
 def write_curve_csv(curve: Curve, out: TextIO, name: str = "value") -> None:
     meta = {"type": "bookfield.curve", "bin_edges": [float(e) for e in curve.bin_edges]}
-    meta.update({k: v for k, v in curve.meta.items() if _json_safe(v)})
+    meta.update(curve.meta)
     _write_csv(
         out, meta,
         {"bin_center": curve.bin_centers, name: curve.values, "count": curve.counts},
@@ -393,7 +386,7 @@ def write_histogram_family_csv(fam: HistogramFamily, out: TextIO) -> None:
         "counts": [int(c) for c in fam.counts],
         "kept": [bool(k) for k in fam.kept],
     }
-    meta.update({k: v for k, v in fam.meta.items() if _json_safe(v)})
+    meta.update(fam.meta)
     cols = {"delta_center": fam.delta_centers}
     for i in range(fam.densities.shape[0]):
         cols[f"density_bin{i}"] = fam.densities[i]
@@ -409,13 +402,5 @@ def write_return_distribution_csv(dist: ReturnDistribution, out: TextIO) -> None
         "sample_count": dist.sample_count,
         "flags": dist.flags,
     }
-    meta.update({k: v for k, v in dist.meta.items() if _json_safe(v)})
+    meta.update(dist.meta)
     _write_csv(out, meta, {"r": dist.bin_centers, "pdf": dist.density})
-
-
-def _json_safe(v) -> bool:
-    try:
-        json.dumps(v)
-        return True
-    except (TypeError, ValueError):
-        return False

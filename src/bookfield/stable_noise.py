@@ -76,14 +76,19 @@ class StableParams:
         return unit_quantile(self.alpha, self.truncation_quantile)
 
 
-def _kanter_a(alpha: float, theta):
-    """Zolotarev's A(theta): the angular factor of the Kanter representation."""
+def _ln_kanter_a(alpha: float, theta):
+    """ln of Zolotarev's A(theta), the angular factor of the Kanter representation."""
     r = 1.0 / (1.0 - alpha)
-    return np.exp(
+    return (
         np.log(np.sin((1.0 - alpha) * theta))
         + (alpha * r) * np.log(np.sin(alpha * theta))
         - r * np.log(np.sin(theta))
     )
+
+
+def _kanter_a(alpha: float, theta):
+    """Zolotarev's A(theta)."""
+    return np.exp(_ln_kanter_a(alpha, theta))
 
 
 def unit_survival(alpha: float, x: float) -> float:
@@ -158,13 +163,7 @@ def _kanter_unit(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         x *= w
         return np.divide(0.25, x, out=x)
     # Log-space evaluation avoids three separate pow calls per draw.
-    r = 1.0 / (1.0 - alpha)
-    ln_a = (
-        np.log(np.sin((1.0 - alpha) * u))
-        + (alpha * r) * np.log(np.sin(alpha * u))
-        - r * np.log(np.sin(u))
-    )
-    return np.exp(((1.0 - alpha) / alpha) * (ln_a - np.log(w)))
+    return np.exp(((1.0 - alpha) / alpha) * (_ln_kanter_a(alpha, u) - np.log(w)))
 
 
 def draw(params: StableParams, shape, rng: np.random.Generator) -> np.ndarray:

@@ -55,6 +55,13 @@ class TestSimulate:
                     "--no-records", "--out", str(tmp_path / "t")])
         assert code == 4
         assert re.search(r"tick \d+ of 20000", capsys.readouterr().err)
+        assert not (tmp_path / "t").exists()
+
+    def test_run_too_short_for_its_summary_writes_nothing(self, tmp_path, capsys):
+        # One CS tick leaves no velocity dispersion for the summary's return distribution.
+        assert run(["simulate", "--model", "cs", "--steps", "1", "--out", str(tmp_path / "one")]) == 3
+        assert "zero dispersion" in capsys.readouterr().err
+        assert not (tmp_path / "one").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -181,7 +188,14 @@ class TestSnapshotFeed:
     def test_fit_mo_converges(self, feed, tmp_path):
         out = tmp_path / "fit"
         assert run(["fit-mo", *feed, "--out", str(out)]) == 0
-        assert json.loads((out / "mo_fit.json").read_text())["converged"] is True
+        fit = json.loads((out / "mo_fit.json").read_text())
+        assert fit["converged"] is True
+        # the flows respond to the snapshots' own velocity, so the generator's constants come back
+        est = {name: p["estimate"] for name, p in fit["parameters"].items()}
+        assert est["k0"] == pytest.approx(3.0, rel=0.05)
+        assert est["v0"] == pytest.approx(2e-4, rel=0.05)
+        assert est["k_inf"] == pytest.approx(2.0, rel=0.10)
+        assert est["k1"] == pytest.approx(1.5, rel=0.10)
 
 
 class TestFp:
@@ -221,6 +235,12 @@ class TestFp:
                     "--out", str(tmp_path / "bad")]) == 2
         err = capsys.readouterr().err
         assert "k0" in err and "k1" in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_nan_k0_usage_error(self, tmp_path, capsys):
+        assert run(["fp", "--k0", "nan", "--k-inf", "0.3", "--k1", "0.25", "--v0", "1", "--n0", "1",
+                    "--out", str(tmp_path / "bad")]) == 2
+        assert "k0 >= 0" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
 

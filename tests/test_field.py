@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from bookfield import profiles
 from bookfield.field import (
     MarketOrderParams,
     OrderBookField,
+    PlacementActivityParams,
     boundary_volume,
     new_field,
     shift_boundary,
 )
+from bookfield.fokker_planck import FPParams
 
 
 def test_new_field_zero_profile():
@@ -180,6 +183,23 @@ def test_market_order_params_validation():
         MarketOrderParams(k0=1.0, k_inf=1.0, k1=0.5, v0=0.0)  # v0 = 0
     with pytest.raises(ValueError):
         MarketOrderParams(k0=-1.0, k_inf=1.0, k1=0.5, v0=1.0)
+
+
+def _nan_v0_activity_on_grid():
+    activity = PlacementActivityParams(*(profiles.constant(c) for c in (0.4, 0.5, 0.3, np.nan)))
+    activity.validate_on(np.arange(16) * 0.01)
+
+
+@pytest.mark.parametrize("build, condition", [
+    (lambda: MarketOrderParams(k0=np.nan, k_inf=1.0, k1=0.5, v0=1.0), "k0 >= 0"),
+    (lambda: FPParams(k0=np.nan, k_inf=0.3, k1=0.25, v0=1.0, n0=1.0), "k0 >= 0"),
+    (_nan_v0_activity_on_grid, "v0 > 0"),
+], ids=["market-order", "fokker-planck", "activity-profile"])
+def test_nan_trend_constants_rejected(build, condition):
+    # One check serves all three; it names the failed condition and prints no values.
+    with pytest.raises(ValueError, match=condition) as info:
+        build()
+    assert "nan" not in str(info.value)
 
 
 def test_field_validation():
