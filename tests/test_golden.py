@@ -18,6 +18,7 @@ To re-record after an intended change, print ``_digests(row())``,
 ``analysis_outputs`` and paste the values.
 """
 import hashlib
+import json
 import math
 import re
 
@@ -388,3 +389,55 @@ def test_analysis_file_matches_golden(analysis_outputs, path):
         assert got[:2] == want[:2]
         for g, w in zip(got[2:], want[2:]):
             assert math.isclose(g, w, rel_tol=1e-13, abs_tol=0.0), (g, w)
+
+
+# fp at the benchmark's constants: n0 = 1 and 4 converge in two solves, n0 = 16 runs every
+# grid doubling, and --points 4001 takes the solver's own grid size.
+FP_ARGS = ["--k0", "1.0", "--k-inf", "0.3", "--k1", "0.25", "--v0", "1.0"]
+FP_RUNS = {"n0_1": ["--n0", "1"], "n0_4": ["--n0", "4"], "n0_16": ["--n0", "16"],
+           "n0_4_points_4001": ["--n0", "4", "--points", "4001"]}
+
+
+@pytest.fixture(scope="module")
+def fp_outputs(tmp_path_factory) -> dict[str, bytes]:
+    """{run/file: bytes} of every fp output; density.csv's header without its ``out`` path."""
+    root = tmp_path_factory.mktemp("fp")
+    files = {}
+    for name, argv in FP_RUNS.items():
+        assert main(["fp", *FP_ARGS, *argv, "--out", str(root / name)]) == 0
+        first, rest = (root / name / "density.csv").read_bytes().split(b"\n", 1)
+        meta = json.loads(first[1:])
+        assert meta["params"].pop("out") == str(root / name)
+        files[f"{name}/density.csv"] = ("# " + json.dumps(meta) + "\n").encode() + rest
+        files[f"{name}/regime_report.json"] = (root / name / "regime_report.json").read_bytes()
+    return files
+
+
+# sha256 of the bytes: a rewrite of the solver or of the table writer must leave them byte-identical.
+FP_GOLDEN = {
+    "n0_1/density.csv":
+        "fa04e64766c0cfe449b4a2ca70a7c634f955b9ab2b372c3cef2f372a7ec66d88",
+    "n0_1/regime_report.json":
+        "0b77f5138ae1c5efcf25cc345c792f8939770578ffd6bd31b57d5c3cc987c0ae",
+    "n0_16/density.csv":
+        "563973065861906f8bc124c351c249d50e9edb4b0a6ac15b56298a324857d351",
+    "n0_16/regime_report.json":
+        "d27f703ce8e1ab5c5910ada542a70b052787d82cc8cab929746e2b17cee22b71",
+    "n0_4/density.csv":
+        "3de63419ef309de8ec6035cb51ff12211587ce5a5203d9005ef6cebc8585e4d2",
+    "n0_4/regime_report.json":
+        "5775b452fffb80c757b986e10ac866d664ed63f0e0b97990a59be31d3fe8d483",
+    "n0_4_points_4001/density.csv":
+        "68d9984fb6d10063f660c5cd2d56cab9737db4db625276e073786ef6b5346bb8",
+    "n0_4_points_4001/regime_report.json":
+        "5775b452fffb80c757b986e10ac866d664ed63f0e0b97990a59be31d3fe8d483",
+}
+
+
+def test_fp_writes_the_golden_files(fp_outputs):
+    assert sorted(fp_outputs) == sorted(FP_GOLDEN)
+
+
+@pytest.mark.parametrize("path", sorted(FP_GOLDEN))
+def test_fp_file_matches_golden(fp_outputs, path):
+    assert hashlib.sha256(fp_outputs[path]).hexdigest() == FP_GOLDEN[path]

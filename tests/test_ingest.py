@@ -14,7 +14,9 @@ from bookfield.ingest import (
     MarketOrderRecord,
     ParseReport,
     SnapshotRecord,
+    _write_csv,
     build_frame,
+    fmt,
     parse_market_orders,
     parse_snapshots,
     read_density_csv,
@@ -244,3 +246,41 @@ class TestDensityCsv:
         assert np.array_equal(back.grid, d.grid)
         assert np.array_equal(back.density, d.density)
         assert back.normalization_check == d.normalization_check
+
+
+class TestTableFormatting:
+    """The table writers against the per-cell ``fmt`` formula, byte for byte."""
+
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1.7976931348623157e308]
+
+    def values(self, rows, seed):
+        rng = np.random.default_rng(seed)
+        out = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        k = min(rows, len(self.SPECIAL))
+        out[:k] = self.SPECIAL[:k]
+        return out
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 2500])
+    def test_write_csv_matches_per_cell_fmt(self, rows):
+        columns = {
+            "bin_center": np.linspace(-1.0, 1.0, rows),
+            "value": self.values(rows, rows),
+            "count": np.random.default_rng(rows).integers(0, 2**62, rows),
+        }
+        meta = {"type": "test"}
+        cols = [np.asarray(c) for c in columns.values()]
+        lines = ["# " + json.dumps(meta), ",".join(columns)]
+        lines += [",".join(fmt(float(c[i])) for c in cols) for i in range(rows)]
+        buf = io.StringIO()
+        _write_csv(buf, meta, columns)
+        assert buf.getvalue() == "".join(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2500])
+    def test_write_market_orders_matches_per_record_fmt(self, rows):
+        ts, buy, sell = (self.values(rows, seed) for seed in (1, 2, 3))
+        recs = [MarketOrderRecord(ts=float(t), buy_volume=float(b), sell_volume=float(s))
+                for t, b, s in zip(ts, np.abs(buy), np.abs(sell))]
+        buf = io.StringIO()
+        write_market_orders(recs, buf)
+        assert buf.getvalue() == "ts,buy,sell\n" + "".join(
+            f"{fmt(r.ts)},{fmt(r.buy_volume)},{fmt(r.sell_volume)}\n" for r in recs)
