@@ -80,6 +80,7 @@ class _PointProcessEngine:
             rate = np.maximum(np.asarray(params.placement_rate(x), dtype=float), 0.0)
             self.means = lambda v: (rate, rate, params.mo_volume, params.mo_volume)
         else:
+            params.activity.validate_on(x)
             activity = params.activity.evaluate(x)
             self.means = lambda v: (*trend_response(v, *activity), *market_order_rate(v, params.mo))
 

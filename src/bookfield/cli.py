@@ -148,8 +148,13 @@ def _frame_from_args(args) -> analyzers.SeriesFrame:
         with open(args.records) as fh:
             return ingest.read_step_records_frame(fh)
     if args.snapshots:
+        report = ingest.ParseReport()
         with open(args.snapshots) as fh:
-            snaps = list(ingest.parse_snapshots(fh))
+            snaps = list(ingest.parse_snapshots(fh, report))
+        if report.failures:
+            line, reason = report.failures[0]
+            print(f"skipped {len(report.failures)} of {report.total_lines} snapshot lines; "
+                  f"first: line {line}: {reason}", file=sys.stderr)
         mos = None
         if args.market_orders:
             with open(args.market_orders) as fh:

@@ -16,6 +16,9 @@ diffusion_coefficient.
 
 The exponent integral is tabulated by an 8-node Gauss-Legendre rule on every
 grid segment, in ln|v| away from 0, summed cumulatively; see _exponent_profile.
+A segment too long for one rule is split first: the one from 0 at a hundredth
+of the core width, one in ln|v| into pieces of ratio at most 2.  The rule is
+evaluated over blocks of segments, so its temporaries stay small.
 
 Asymptotically the density has a Gaussian core inside |v| <~ v_c (the core
 width, nonzero only when k_inf > k1), a power-law mid regime v_c << |v| << v0
@@ -54,6 +57,14 @@ _GL_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.5255324099163
                       0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
 _GL_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
                         0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+# Segments per block of the rule: a (rows, 8) float64 temporary then stays at 64 KB, below
+# glibc's 128 KB mmap and trim thresholds, so the allocator reuses its memory instead of
+# returning each 128 KB temporary of a 4001-point grid to the OS and faulting it back in.
+_GL_BLOCK_ROWS = 1024
+# Widest ln u piece: the integrand's poles sit pi/2 off the real s = ln u axis, so the rule is
+# exact to rounding on a piece of ratio 2.  make_grid's segments span ratios below 1.04 at
+# 2001 points and over (v_max up to 8 * 2^23 v0, every doubling of variance_given_n0).
+_MAX_LN_WIDTH = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -118,21 +129,50 @@ def tail_exponent(p: FPParams) -> float:
 def _exponent_profile(half: np.ndarray, p: FPParams) -> np.ndarray:
     """Cumulative 2*int mu/sigma^2 from half[0] to each point of the increasing grid half >= 0.
 
-    Each segment gets one fixed-order Gauss-Legendre rule, all segments at
-    once.  A segment that starts at u > 0 is integrated in s = ln u, where the
-    1/u integrand of sigma^2(0) = 0 is smooth; the segment from 0 in u.
+    Each piece of a segment gets one fixed-order Gauss-Legendre rule.  A piece
+    that starts at u > 0 is integrated in s = ln u, where the 1/u integrand of
+    sigma^2(0) = 0 is smooth; the piece from 0 in u.  The segment from 0 is cut
+    at a hundredth of the Gaussian core width, and a segment in ln u wider than
+    _MAX_LN_WIDTH into equal ln pieces; the pieces are summed back per segment.
+    make_grid's grids are cut only when the core is narrower than 1e-5 v0, so
+    that their first point, 1e-7 v0, lies past the cut.  The pieces are
+    evaluated _GL_BLOCK_ROWS at a time.
     """
     def integral(u, du):
         # a sum, not a matrix product: the fp command never starts BLAS
         return (2.0 * drift(u, p.tau) / diffusion_coefficient(u, p) * du * _GL_WEIGHTS).sum(axis=-1)
 
-    ln_pos = np.log(half[half > 0.0])[:, None]
-    half_width = (ln_pos[1:] - ln_pos[:-1]) / 2.0
-    u = np.exp((ln_pos[1:] + ln_pos[:-1]) / 2.0 + half_width * _GL_NODES)
-    seg = integral(u, half_width * u)
+    ln_pos = np.log(half[half > 0.0])
+    a, b = ln_pos[:-1], ln_pos[1:]
     if half[0] == 0.0:
-        h = half[1] / 2.0
-        seg = np.concatenate([[integral(h * (1.0 + _GL_NODES), h)], seg])
+        cut = min(gaussian_core_width(p) / 100.0, half[1])
+        h = cut / 2.0
+        zero = integral(h * (1.0 + _GL_NODES), h)
+        if cut < half[1]:
+            a, b = np.concatenate([[math.log(cut)], a]), np.concatenate([[ln_pos[0]], b])
+    n = np.ceil((b - a) / _MAX_LN_WIDTH)
+    first = None
+    if n.max() > 1.0:
+        # piece k of segment (a, b) starts at a + (b - a) k/n; the segment's last piece ends at b
+        n = n.astype(int)
+        first = np.cumsum(n) - n
+        owner = np.repeat(np.arange(len(a)), n)
+        lo = a[owner] + (b - a)[owner] * ((np.arange(len(owner)) - first[owner]) / n[owner])
+        hi = np.append(lo[1:], 0.0)
+        hi[first + n - 1] = b
+        a, b = lo, hi
+    pieces = np.empty(len(a))
+    for i in range(0, len(a), _GL_BLOCK_ROWS):
+        s0, s1 = a[i : i + _GL_BLOCK_ROWS, None], b[i : i + _GL_BLOCK_ROWS, None]
+        half_width = (s1 - s0) / 2.0
+        u = np.exp((s1 + s0) / 2.0 + half_width * _GL_NODES)
+        pieces[i : i + _GL_BLOCK_ROWS] = integral(u, half_width * u)
+    seg = pieces if first is None else np.add.reduceat(pieces, first)
+    if half[0] == 0.0:
+        if cut < half[1]:
+            seg[0] += zero
+        else:
+            seg = np.concatenate([[zero], seg])
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
@@ -141,8 +181,8 @@ def stationary_density(p: FPParams, grid: np.ndarray) -> ReturnDensity:
 
     The grid must be strictly increasing and symmetric about 0; it must
     exclude 0 itself when sigma^2(0) = 0 (the prefactor is singular there).
-    The exponent integral is exact to rounding on grids whose segments span small
-    ratios of |v|, and whose segment from 0 is short against the core, as make_grid's.
+    The exponent integral is exact to rounding on make_grid's grids and on coarse
+    grids alike: _exponent_profile splits a segment too long for its rule.
     Raises NumericError when the mass near the inner cutoff diverges, which
     happens when k1 = k_inf exactly (no Gaussian core regularizes the origin).
     """

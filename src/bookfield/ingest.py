@@ -13,13 +13,15 @@ Wire formats:
 
 All floating-point output uses 17 significant digits so that
 serialize-then-parse is an exact round trip.  Parsing is streaming: memory
-use is bounded by a single record, not the file size.
+use is bounded by a single record, not the file size.  The CSV writers format
+a block of rows per ``%`` call, so their memory is bounded by one block.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
+from itertools import islice
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -49,11 +51,21 @@ __all__ = [
 
 _MALFORMED_HARD_LIMIT = 0.10
 _GAP_FACTOR = 5.0  # a snapshot spacing above this many dt is a data gap
+_CSV_BLOCK_ROWS = 1024  # rows a CSV writer formats per % call
 
 
 def fmt(x: float) -> str:
     """17-significant-digit decimal form; round-trips float64 exactly."""
     return f"{x:.17g}"
+
+
+def _write_rows(out: TextIO, block: np.ndarray) -> None:
+    """The rows of a 2-d float block as CSV lines, each number as ``fmt`` writes it.
+
+    '%.17g' % x is format(x, '.17g') for every float, NaN, +-inf and -0.0 included.
+    """
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    out.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass
@@ -174,8 +186,9 @@ def parse_market_orders(lines: Iterable[str]) -> list[MarketOrderRecord]:
 
 def write_market_orders(records: Iterable[MarketOrderRecord], out: TextIO) -> None:
     out.write("ts,buy,sell\n")
-    for r in records:
-        out.write(f"{fmt(r.ts)},{fmt(r.buy_volume)},{fmt(r.sell_volume)}\n")
+    it = iter(records)
+    while block := [(r.ts, r.buy_volume, r.sell_volume) for r in islice(it, _CSV_BLOCK_ROWS)]:
+        _write_rows(out, np.array(block, dtype=float))
 
 
 @dataclass
@@ -334,9 +347,9 @@ def _write_csv(out: TextIO, meta: dict, columns: dict[str, np.ndarray]) -> None:
     out.write("# " + json.dumps(meta) + "\n")
     names = list(columns)
     out.write(",".join(names) + "\n")
-    cols = [np.asarray(columns[n]) for n in names]
-    for i in range(len(cols[0])):
-        out.write(",".join(fmt(float(c[i])) for c in cols) + "\n")
+    cols = [np.asarray(columns[n], dtype=float) for n in names]
+    for start in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+        _write_rows(out, np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in cols]))
 
 
 def write_density_csv(density: ReturnDensity, out: TextIO, meta: dict | None = None) -> None:

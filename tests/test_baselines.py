@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -117,3 +120,20 @@ def test_grid_overflow_is_numeric_error_naming_the_tick():
     f.bid[0] = 0.0
     with pytest.raises(NumericError, match=r"^tick 0 of 10: .*exceeds half the grid"):
         run_baseline(params, f, steps=10, seed=1)
+
+
+@pytest.mark.parametrize("k_inf, k1, v0, condition", [
+    (1e5, 2e5, 2e-4, "k_inf >= k1"),
+    (5e5, 0.0, math.nan, "v0 > 0"),
+])
+def test_kstt_activity_validated_before_the_run(k_inf, k1, v0, condition):
+    ref = configs.kstt_reference()
+    c = profiles.constant
+    params = dataclasses.replace(ref, activity=PlacementActivityParams(
+        k0_in=ref.activity.k0_in, k_inf_in=c(k_inf), k1_in=c(k1), v0_in=c(v0)))
+    f = configs.kstt_reference_field()
+    before = f.copy()
+    with pytest.raises(ValueError, match=condition):
+        run_baseline(params, f, steps=50, seed=1)
+    assert np.array_equal(f.bid, before.bid) and np.array_equal(f.ask, before.ask)
+    assert f.t == before.t

@@ -185,6 +185,20 @@ class TestSnapshotFeed:
         assert run(["analyze", *feed, "--out", str(out)]) == 0
         assert len(list(out.iterdir())) == 9
 
+    def test_skipped_lines_are_reported(self, tmp_path, capsys):
+        snaps = tmp_path / "snaps.jsonl"
+        assert run(["gen-synthetic", "--kind", "snapshots", "--count", "200", "--seed", "1",
+                    "--out", str(snaps)]) == 0
+        lines = snaps.read_text().splitlines()
+        lines[49] = '{"ts": "oops"}'
+        snaps.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["analyze", "--snapshots", str(snaps), "--out", str(tmp_path / "stats")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [e for e in err if not e.startswith("warning: ")] == [
+            "skipped 1 of 200 snapshot lines; first: line 50: "
+            "could not convert string to float: 'oops'"]
+
     def test_fit_mo_converges(self, feed, tmp_path):
         out = tmp_path / "fit"
         assert run(["fit-mo", *feed, "--out", str(out)]) == 0

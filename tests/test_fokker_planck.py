@@ -172,23 +172,27 @@ class TestExponentProfile:
             return 2 * (-u / p.tau) / (p.v0**2 / (p.n0**2 * p.tau**2) * bracket)
 
         # breakpoints a factor ~e apart resolve the core and the 1/u regime
-        pts = [half[0], *np.geomspace(half[1], half[i], 2 + int(np.log(half[i] / half[1])))]
+        start = half[1] if half[0] > 0.0 else min(half[1], gaussian_core_width(p))
+        pts = [half[0], *np.geomspace(start, half[i], 2 + int(np.log(half[i] / start)))]
         with mp.workdps(30):
             return float(mp.quad(integrand, [mp.mpf(x) for x in pts]))
 
-    @pytest.mark.parametrize("p", [
-        BASE,
-        FPParams(k0=1.0, k_inf=0.5, k1=0.2, v0=1.0, n0=1.5, tau=1.0),
-        FPParams(k0=2.0, k_inf=0.5, k1=0.1, v0=0.3, n0=3.0, tau=2.5),
-        FPParams(k0=1.0, k_inf=0.3, k1=0.3, v0=1.0, n0=1.0, tau=1.0),  # sigma^2(0) = 0
-    ])
-    def test_matches_mpmath(self, p):
-        grid = make_grid(p)
+    @pytest.mark.parametrize("p, grid", [
+        (BASE, None),
+        (FPParams(k0=1.0, k_inf=0.5, k1=0.2, v0=1.0, n0=1.5, tau=1.0), None),
+        (FPParams(k0=2.0, k_inf=0.5, k1=0.1, v0=0.3, n0=3.0, tau=2.5), None),
+        (FPParams(k0=1.0, k_inf=0.3, k1=0.3, v0=1.0, n0=1.0, tau=1.0), None),  # sigma^2(0) = 0
+        # a coarse grid: [0, 0.02] spans ~200 core widths (1e-4), [0.02, 0.04] a ratio of 2
+        (FPParams(k0=1.0, k_inf=2e-8, k1=1e-8, v0=1.0, n0=1.0, tau=1.0), np.linspace(-5, 5, 501)),
+    ], ids=[f"p{i}" for i in range(5)])
+    def test_matches_mpmath(self, p, grid):
+        grid = make_grid(p) if grid is None else grid
         half = grid[grid >= 0.0]
         profile = _exponent_profile(half, p)
         assert profile[0] == 0.0
-        for i in (1, 10, 200, 700, len(half) - 1):
-            assert profile[i] == pytest.approx(self.exact(p, half, i), rel=1e-12)
+        for i in (1, 2, 10, 200, 700, len(half) - 1):
+            if i < len(half):
+                assert profile[i] == pytest.approx(self.exact(p, half, i), rel=1e-12)
 
 
 class TestVarianceGivenN0:

@@ -14,6 +14,7 @@ from bookfield.ingest import (
     MarketOrderRecord,
     ParseReport,
     SnapshotRecord,
+    _CSV_BLOCK_ROWS,
     _write_csv,
     build_frame,
     fmt,
@@ -262,6 +263,7 @@ class TestTableFormatting:
 
     @pytest.mark.parametrize("rows", [0, 1, 7, 2500])
     def test_write_csv_matches_per_cell_fmt(self, rows):
+        assert 2500 > 2 * _CSV_BLOCK_ROWS  # the last case spans three blocks
         columns = {
             "bin_center": np.linspace(-1.0, 1.0, rows),
             "value": self.values(rows, rows),
