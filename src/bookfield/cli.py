@@ -152,9 +152,7 @@ def _frame_from_args(args) -> analyzers.SeriesFrame:
         with open(args.snapshots) as fh:
             snaps = list(ingest.parse_snapshots(fh, report))
         if report.failures:
-            line, reason = report.failures[0]
-            print(f"skipped {len(report.failures)} of {report.total_lines} snapshot lines; "
-                  f"first: line {line}: {reason}", file=sys.stderr)
+            print(f"skipped snapshot lines: {report.summary()}", file=sys.stderr)
         mos = None
         if args.market_orders:
             with open(args.market_orders) as fh:

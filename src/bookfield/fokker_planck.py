@@ -145,34 +145,29 @@ def _exponent_profile(half: np.ndarray, p: FPParams) -> np.ndarray:
     ln_pos = np.log(half[half > 0.0])
     a, b = ln_pos[:-1], ln_pos[1:]
     if half[0] == 0.0:
+        # [0, cut] in u, then [cut, half[1]] in ln u, which is empty and integrates to 0
+        # when cut = half[1]
         cut = min(gaussian_core_width(p) / 100.0, half[1])
         h = cut / 2.0
         zero = integral(h * (1.0 + _GL_NODES), h)
-        if cut < half[1]:
-            a, b = np.concatenate([[math.log(cut)], a]), np.concatenate([[ln_pos[0]], b])
-    n = np.ceil((b - a) / _MAX_LN_WIDTH)
-    first = None
-    if n.max() > 1.0:
-        # piece k of segment (a, b) starts at a + (b - a) k/n; the segment's last piece ends at b
-        n = n.astype(int)
-        first = np.cumsum(n) - n
-        owner = np.repeat(np.arange(len(a)), n)
-        lo = a[owner] + (b - a)[owner] * ((np.arange(len(owner)) - first[owner]) / n[owner])
-        hi = np.append(lo[1:], 0.0)
-        hi[first + n - 1] = b
-        a, b = lo, hi
-    pieces = np.empty(len(a))
-    for i in range(0, len(a), _GL_BLOCK_ROWS):
-        s0, s1 = a[i : i + _GL_BLOCK_ROWS, None], b[i : i + _GL_BLOCK_ROWS, None]
+        a, b = np.concatenate([[math.log(cut)], a]), np.concatenate([[ln_pos[0]], b])
+    # piece k of segment (a, b) starts at a + (b - a) k/n and the last one ends at b; a segment
+    # of one piece keeps its ends exactly, and one of zero width gets one empty piece
+    n = np.maximum(np.ceil((b - a) / _MAX_LN_WIDTH), 1.0).astype(int)
+    first = np.cumsum(n) - n
+    owner = np.repeat(np.arange(len(a)), n)
+    lo = a[owner] + (b - a)[owner] * ((np.arange(len(owner)) - first[owner]) / n[owner])
+    hi = np.append(lo[1:], 0.0)
+    hi[first + n - 1] = b
+    pieces = np.empty(len(lo))
+    for i in range(0, len(lo), _GL_BLOCK_ROWS):
+        s0, s1 = lo[i : i + _GL_BLOCK_ROWS, None], hi[i : i + _GL_BLOCK_ROWS, None]
         half_width = (s1 - s0) / 2.0
         u = np.exp((s1 + s0) / 2.0 + half_width * _GL_NODES)
         pieces[i : i + _GL_BLOCK_ROWS] = integral(u, half_width * u)
-    seg = pieces if first is None else np.add.reduceat(pieces, first)
+    seg = np.add.reduceat(pieces, first)
     if half[0] == 0.0:
-        if cut < half[1]:
-            seg[0] += zero
-        else:
-            seg = np.concatenate([[zero], seg])
+        seg[0] += zero
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -59,13 +59,13 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_rows(out: TextIO, block: np.ndarray) -> None:
-    """The rows of a 2-d float block as CSV lines, each number as ``fmt`` writes it.
+def _write_rows(out: TextIO, width: int, values: tuple[float, ...]) -> None:
+    """Row-major floats as CSV lines of ``width`` numbers, each number as ``fmt`` writes it.
 
     '%.17g' % x is format(x, '.17g') for every float, NaN, +-inf and -0.0 included.
     """
-    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
-    out.write((row * len(block)) % tuple(block.ravel().tolist()))
+    row = ",".join(["%.17g"] * width) + "\n"
+    out.write((row * (len(values) // width)) % values)
 
 
 @dataclass
@@ -92,6 +92,11 @@ class ParseReport:
     @property
     def malformed_fraction(self) -> float:
         return len(self.failures) / self.total_lines if self.total_lines else 0.0
+
+    def summary(self) -> str:
+        """The count of malformed lines and the first one's number and reason."""
+        line, reason = self.failures[0]
+        return f"{len(self.failures)} of {self.total_lines} lines malformed; first: line {line}: {reason}"
 
 
 def _validate_snapshot(obj: dict) -> SnapshotRecord:
@@ -145,10 +150,8 @@ def parse_snapshots(
         last_ts = rec.ts
         yield rec
     if rep.total_lines and rep.malformed_fraction > _MALFORMED_HARD_LIMIT:
-        raise DataError(
-            f"{len(rep.failures)}/{rep.total_lines} lines malformed "
-            f"(>{_MALFORMED_HARD_LIMIT:.0%}); first: line {rep.failures[0][0]}: {rep.failures[0][1]}"
-        )
+        raise DataError(f"too many malformed snapshot lines (limit {_MALFORMED_HARD_LIMIT:.0%}): "
+                        f"{rep.summary()}")
 
 
 def write_snapshots(records: Iterable[SnapshotRecord], out: TextIO) -> None:
@@ -188,7 +191,7 @@ def write_market_orders(records: Iterable[MarketOrderRecord], out: TextIO) -> No
     out.write("ts,buy,sell\n")
     it = iter(records)
     while block := [(r.ts, r.buy_volume, r.sell_volume) for r in islice(it, _CSV_BLOCK_ROWS)]:
-        _write_rows(out, np.array(block, dtype=float))
+        _write_rows(out, 3, tuple(chain.from_iterable(block)))
 
 
 @dataclass
@@ -349,7 +352,8 @@ def _write_csv(out: TextIO, meta: dict, columns: dict[str, np.ndarray]) -> None:
     out.write(",".join(names) + "\n")
     cols = [np.asarray(columns[n], dtype=float) for n in names]
     for start in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-        _write_rows(out, np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in cols]))
+        block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in cols])
+        _write_rows(out, len(cols), tuple(block.ravel().tolist()))
 
 
 def write_density_csv(density: ReturnDensity, out: TextIO, meta: dict | None = None) -> None:

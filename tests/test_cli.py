@@ -196,7 +196,7 @@ class TestSnapshotFeed:
         assert run(["analyze", "--snapshots", str(snaps), "--out", str(tmp_path / "stats")]) == 0
         err = capsys.readouterr().err.splitlines()
         assert [e for e in err if not e.startswith("warning: ")] == [
-            "skipped 1 of 200 snapshot lines; first: line 50: "
+            "skipped snapshot lines: 1 of 200 lines malformed; first: line 50: "
             "could not convert string to float: 'oops'"]
 
     def test_fit_mo_converges(self, feed, tmp_path):

@@ -194,6 +194,21 @@ class TestExponentProfile:
             if i < len(half):
                 assert profile[i] == pytest.approx(self.exact(p, half, i), rel=1e-12)
 
+    @pytest.mark.parametrize("where", ["middle", "end"])
+    def test_segment_of_zero_ln_width_adds_nothing(self, where):
+        # two adjacent points whose logs round to the same double, beside a segment that is split
+        x = 1e10
+        y = np.nextafter(x, np.inf)
+        assert np.log(x) == np.log(y)
+        tail = [x, y, 2e10] if where == "middle" else [x, y]
+        half = np.array([0.0, 1e-3, 1.0, 50.0, *tail])
+        profile = _exponent_profile(half, BASE)
+        assert np.all(np.isfinite(profile))
+        k = half.tolist().index(y)
+        assert profile[k] == profile[k - 1]
+        without = _exponent_profile(np.delete(half, k), BASE)
+        assert np.array_equal(np.delete(profile, k), without)
+
 
 class TestVarianceGivenN0:
     def test_mean_velocity_is_zero(self):

@@ -13,9 +13,13 @@ pinned by sha256 of their bytes; files derived from CF (and comparison.json,
 which holds CF numbers) by the sha256 of their text with every number replaced
 by ``#`` plus reductions of the numbers at rtol 1e-13.
 
+The fp golden runs ``fp`` at n0 = 1, 4 and 16 and at ``--points 4001``.  Its
+files come from exp, log and tanh, so all of them are pinned the CF way.
+
 To re-record after an intended change, print ``_digests(row())``,
-``_reductions(row())`` or ``_file_golden(path, text)`` over
-``analysis_outputs`` and paste the values.
+``_reductions(row())``, ``_file_golden(path, text)`` over
+``analysis_outputs`` or ``_text_reductions(text)`` over ``fp_outputs`` and
+paste the values.
 """
 import hashlib
 import json
@@ -207,6 +211,10 @@ def analysis_outputs(tmp_path_factory) -> dict[str, str]:
 def _file_golden(path: str, text: str):
     if "cf" not in path and not path.endswith("comparison.json"):
         return hashlib.sha256(text.encode()).hexdigest()
+    return _text_reductions(text)
+
+
+def _text_reductions(text: str) -> tuple:
     nums = np.array([float(m) for m in _NUMBER.findall(text)])
     skeleton = hashlib.sha256(_NUMBER.sub("#", text).encode()).hexdigest()
     return (skeleton, len(nums), float(np.sum(np.abs(nums))), float(np.sum(nums * nums)),
@@ -386,9 +394,13 @@ def test_analysis_file_matches_golden(analysis_outputs, path):
     if isinstance(want, str):
         assert got == want
     else:
-        assert got[:2] == want[:2]
-        for g, w in zip(got[2:], want[2:]):
-            assert math.isclose(g, w, rel_tol=1e-13, abs_tol=0.0), (g, w)
+        _assert_reductions_match(got, want)
+
+
+def _assert_reductions_match(got: tuple, want: tuple) -> None:
+    assert got[:2] == want[:2]
+    for g, w in zip(got[2:], want[2:]):
+        assert math.isclose(g, w, rel_tol=1e-13, abs_tol=0.0), (g, w)
 
 
 # fp at the benchmark's constants: n0 = 1 and 4 converge in two solves, n0 = 16 runs every
@@ -399,38 +411,47 @@ FP_RUNS = {"n0_1": ["--n0", "1"], "n0_4": ["--n0", "4"], "n0_16": ["--n0", "16"]
 
 
 @pytest.fixture(scope="module")
-def fp_outputs(tmp_path_factory) -> dict[str, bytes]:
-    """{run/file: bytes} of every fp output; density.csv's header without its ``out`` path."""
+def fp_outputs(tmp_path_factory) -> dict[str, str]:
+    """{run/file: text} of every fp output; density.csv's header without its ``out`` path."""
     root = tmp_path_factory.mktemp("fp")
     files = {}
     for name, argv in FP_RUNS.items():
         assert main(["fp", *FP_ARGS, *argv, "--out", str(root / name)]) == 0
-        first, rest = (root / name / "density.csv").read_bytes().split(b"\n", 1)
+        first, rest = (root / name / "density.csv").read_text().split("\n", 1)
         meta = json.loads(first[1:])
         assert meta["params"].pop("out") == str(root / name)
-        files[f"{name}/density.csv"] = ("# " + json.dumps(meta) + "\n").encode() + rest
-        files[f"{name}/regime_report.json"] = (root / name / "regime_report.json").read_bytes()
+        files[f"{name}/density.csv"] = "# " + json.dumps(meta) + "\n" + rest
+        files[f"{name}/regime_report.json"] = (root / name / "regime_report.json").read_text()
     return files
 
 
-# sha256 of the bytes: a rewrite of the solver or of the table writer must leave them byte-identical.
+# density.csv and regime_report.json hold exp/log/tanh results, so they are pinned like the CF
+# files: the text with every number replaced by ``#``, plus reductions of the numbers.
 FP_GOLDEN = {
-    "n0_1/density.csv":
-        "fa04e64766c0cfe449b4a2ca70a7c634f955b9ab2b372c3cef2f372a7ec66d88",
-    "n0_1/regime_report.json":
-        "0b77f5138ae1c5efcf25cc345c792f8939770578ffd6bd31b57d5c3cc987c0ae",
-    "n0_16/density.csv":
-        "563973065861906f8bc124c351c249d50e9edb4b0a6ac15b56298a324857d351",
-    "n0_16/regime_report.json":
-        "d27f703ce8e1ab5c5910ada542a70b052787d82cc8cab929746e2b17cee22b71",
-    "n0_4/density.csv":
-        "3de63419ef309de8ec6035cb51ff12211587ce5a5203d9005ef6cebc8585e4d2",
-    "n0_4/regime_report.json":
-        "5775b452fffb80c757b986e10ac866d664ed63f0e0b97990a59be31d3fe8d483",
-    "n0_4_points_4001/density.csv":
-        "68d9984fb6d10063f660c5cd2d56cab9737db4db625276e073786ef6b5346bb8",
-    "n0_4_points_4001/regime_report.json":
-        "5775b452fffb80c757b986e10ac866d664ed63f0e0b97990a59be31d3fe8d483",
+    "n0_1/density.csv": (
+        "b4bce2080f75a713148ad5684f67fd834b77168b35b75bb6bb88e16291e77c08",
+        4014, 6871.946500284148, 4019419.223424235, 2001.0),
+    "n0_1/regime_report.json": (
+        "bebf5600c885939ce8de4d8082f7410d76e708dcd703da82bc903b0a2112881f",
+        5, 6.2485912708605085, 18.04236111160384, 4.0),
+    "n0_16/density.csv": (
+        "b4bce2080f75a713148ad5684f67fd834b77168b35b75bb6bb88e16291e77c08",
+        4014, 20243.61640472384, 4537609.1986621255, 2001.0),
+    "n0_16/regime_report.json": (
+        "bebf5600c885939ce8de4d8082f7410d76e708dcd703da82bc903b0a2112881f",
+        5, 516.2000980523105, 264198.0400000096, 514.0),
+    "n0_4/density.csv": (
+        "b4bce2080f75a713148ad5684f67fd834b77168b35b75bb6bb88e16291e77c08",
+        4014, 11387.889329867763, 4078760.2677952587, 2001.0),
+    "n0_4/regime_report.json": (
+        "bebf5600c885939ce8de4d8082f7410d76e708dcd703da82bc903b0a2112881f",
+        5, 36.201625826121756, 1158.0400026433106, 34.0),
+    "n0_4_points_4001/density.csv": (
+        "f1f259bde2814bb63a9eaeec015b30ff2047cdb4a363412e0fc9104b6ea5c93e",
+        8014, 22746.32794246165, 16157303.524348795, 4001.0),
+    "n0_4_points_4001/regime_report.json": (
+        "bebf5600c885939ce8de4d8082f7410d76e708dcd703da82bc903b0a2112881f",
+        5, 36.201625826121756, 1158.0400026433106, 34.0),
 }
 
 
@@ -440,4 +461,4 @@ def test_fp_writes_the_golden_files(fp_outputs):
 
 @pytest.mark.parametrize("path", sorted(FP_GOLDEN))
 def test_fp_file_matches_golden(fp_outputs, path):
-    assert hashlib.sha256(fp_outputs[path]).hexdigest() == FP_GOLDEN[path]
+    _assert_reductions_match(_text_reductions(fp_outputs[path]), FP_GOLDEN[path])

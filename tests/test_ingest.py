@@ -83,6 +83,7 @@ class TestParseSnapshots:
         recs = list(parse_snapshots(lines, rep))
         assert len(recs) == 30
         assert [ln for ln, _ in rep.failures] == [2, 4, 5]
+        assert rep.summary().startswith("3 of 33 lines malformed; first: line 2: ")
 
     def test_hard_failure_above_ten_percent(self):
         lines = ["garbage"] * 3 + [snap_line(float(i), 100.0, [[99.0, 1.0]], [[101.0, 1.0]])
