@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -5,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from bookfield import profiles
+from bookfield import configs, profiles
+from bookfield.baselines import run_baseline
 from bookfield.dynamics import simulate
 from bookfield.errors import DataError
 from bookfield.field import MarketOrderParams, ModelParams, new_field
@@ -209,29 +211,85 @@ class TestBuildFrame:
         assert frame.mo_flows[1, 1] == 1.0
 
 
+B = 256  # step records per block
+
+FRAME_FIELDS = ("times", "velocities", "n0s", "x_bins", "bid", "ask", "mo_flows")
+TICK_FIELDS = ("times", "velocities", "n0s", "mo_buy", "mo_sell", "spill_bid", "spill_ask",
+               "bid_tracks", "ask_tracks")
+
+
+def cf_run(steps):
+    params = ModelParams(
+        stable=StableParams(alpha=0.5, scale=1.0, truncation_quantile=0.99),
+        sigma_in=profiles.exp_decay(0.05, 0.02),
+        sigma_out=profiles.constant(0.004),
+        diffusion=profiles.constant(2e-9),
+        mo=MarketOrderParams(k0=2.0, k_inf=0.5, k1=0.5, v0=5e-5),
+        n0_floor=5.0,
+    )
+    f = new_field(32, 2e-4, lambda x: 0.05 * np.exp(-x / 0.02) / 0.004)
+    return simulate(params, f, steps=steps, dt=1.0, seed=12)
+
+
+def cs_run(steps):
+    field = configs.cs_reference_field()
+    return run_baseline(configs.cs_reference(), field, steps=steps, seed=5,
+                        tracked_cells=np.arange(field.length))
+
+
+def head(result, count):
+    """The first ``count`` ticks of a run."""
+    return dataclasses.replace(result, **{f: getattr(result, f)[:count] for f in TICK_FIELDS})
+
+
+def with_special_values(result, k):
+    """A copy of the run whose tick ``k`` holds NaN, +-inf, -0.0 and the smallest subnormal."""
+    cols = {f: getattr(result, f).copy() for f in TICK_FIELDS}
+    cols["times"][0] = -0.0
+    cols["velocities"][k] = math.nan
+    cols["n0s"][k] = math.inf
+    cols["mo_buy"][k] = -0.0
+    cols["mo_sell"][k] = 5e-324
+    cols["bid_tracks"][k, :4] = [math.nan, math.inf, -math.inf, -0.0]
+    cols["ask_tracks"][k, :4] = [5e-324, -5e-324, -0.0, 1.7976931348623157e308]
+    return dataclasses.replace(result, **cols)
+
+
+def round_trip(result):
+    buf = io.StringIO()
+    write_step_records(result, buf)
+    return read_step_records_frame(io.StringIO(buf.getvalue()))
+
+
+def assert_frames_identical(back, direct):
+    """Every frame field equal, NaN to NaN, bit for bit (so -0.0 stays -0.0)."""
+    for name in FRAME_FIELDS:
+        a, b = getattr(back, name), getattr(direct, name)
+        assert a.dtype == b.dtype == np.float64, name
+        assert a.shape == b.shape, name
+        assert a.flags.c_contiguous, name
+        assert np.array_equal(a, b, equal_nan=True), name
+        assert a.tobytes() == b.tobytes(), name
+    assert back.segments == ((0, len(direct.times)),)
+
+
 class TestStepRecordRoundTrip:
-    def test_frame_statistics_survive_serialization(self):
-        params = ModelParams(
-            stable=StableParams(alpha=0.5, scale=1.0, truncation_quantile=0.99),
-            sigma_in=profiles.exp_decay(0.05, 0.02),
-            sigma_out=profiles.constant(0.004),
-            diffusion=profiles.constant(2e-9),
-            mo=MarketOrderParams(k0=2.0, k_inf=0.5, k1=0.5, v0=5e-5),
-            n0_floor=5.0,
-        )
-        f = new_field(32, 2e-4, lambda x: 0.05 * np.exp(-x / 0.02) / 0.004)
-        res = simulate(params, f, steps=2000, dt=1.0, seed=12)
-        direct = res.to_frame()
-        buf = io.StringIO()
-        write_step_records(res, buf)
-        back = read_step_records_frame(io.StringIO(buf.getvalue()))
-        assert np.max(np.abs(back.velocities - direct.velocities)) <= 1e-9 * max(
-            1.0, np.max(np.abs(direct.velocities))
-        )
-        assert np.array_equal(back.times, direct.times)
-        assert np.array_equal(back.n0s, direct.n0s)
-        assert np.array_equal(back.bid, direct.bid)
-        assert np.array_equal(back.x_bins, direct.x_bins)
+    """The record format round-trips a frame exactly, at and across block edges."""
+
+    @pytest.fixture(scope="class", params=["cf", "cs"])
+    def run(self, request):
+        return {"cf": cf_run, "cs": cs_run}[request.param](2 * B + 1)
+
+    @pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_frame_is_exact(self, run, count):
+        result = head(run, count)
+        assert len(result.times) == count
+        assert_frames_identical(round_trip(result), result.to_frame())
+
+    @pytest.mark.parametrize("k", [1, B - 1, B])
+    def test_special_values_are_exact(self, run, k):
+        result = with_special_values(run, k)
+        assert_frames_identical(round_trip(result), result.to_frame())
 
     def test_bad_header_rejected(self):
         with pytest.raises(DataError):
