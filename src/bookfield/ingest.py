@@ -12,9 +12,11 @@ Wire formats:
   comment (``# {...}``).
 
 All floating-point output uses 17 significant digits so that
-serialize-then-parse is an exact round trip.  Parsing is streaming: memory
-use is bounded by a single record, not the file size.  The CSV writers format
-a block of rows per ``%`` call, so their memory is bounded by one block.
+serialize-then-parse is an exact round trip.  Parsing is streaming.  The
+snapshot parser holds one record at a time.  The step-record reader holds one
+block of ``_RECORD_BLOCK_ROWS`` parsed records plus the output columns, not
+the file's records.  The CSV writers format a block of rows per ``%`` call, so
+their memory is bounded by one block.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -52,6 +55,8 @@ __all__ = [
 _MALFORMED_HARD_LIMIT = 0.10
 _GAP_FACTOR = 5.0  # a snapshot spacing above this many dt is a data gap
 _CSV_BLOCK_ROWS = 1024  # rows a CSV writer formats per % call
+_RECORD_BLOCK_ROWS = 64  # step records the reader parses per json.loads call
+_RECORD_SCALARS = ("t", "v", "n0", "mo_buy", "mo_sell")  # a step record's per-tick numbers
 
 
 def fmt(x: float) -> str:
@@ -319,30 +324,118 @@ def write_step_records(result, out: TextIO) -> None:
         out.write(json.dumps(rec) + "\n")
 
 
-def read_step_records_frame(lines: Iterable[str]) -> SeriesFrame:
-    """Read a step-record JSONL stream back into a SeriesFrame."""
-    it = iter(lines)
+def _column(rows: list, shape: tuple[int, int], message: str) -> np.ndarray:
+    """``rows`` as a float array of ``shape``; ValueError(message) if they are not."""
     try:
-        header = json.loads(next(it))
+        arr = np.array(rows)
+    except ValueError:  # ragged rows
+        raise ValueError(message) from None
+    if arr.dtype.kind not in "fiu" or arr.shape != shape:
+        raise ValueError(message)
+    return arr.astype(float, copy=False)
+
+
+def _record_block(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse record lines with one ``json.loads``; their scalar, bid and ask columns.
+
+    Raises ValueError, KeyError or TypeError when a line does not hold one
+    record of ``width`` tracked cells.
+    """
+    recs = json.loads("[" + ",".join(lines) + "]")
+    n = len(lines)
+    if len(recs) != n:
+        raise ValueError("a line must hold exactly one record")
+    scalars = itemgetter(*_RECORD_SCALARS)
+    return (
+        _column([scalars(r) for r in recs], (n, len(_RECORD_SCALARS)),
+                f"{', '.join(_RECORD_SCALARS)} must be numbers"),
+        _column([r["bid"] for r in recs], (n, width),
+                f"bid must list {width} numbers, one per tracked cell"),
+        _column([r["ask"] for r in recs], (n, width),
+                f"ask must list {width} numbers, one per tracked cell"),
+    )
+
+
+def _bad_record(block: list[tuple[int, str]], width: int) -> DataError:
+    """The error of a block that failed to parse, naming its first bad line (error path only)."""
+    for lineno, line in block:
+        try:
+            _record_block([line], width)
+        except json.JSONDecodeError as exc:
+            reason = exc.msg
+        except KeyError as exc:
+            reason = f"missing key {exc.args[0]!r}"
+        except TypeError:
+            reason = "a record must be a JSON object"
+        except ValueError as exc:
+            reason = str(exc)
+        else:
+            continue
+        return DataError(f"step-record line {lineno}: {reason}")
+    return DataError(f"step-record lines {block[0][0]}-{block[-1][0]} do not form one table")
+
+
+def _stack(blocks: list[np.ndarray]) -> np.ndarray:
+    """Concatenate the block arrays and release them."""
+    out = np.concatenate(blocks)
+    blocks.clear()
+    return out
+
+
+def read_step_records_frame(lines: Iterable[str]) -> SeriesFrame:
+    """Read a step-record JSONL stream back into a SeriesFrame.
+
+    Records are parsed ``_RECORD_BLOCK_ROWS`` lines at a time, and each
+    block's dicts are dropped once its columns are float arrays.  Raises
+    DataError for an empty stream, a header that is not a version-1
+    step-record header with ``dx`` and ``tracked_cells``, a stream without
+    records, and a record line that is not one JSON object with numeric
+    ``t``, ``v``, ``n0``, ``mo_buy``, ``mo_sell`` and ``bid``/``ask`` lists
+    of one value per tracked cell; the message names the line's number.
+    """
+    it = enumerate(lines, start=1)
+    try:
+        _, first = next(it)
     except StopIteration:
         raise DataError("empty step-record stream") from None
-    if header.get("type") != "bookfield.steprecords":
+    try:
+        header = json.loads(first)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"step-record line 1: {exc.msg}") from None
+    if not isinstance(header, dict) or header.get("type") != "bookfield.steprecords":
         raise DataError("not a bookfield step-record stream (bad header)")
-    dx = float(header["dx"])
-    cells = np.asarray(header["tracked_cells"], dtype=int)
-    rows = [json.loads(line) for line in it if line.strip()]
-    if not rows:
+    if header.get("version") != 1:
+        raise DataError(f"step-record version {header.get('version')!r} is not supported (only 1)")
+    missing = [key for key in ("dx", "tracked_cells") if key not in header]
+    if missing:
+        raise DataError(f"step-record header lacks {' and '.join(missing)}")
+    try:
+        dx = float(header["dx"])
+        cells = np.asarray(header["tracked_cells"], dtype=int)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"bad step-record header: {exc}") from None
+    if cells.ndim != 1:
+        raise DataError("step-record header: tracked_cells must be a list of cell indices")
+    numbered = ((lineno, line) for lineno, line in it if line.strip())
+    scalars, bid, ask = [], [], []
+    while block := list(islice(numbered, _RECORD_BLOCK_ROWS)):
+        try:
+            columns = _record_block([line for _, line in block], len(cells))
+        except (ValueError, KeyError, TypeError):
+            raise _bad_record(block, len(cells)) from None
+        for blocks, arr in zip((scalars, bid, ask), columns):
+            blocks.append(arr)
+    if not scalars:
         raise DataError("step-record stream has a header but no records")
+    t, v, n0, mo_buy, mo_sell = _stack(scalars).T
     return SeriesFrame(
-        times=np.array([r["t"] for r in rows]),
-        velocities=np.array([r["v"] for r in rows]),
-        n0s=np.array([r["n0"] for r in rows]),
+        times=np.ascontiguousarray(t),
+        velocities=np.ascontiguousarray(v),
+        n0s=np.ascontiguousarray(n0),
         x_bins=cells * dx,
-        bid=np.array([r["bid"] for r in rows]),
-        ask=np.array([r["ask"] for r in rows]),
-        mo_flows=np.column_stack(
-            [np.array([r["mo_buy"] for r in rows]), np.array([r["mo_sell"] for r in rows])]
-        ),
+        bid=_stack(bid),
+        ask=_stack(ask),
+        mo_flows=np.column_stack([mo_buy, mo_sell]),
     )
 
 

@@ -22,6 +22,12 @@ def run(args):
     return main(args)
 
 
+def edit_record(line, change):
+    rec = json.loads(line)
+    change(rec)
+    return json.dumps(rec)
+
+
 class TestSimulate:
     def test_deterministic_outputs(self, tmp_path):
         for name in ("a", "b"):
@@ -168,6 +174,24 @@ class TestAnalyze:
         assert "no statistic could be computed" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+
+    @pytest.mark.parametrize("change", [
+        lambda line: line[: len(line) // 2],
+        lambda line: edit_record(line, lambda rec: rec.pop("bid")),
+        lambda line: edit_record(line, lambda rec: rec.update(bid=rec["bid"][:-1])),
+    ], ids=["truncated", "no-bid", "bid-one-cell-short"])
+    def test_malformed_record_line_is_data_error(self, tmp_path, capsys, change):
+        result = run_baseline(configs.cs_reference(), configs.cs_reference_field(), steps=200, seed=1)
+        records = tmp_path / "records.jsonl"
+        with open(records, "w") as fh:
+            ingest.write_step_records(result, fh)
+        lines = records.read_text().splitlines()
+        lines[150] = change(lines[150])
+        records.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "bad"
+        assert run(["analyze", "--records", str(records), "--out", str(out)]) == 3
+        assert "step-record line 151: " in capsys.readouterr().err
+        assert not out.exists()
 
 class TestSnapshotFeed:
     """The CLI's own synthetic feed, gridded without --dt (the median snapshot spacing)."""

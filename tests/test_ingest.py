@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bookfield.ingest import (
     ParseReport,
     SnapshotRecord,
     _CSV_BLOCK_ROWS,
+    _RECORD_BLOCK_ROWS,
     _write_csv,
     build_frame,
     fmt,
@@ -211,7 +213,7 @@ class TestBuildFrame:
         assert frame.mo_flows[1, 1] == 1.0
 
 
-B = 256  # step records per block
+B = _RECORD_BLOCK_ROWS
 
 FRAME_FIELDS = ("times", "velocities", "n0s", "x_bins", "bid", "ask", "mo_flows")
 TICK_FIELDS = ("times", "velocities", "n0s", "mo_buy", "mo_sell", "spill_bid", "spill_ask",
@@ -291,9 +293,85 @@ class TestStepRecordRoundTrip:
         result = with_special_values(run, k)
         assert_frames_identical(round_trip(result), result.to_frame())
 
+    def test_frame_statistics_survive_serialization(self):
+        result = cf_run(2000)
+        assert_frames_identical(round_trip(result), result.to_frame())
+
     def test_bad_header_rejected(self):
         with pytest.raises(DataError):
             read_step_records_frame(['{"type": "something-else"}'])
+
+
+def record_lines(result):
+    buf = io.StringIO()
+    write_step_records(result, buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def edit_record(line, change):
+    rec = json.loads(line)
+    change(rec)
+    return json.dumps(rec) + "\n"
+
+
+class TestStepRecordErrors:
+    @pytest.fixture(scope="class")
+    def lines(self):
+        return record_lines(cs_run(2 * B + 1))
+
+    @pytest.mark.parametrize("change, words", [
+        (lambda h: h.pop("dx"), "lacks dx"),
+        (lambda h: h.pop("tracked_cells"), "lacks tracked_cells"),
+        (lambda h: h.update(version=7), "version 7"),
+        (lambda h: h.pop("version"), "version None"),
+    ], ids=["no-dx", "no-tracked-cells", "version-7", "no-version"])
+    def test_bad_header_is_data_error(self, lines, change, words):
+        with pytest.raises(DataError, match=words):
+            read_step_records_frame([edit_record(lines[0], change), *lines[1:]])
+
+    def test_width_other_than_tracked_cells_is_data_error(self, lines):
+        # Every record one cell short: the records form a table, just not the header's.
+        short = [edit_record(line, lambda r: r.update(bid=r["bid"][:-1], ask=r["ask"][:-1]))
+                 for line in lines[1:]]
+        with pytest.raises(DataError, match="step-record line 2: bid must list 64 numbers"):
+            read_step_records_frame([lines[0], *short])
+
+    @pytest.mark.parametrize("change, words", [
+        (lambda line: line[: len(line) // 2], "Expecting"),
+        (lambda line: edit_record(line, lambda r: r.pop("n0")), "missing key 'n0'"),
+        (lambda line: edit_record(line, lambda r: r.update(v=None)), "must be numbers"),
+        (lambda line: edit_record(line, lambda r: r.update(ask=r["ask"] + [1.0])), "ask must list"),
+        (lambda line: "[1.0, 2.0]\n", "must be a JSON object"),
+        (lambda line: line.strip() + ", " + line, "exactly one record"),
+    ], ids=["truncated", "no-n0", "null-v", "long-ask", "list", "two-records"])
+    def test_bad_line_named_by_its_number_in_the_file(self, lines, change, words):
+        # Blank lines count: the bad record, in the second block, is line B + 12 of the file.
+        bad = B + 12
+        body = [*lines[1:3], "\n", " \n", *lines[3:]]
+        body[bad - 2] = change(body[bad - 2])
+        with pytest.raises(DataError, match=f"step-record line {bad}: .*{words}"):
+            read_step_records_frame([lines[0], *body])
+
+    def test_bad_header_json_is_data_error(self, lines):
+        with pytest.raises(DataError, match="step-record line 1: "):
+            read_step_records_frame([lines[0][:20], *lines[1:]])
+
+
+def test_reader_memory_is_bounded_by_a_block_plus_the_frame(tmp_path):
+    # A 5,000-tick CS run with all 64 cells tracked; at this size a reader that
+    # keeps every record as a dict peaks near 6x the frame's array bytes.
+    path = tmp_path / "records.jsonl"
+    with open(path, "w") as fh:
+        write_step_records(cs_run(5000), fh)
+    tracemalloc.start()
+    try:
+        with open(path) as fh:
+            frame = read_step_records_frame(fh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert frame.bid.shape == (5000, 64)
+    assert peak <= 3 * sum(getattr(frame, name).nbytes for name in FRAME_FIELDS)
 
 
 class TestDensityCsv:
