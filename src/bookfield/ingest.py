@@ -412,10 +412,10 @@ def read_step_records_frame(lines: Iterable[str]) -> SeriesFrame:
     try:
         dx = float(header["dx"])
         cells = np.asarray(header["tracked_cells"], dtype=int)
+        if cells.ndim != 1:
+            raise ValueError("tracked_cells must be a list of cell indices")
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad step-record header: {exc}") from None
-    if cells.ndim != 1:
-        raise DataError("step-record header: tracked_cells must be a list of cell indices")
     numbered = ((lineno, line) for lineno, line in it if line.strip())
     scalars, bid, ask = [], [], []
     while block := list(islice(numbered, _RECORD_BLOCK_ROWS)):
