@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -6,6 +8,7 @@ from bookfield.stable_noise import (
     StableParams,
     _kanter_a,
     _kanter_unit,
+    _ln_kanter_a,
     draw,
     sample_one_sided_stable,
     unit_quantile,
@@ -165,3 +168,47 @@ def test_draw_at_alpha_half_consumes_one_uniform_and_one_exponential():
     r2.uniform(0.0, np.pi, shape)
     r2.standard_exponential(shape)
     assert r1.bit_generator.state == r2.bit_generator.state
+
+
+def test_alpha_half_law_matches_general_kanter_form():
+    # Two-sample KS of draw() against X = exp(((1 - a) / a) (ln A(U) - ln W)), the
+    # general Kanter form, at a = 1/2 on an independent stream.  With 2e5 variates a
+    # side, D < 0.007 is the 1e-4 critical value (c = sqrt(ln(2 / 1e-4) / 2) = 2.22
+    # times sqrt(2 / 2e5)), so a correct sampler fails it for ~1 seed in 1e4.
+    n = 200_000
+    x = draw(StableParams(alpha=0.5, scale=1.0, truncation_quantile=1.0), n,
+             np.random.default_rng(61))
+    rng = np.random.default_rng(62)
+    u = rng.uniform(0.0, np.pi, n)
+    w = rng.standard_exponential(n)
+    kanter = np.exp(_ln_kanter_a(0.5, u) - np.log(w))
+    assert stats.ks_2samp(x, kanter).statistic < 0.007
+
+
+class _AtZeroNormal:
+    """A stream whose every variate is the point Z = 0 of Z^2 = 2 W cos^2(U/2).
+
+    It answers a normal draw with z = 0, and a uniform (0, pi) and exponential
+    pair with U = pi and W = 1, so either parameterization of the alpha = 1/2
+    law lands on its far tail.
+    """
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
+
+    def uniform(self, low, high, size):
+        return np.full(size, high)
+
+    def standard_exponential(self, size):
+        return np.ones(size)
+
+
+def test_zero_normal_maps_to_cap_without_warning():
+    p = StableParams(alpha=0.5, scale=2.0, truncation_quantile=0.99)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = draw(p, (4, 3), _AtZeroNormal())
+    assert np.all(x == 2.0 * p.unit_cap)
