@@ -41,7 +41,7 @@ ends the run with NumericError naming the tick.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,14 +153,16 @@ def check_stability(params: ModelParams, length: int, dx: float, dt: float) -> N
 class _TickEngine:
     """Per-grid precomputation and the CF tick update.
 
-    ``placement_scales(v)``, fixed when the engine is built, is sigma_in or the activity response.
-    ``update`` advances one tick on given unit-scale noise (``step`` draws it).
     ``tick`` is the run_ticks interface: it takes the noise from the stream of
-    ``rng``, drawn NOISE_CHUNK ticks at a time for a run of ``steps`` ticks.
+    ``rng``, drawn NOISE_CHUNK ticks at a time for a run of ``steps`` ticks,
+    and scaled once per chunk by the factors in ``folds``: sigma_out on the
+    cancellation noise, and on static placement (no ``activity``) sigma_in,
+    both times the noise's time scale.  ``placement(v, xi_b, xi_a)``, fixed
+    when the engine is built, is the volume placed on each side.
     """
 
     def __init__(self, params: ModelParams, length: int, dx: float, dt: float,
-                 rng: np.random.Generator | None = None, steps: int = 0):
+                 rng: np.random.Generator, steps: int):
         check_stability(params, length, dx, dt)
         params.validate_on(np.arange(length) * dx)
         self.p = params
@@ -173,14 +175,23 @@ class _TickEngine:
         alpha = params.stable.alpha
         power = 1.0 if params.noise_time_scaling == "linear" else 1.0 / alpha
         dt_noise = params.tau * (dt / params.tau) ** power
-        self.scale_in = params.stable.scale * dt_noise
-        self.scale_out = np.asarray(params.sigma_out(x), dtype=float) * dt_noise * params.stable.scale
+        scale_in = params.stable.scale * dt_noise
+        scale_out = np.asarray(params.sigma_out(x), dtype=float) * dt_noise * params.stable.scale
+        # Applied to each chunk in order: scale_out * zeta, and (sigma_in * xi) * scale_in
+        # for static placement, the operand order of the per-tick products they replace.
+        self.folds = [(slice(2, 4), scale_out)]
         if params.activity is None:
             s = np.asarray(params.sigma_in(x), dtype=float)
-            self.placement_scales = lambda v: (s, s)
+            self.folds += [(slice(0, 2), s), (slice(0, 2), scale_in)]
+            self.placement = lambda v, xi_b, xi_a: (xi_b, xi_a)
         else:
             activity = params.activity.evaluate(x)
-            self.placement_scales = lambda v: trend_response(v, *activity)
+
+            def placement(v, xi_b, xi_a):
+                s_bid, s_ask = trend_response(v, *activity)
+                return s_bid * xi_b * scale_in, s_ask * xi_a * scale_in
+
+            self.placement = placement
         self.diffusive = bool(np.any(self.d_arr > 0.0))
         self.rng = rng
         self.cap = params.stable.unit_cap
@@ -194,7 +205,7 @@ class _TickEngine:
         m = min(NOISE_CHUNK, self.steps_left)
         self.steps_left -= m
         u, w = self.u_buf[:m], self.w_buf[:m]
-        # Per-tick draw order matches step(): uniforms then exponentials, (4, L)
+        # Per-tick draw order matches draw(): uniforms then exponentials, (4, L)
         # each.  uniform(0, pi) is pi * random() bit for bit on the same stream.
         for j in range(m):
             self.rng.random(out=u[j])
@@ -203,18 +214,16 @@ class _TickEngine:
         self.noise = stable_noise._kanter_unit(self.p.stable.alpha, u, w)
         if self.cap != np.inf:
             np.minimum(self.noise, self.cap, out=self.noise)
+        for rows, factor in self.folds:
+            self.noise[:, rows] *= factor
         self.next = 0
 
     def tick(self, field: OrderBookField, v_prev: float):
-        """Advance one tick on the next noise of the chunked stream."""
+        """Advance the field one tick in place on the next noise of the chunked stream."""
         if self.next == len(self.noise):
             self._draw_chunk()
         xi_b, xi_a, ze_b, ze_a = self.noise[self.next]
         self.next += 1
-        return self.update(field, v_prev, xi_b, xi_a, ze_b, ze_a)
-
-    def update(self, field: OrderBookField, v_prev: float, xi_b, xi_a, ze_b, ze_a):
-        """Advance one tick in place. Noise arrays are unit-scale stable draws."""
         p = self.p
         bid, ask = field.bid, field.ask
         if self.diffusive:
@@ -226,11 +235,11 @@ class _TickEngine:
             bid[1:] -= self.c_diff * fb
             ask[:-1] += self.c_diff * fa
             ask[1:] -= self.c_diff * fa
-        s_bid, s_ask = self.placement_scales(v_prev)
-        bid += s_bid * xi_b * self.scale_in
-        ask += s_ask * xi_a * self.scale_in
-        np.subtract(bid, np.minimum(self.scale_out * ze_b * bid, bid), out=bid)
-        np.subtract(ask, np.minimum(self.scale_out * ze_a * ask, ask), out=ask)
+        placed_bid, placed_ask = self.placement(v_prev, xi_b, xi_a)
+        bid += placed_bid
+        ask += placed_ask
+        np.subtract(bid, np.minimum(ze_b * bid, bid), out=bid)
+        np.subtract(ask, np.minimum(ze_a * ask, ask), out=ask)
         mo_buy, mo_sell = market_order_rate(v_prev, p.mo)
         mo_buy *= self.mo_frac
         mo_sell *= self.mo_frac
@@ -256,11 +265,10 @@ def step(
     rng: np.random.Generator,
 ) -> tuple[OrderBookField, StepRecord]:
     """Advance the field one tick, returning it with a complete StepRecord."""
-    engine = _TickEngine(params, field.length, field.dx, dt)
+    engine = _TickEngine(params, field.length, field.dx, dt, rng, steps=1)
     bid0 = field.bid.copy()
     ask0 = field.ask.copy()
-    xi_b, xi_a, ze_b, ze_a = stable_noise.draw(replace(params.stable, scale=1.0), (4, field.length), rng)
-    v, n0, mo_buy, mo_sell, spill = engine.update(field, v_prev, xi_b, xi_a, ze_b, ze_a)
+    v, n0, mo_buy, mo_sell, spill = engine.tick(field, v_prev)
     rec = StepRecord(
         t=field.t,
         v=v,
