@@ -24,17 +24,19 @@ market-order fit use it too.
 per-cell volume changes).  ``run_ticks`` is the one run loop of the package:
 it records ``steps`` ticks of an engine -- the CF engine here, the CS/KSTT
 engine in ``baselines`` -- into a SimulationResult.  ``simulate`` is the CF
-engine plus ``run_ticks``.  Each engine picks its model once, when it is
-built, not on every tick (CF: static or velocity-coupled placement).  The CF
-engine has the same arithmetic as ``step`` and consumes the RNG stream
-identically, so a simulate() run is bit-for-bit the same trajectory as
-repeated step() calls on one stream.
+engine plus ``run_ticks``; ``step`` is a one-tick CF engine.  Each engine
+picks its model once, when it is built, not on every tick (CF: static or
+velocity-coupled placement).
 
-The CF engine draws the noise of ``NOISE_CHUNK`` ticks at a time: it fills the
-uniforms and exponentials tick by tick in the order ``step`` draws them,
-transforms the whole chunk in place, then runs the chunk's ticks.  At the
-reference grid (512 cells) a chunk array is 1 MB, small enough that filling,
-transforming and consuming it stay in cache.
+The CF engine draws the noise of ``NOISE_CHUNK`` ticks at a time.
+``stable_noise`` fills a chunk with capped unit variates in the stream order
+of one ``draw`` per tick (at alpha = 1/2, one standard-normal fill), and the
+engine applies the per-cell noise scales to it once: sigma_out to the
+cancellation noise and, on static placement, sigma_in and the time scale to
+the placement noise.  Each product keeps the operand order of the per-tick
+expression it replaces, so a simulate() run is bit-for-bit the same
+trajectory as repeated step() calls on one stream.  At the reference grid
+(512 cells) a chunk array is 1 MB and stays in cache.
 
 A velocity that would move the price by half the grid or more in one tick
 ends the run with NumericError naming the tick.
@@ -194,26 +196,15 @@ class _TickEngine:
             self.placement = placement
         self.diffusive = bool(np.any(self.d_arr > 0.0))
         self.rng = rng
-        self.cap = params.stable.unit_cap
         self.steps_left = steps
-        self.u_buf = np.empty((min(NOISE_CHUNK, steps), 4, length))
-        self.w_buf = np.empty_like(self.u_buf)
-        self.noise = self.u_buf[:0]
+        self.buf = np.empty((min(NOISE_CHUNK, steps), 4, length))
+        self.noise = self.buf[:0]
         self.next = 0
 
     def _draw_chunk(self) -> None:
         m = min(NOISE_CHUNK, self.steps_left)
         self.steps_left -= m
-        u, w = self.u_buf[:m], self.w_buf[:m]
-        # Per-tick draw order matches draw(): uniforms then exponentials, (4, L)
-        # each.  uniform(0, pi) is pi * random() bit for bit on the same stream.
-        for j in range(m):
-            self.rng.random(out=u[j])
-            self.rng.standard_exponential(out=w[j])
-        u *= np.pi
-        self.noise = stable_noise._kanter_unit(self.p.stable.alpha, u, w)
-        if self.cap != np.inf:
-            np.minimum(self.noise, self.cap, out=self.noise)
+        self.noise = stable_noise._fill_unit(self.p.stable, self.rng, self.buf[:m])
         for rows, factor in self.folds:
             self.noise[:, rows] *= factor
         self.next = 0

@@ -1,24 +1,21 @@
 """One-sided alpha-stable random variates driving order placement and cancellation.
 
 The sampler produces maximally skewed stable variates supported on the
-nonnegative reals (stability index 0 < alpha < 1), using the
-Chambers-Mallows-Stuck transformation in Kanter's positive-stable form:
+nonnegative reals (stability index 0 < alpha < 1) whose unit variate has
+Laplace transform exp(-s**alpha).  Every alpha but 1/2 uses the
+Chambers-Mallows-Stuck transformation in Kanter's positive-stable form,
 
     X = (a(U) / W) ** ((1 - alpha) / alpha),
     a(u) = sin((1-alpha) u) * sin(alpha u)**(alpha/(1-alpha)) / sin(u)**(1/(1-alpha)),
 
-with U uniform on (0, pi) and W unit exponential.  The unit variate has
-Laplace transform exp(-s**alpha); at alpha = 1/2 it is exactly the Levy
-distribution with location 0 and scale c = 1/2, i.e. CDF erfc(sqrt(1/(4x))).
-A draw at scale ``c`` is exactly ``c`` times a unit draw, so the scaling
-property is exact under matching seeds.
+with U uniform on (0, pi) and W unit exponential, evaluated in log space.
 
-At alpha = 1/2 Zolotarev's factor reduces exactly to a(u) = 1/(4 cos(u/2)**2)
-and the exponent to 1, so the transform runs in the closed form
-X = 1/(4 W cos(U/2)**2): one cos and a few multiplies per variate instead of
-three sin, four log and an exp.  Every other alpha runs the log-space Kanter
-form above.  Both paths consume the same (U, W) pair per variate, so the RNG
-stream, and hence every seeded draw sequence, is the same for either path.
+At alpha = 1/2 the unit law is exactly Levy with location 0 and scale
+c = 1/2, CDF erfc(sqrt(1/(4x))).  There the Kanter form is
+X = 1/(4 W cos(U/2)**2), and 2 W cos(U/2)**2 = Z**2 for a standard normal Z
+(Box-Muller), so the sampler draws X = 1/(2 Z**2): one standard normal per
+variate, where every other alpha takes one uniform and one exponential.  A
+draw at scale ``c`` is exactly ``c`` times a unit draw under matching seeds.
 
 Draws can be capped at a configurable quantile of the unit law to keep a
 single astronomically large variate from destroying a lattice cell.  At
@@ -86,11 +83,6 @@ def _ln_kanter_a(alpha: float, theta):
     )
 
 
-def _kanter_a(alpha: float, theta):
-    """Zolotarev's A(theta)."""
-    return np.exp(_ln_kanter_a(alpha, theta))
-
-
 def unit_survival(alpha: float, x: float) -> float:
     """P(X > x) for the unit one-sided stable law (Laplace transform e^{-s^alpha}).
 
@@ -107,7 +99,7 @@ def unit_survival(alpha: float, x: float) -> float:
     y = x ** (-alpha / (1.0 - alpha))
 
     def integrand(theta):
-        return -math.expm1(-float(_kanter_a(alpha, theta)) * y)
+        return -math.expm1(-float(np.exp(_ln_kanter_a(alpha, theta))) * y)
 
     # A(theta) ~ [sin(pi alpha)/(pi - theta)]^(1/(1-alpha)) near theta = pi, so
     # for large x the integrand lives in a boundary layer of width ~ y^(1-alpha).
@@ -153,34 +145,43 @@ def unit_quantile(alpha: float, q: float) -> float:
     return float(optimize.brentq(lambda x: unit_survival(alpha, x) - target, lo, hi, xtol=1e-12, rtol=1e-12))
 
 
-def _kanter_unit(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Unit variates from U on (0, pi) and W unit exponential; overwrites ``u`` at alpha = 1/2."""
+def _fill_unit(params: StableParams, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, shaped (k, *shape), with capped unit variates and return it.
+
+    The stream is consumed as by k ``draw(params, shape, rng)`` calls in turn:
+    at alpha = 1/2 one normal fill, else per row the uniforms, then the exponentials.
+    """
+    alpha = params.alpha
     if alpha == 0.5:
-        # a(u) = sin(u/2)**2 / sin(u)**2 = 1 / (4 cos(u/2)**2), in place in u.
-        x = np.multiply(u, 0.5, out=u)
-        np.cos(x, out=x)
-        x *= x
-        x *= w
-        return np.divide(0.25, x, out=x)
-    # Log-space evaluation avoids three separate pow calls per draw.
-    return np.exp(((1.0 - alpha) / alpha) * (_ln_kanter_a(alpha, u) - np.log(w)))
+        rng.standard_normal(out=out)
+        np.multiply(out, out, out=out)
+        with np.errstate(divide="ignore"):  # z = 0 gives +inf, which the cap clips
+            np.divide(0.5, out, out=out)
+    else:
+        w = np.empty_like(out)
+        for row, w_row in zip(out, w):
+            rng.random(out=row)  # uniform(0, pi) is pi * random() bit for bit
+            rng.standard_exponential(out=w_row)
+        out *= np.pi
+        # Log-space evaluation avoids three separate pow calls per draw.
+        np.exp(((1.0 - alpha) / alpha) * (_ln_kanter_a(alpha, out) - np.log(w)), out=out)
+    cap = params.unit_cap
+    if cap != math.inf:
+        np.minimum(out, cap, out=out)
+    return out
 
 
 def draw(params: StableParams, shape, rng: np.random.Generator) -> np.ndarray:
     """Draw truncated one-sided stable variates from an explicit RNG stream.
 
-    Consumes exactly two underlying variates per sample regardless of the
-    truncation setting, so draw sequences are reproducible from the stream
-    state alone.
+    At alpha = 1/2 each variate is min(1/(2 Z**2), cap) * scale from one
+    standard normal Z; every other alpha consumes one uniform and one
+    exponential per variate.  The draws do not depend on the truncation
+    setting, so draw sequences are reproducible from the stream state alone.
     """
-    u = rng.uniform(0.0, np.pi, shape)
-    w = rng.standard_exponential(shape)
+    x = _fill_unit(params, rng, np.empty(shape)[np.newaxis])[0]
     if params.scale == 0.0:
         return np.zeros(shape)
-    x = _kanter_unit(params.alpha, u, w)
-    cap = params.unit_cap
-    if cap != math.inf:
-        np.minimum(x, cap, out=x)
     x *= params.scale
     return x
 

@@ -4,10 +4,12 @@ import pytest
 from bookfield import configs, profiles
 from bookfield.dynamics import (
     NOISE_CHUNK,
+    _TickEngine,
     compute_velocity,
     market_order_rate,
     order_imbalance,
     placement_scale,
+    run_ticks,
     simulate,
     step,
 )
@@ -17,7 +19,7 @@ from bookfield.field import (
     PlacementActivityParams,
     new_field,
 )
-from bookfield.stable_noise import StableParams, sample_one_sided_stable
+from bookfield.stable_noise import StableParams, draw, sample_one_sided_stable
 
 
 def make_params(
@@ -48,9 +50,9 @@ def make_params(
     )
 
 
-def assert_simulate_matches_step_loop(alpha, steps):
+def assert_simulate_matches_step_loop(alpha, steps, activity=None):
     params = make_params(sigma_in=0.05, sigma_out=0.01, diffusion=1e-5, k0=0.5,
-                         k_inf=0.2, k1=0.2, n0_floor=0.5, alpha=alpha)
+                         k_inf=0.2, k1=0.2, n0_floor=0.5, alpha=alpha, activity=activity)
     f1 = new_field(32, 0.01, lambda x: np.full_like(x, 4.0))
     res = simulate(params, f1, steps=steps, dt=1.0, seed=3)
     f2 = new_field(32, 0.01, lambda x: np.full_like(x, 4.0))
@@ -313,13 +315,35 @@ class TestStep:
         # alpha = 1/2 closed form; the run ends mid-way through its fourth chunk.
         assert_simulate_matches_step_loop(alpha=0.7, steps=3 * NOISE_CHUNK + 17)
 
+    def test_simulate_matches_step_loop_with_activity(self):
+        # Velocity-coupled placement scales its noise on every tick, not once
+        # per chunk; the run crosses two chunk boundaries.
+        activity = const_activity(k0_in=0.4, k_inf_in=0.5, k1_in=0.3, v0_in=0.05)
+        assert_simulate_matches_step_loop(alpha=0.5, steps=2 * NOISE_CHUNK + 5,
+                                          activity=activity)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.7])
+    @pytest.mark.parametrize("steps", [NOISE_CHUNK - 1, NOISE_CHUNK, NOISE_CHUNK + 1,
+                                       2 * NOISE_CHUNK + 1])
+    def test_run_consumes_one_draw_per_tick(self, alpha, steps):
+        # The chunked engine leaves the stream where `steps` draw(..., (4, L))
+        # calls leave it: it never draws noise for ticks it does not run.
+        params = make_params(sigma_in=0.05, sigma_out=0.01, alpha=alpha)
+        f = new_field(32, 0.01, lambda x: np.full_like(x, 4.0))
+        engine = _TickEngine(params, f.length, f.dx, 1.0, np.random.default_rng(9), steps)
+        run_ticks(engine, f, steps, 1.0)
+        rng = np.random.default_rng(9)
+        for _ in range(steps):
+            draw(params.stable, (4, f.length), rng)
+        assert engine.rng.bit_generator.state == rng.bit_generator.state
+
     def test_reference_run_matches_recorded_values(self):
-        # Recorded from the Kanter-transform sampler before the alpha = 1/2
-        # closed form replaced it; the two agree to rounding, and the
-        # tolerance leaves room for platform differences in vectorized cos.
+        # Recorded when the alpha = 1/2 noise became 1/(2 Z^2) from one standard
+        # normal per variate; the tolerance leaves room for platform differences
+        # in vectorized transcendentals.
         params = configs.reference_model_params()
         f = configs.reference_grid().new_field(configs.reference_init_profile())
         res = simulate(params, f, steps=2000, dt=1.0, seed=11)
-        assert float(np.std(res.velocities)) == pytest.approx(5.1415570199656515e-05, rel=1e-9)
-        assert float(np.mean(res.n0s)) == pytest.approx(82.15845473969684, rel=1e-9)
-        assert float(f.bid.sum()) == pytest.approx(3582.3053087463804, rel=1e-9)
+        assert float(np.std(res.velocities)) == pytest.approx(4.539886516282304e-05, rel=1e-9)
+        assert float(np.mean(res.n0s)) == pytest.approx(91.23833328272812, rel=1e-9)
+        assert float(f.bid.sum()) == pytest.approx(4640.945202690273, rel=1e-9)

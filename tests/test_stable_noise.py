@@ -6,8 +6,6 @@ from scipy import special, stats
 
 from bookfield.stable_noise import (
     StableParams,
-    _kanter_a,
-    _kanter_unit,
     _ln_kanter_a,
     draw,
     sample_one_sided_stable,
@@ -149,22 +147,22 @@ def test_draw_consumes_stream_reproducibly():
     assert np.array_equal(a, b)
 
 
-def test_alpha_half_closed_form_matches_kanter_oracle():
-    # X = a(U)/W with a from Zolotarev's general form; u spans both ends of (0, pi).
-    rng = np.random.default_rng(4)
-    ends = np.array([1e-12, 1e-8, 1e-4, np.pi - 1e-4, np.pi - 1e-8, np.pi - 1e-12])
-    u = np.concatenate([rng.uniform(0.0, np.pi, 20_000), ends])
-    w = np.concatenate([rng.standard_exponential(20_000), np.full(ends.size, 0.7)])
-    oracle = _kanter_a(0.5, u) / w
-    closed = _kanter_unit(0.5, u.copy(), w)
-    assert np.allclose(closed, oracle, rtol=1e-13, atol=0.0)
+def test_draw_at_alpha_half_consumes_one_normal_per_variate():
+    shape = (4, 33)
+    p = StableParams(alpha=0.5, scale=1.0, truncation_quantile=0.99)
+    r1 = np.random.default_rng(21)
+    r2 = np.random.default_rng(21)
+    x = draw(p, shape, r1)
+    z = r2.standard_normal(shape)
+    assert r1.bit_generator.state == r2.bit_generator.state
+    assert np.array_equal(x, np.minimum(0.5 / (z * z), p.unit_cap))
 
 
-def test_draw_at_alpha_half_consumes_one_uniform_and_one_exponential():
+def test_draw_at_alpha_0_7_consumes_one_uniform_and_one_exponential():
     shape = (4, 33)
     r1 = np.random.default_rng(21)
     r2 = np.random.default_rng(21)
-    draw(StableParams(alpha=0.5, scale=1.0, truncation_quantile=0.99), shape, r1)
+    draw(StableParams(alpha=0.7, scale=1.0, truncation_quantile=0.99), shape, r1)
     r2.uniform(0.0, np.pi, shape)
     r2.standard_exponential(shape)
     assert r1.bit_generator.state == r2.bit_generator.state
