@@ -155,12 +155,10 @@ def check_stability(params: ModelParams, length: int, dx: float, dt: float) -> N
 class _TickEngine:
     """Per-grid precomputation and the CF tick update.
 
-    ``tick`` is the run_ticks interface: it takes the noise from the stream of
-    ``rng``, drawn NOISE_CHUNK ticks at a time for a run of ``steps`` ticks,
-    and scaled once per chunk by the factors in ``folds``: sigma_out on the
-    cancellation noise, and on static placement (no ``activity``) sigma_in,
-    both times the noise's time scale.  ``placement(v, xi_b, xi_a)``, fixed
-    when the engine is built, is the volume placed on each side.
+    ``tick`` is the run_ticks interface: it takes the noise of a run of ``steps``
+    ticks from ``rng``, NOISE_CHUNK ticks at a time, each chunk scaled once by
+    ``folds``.  ``placement(v, xi_b, xi_a)``, fixed when the engine is built,
+    is the volume placed on each side.
     """
 
     def __init__(self, params: ModelParams, length: int, dx: float, dt: float,
@@ -174,8 +172,7 @@ class _TickEngine:
         self.d_arr = np.asarray(params.diffusion(x), dtype=float)
         self.c_diff = dt / dx**2
         self.mo_frac = dt / params.tau
-        alpha = params.stable.alpha
-        power = 1.0 if params.noise_time_scaling == "linear" else 1.0 / alpha
+        power = 1.0 if params.noise_time_scaling == "linear" else 1.0 / params.stable.alpha
         dt_noise = params.tau * (dt / params.tau) ** power
         scale_in = params.stable.scale * dt_noise
         scale_out = np.asarray(params.sigma_out(x), dtype=float) * dt_noise * params.stable.scale

@@ -165,10 +165,7 @@ def _fill_unit(params: StableParams, rng: np.random.Generator, out: np.ndarray) 
         out *= np.pi
         # Log-space evaluation avoids three separate pow calls per draw.
         np.exp(((1.0 - alpha) / alpha) * (_ln_kanter_a(alpha, out) - np.log(w)), out=out)
-    cap = params.unit_cap
-    if cap != math.inf:
-        np.minimum(out, cap, out=out)
-    return out
+    return np.minimum(out, params.unit_cap, out=out)  # a no-op at the uncapped cap of inf
 
 
 def draw(params: StableParams, shape, rng: np.random.Generator) -> np.ndarray:
@@ -180,15 +177,11 @@ def draw(params: StableParams, shape, rng: np.random.Generator) -> np.ndarray:
     setting, so draw sequences are reproducible from the stream state alone.
     """
     x = _fill_unit(params, rng, np.empty(shape)[np.newaxis])[0]
-    if params.scale == 0.0:
-        return np.zeros(shape)
-    x *= params.scale
-    return x
+    return np.zeros(shape) if params.scale == 0.0 else np.multiply(x, params.scale, out=x)
 
 
 def sample_one_sided_stable(params: StableParams, count: int, seed: int) -> np.ndarray:
     """Generate ``count`` nonnegative stable variates, bit-identical per (params, seed)."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    rng = np.random.default_rng(seed)
-    return draw(params, count, rng)
+    return draw(params, count, np.random.default_rng(seed))
