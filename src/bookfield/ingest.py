@@ -391,7 +391,8 @@ def read_step_records_frame(lines: Iterable[str]) -> SeriesFrame:
     step-record header with ``dx`` and ``tracked_cells``, a stream without
     records, and a record line that is not one JSON object with numeric
     ``t``, ``v``, ``n0``, ``mo_buy``, ``mo_sell`` and ``bid``/``ask`` lists
-    of one value per tracked cell; the message names the line's number.
+    of one value per tracked cell, or whose ``t`` is not above the previous
+    record's; the message names the line's number.
     """
     it = enumerate(lines, start=1)
     try:
@@ -418,11 +419,17 @@ def read_step_records_frame(lines: Iterable[str]) -> SeriesFrame:
         raise DataError(f"bad step-record header: {exc}") from None
     numbered = ((lineno, line) for lineno, line in it if line.strip())
     scalars, bid, ask = [], [], []
+    t_prev = -math.inf
     while block := list(islice(numbered, _RECORD_BLOCK_ROWS)):
         try:
             columns = _record_block([line for _, line in block], len(cells))
         except (ValueError, KeyError, TypeError):
             raise _bad_record(block, len(cells)) from None
+        t = columns[0][:, 0]
+        behind = np.flatnonzero(np.diff(t, prepend=t_prev) <= 0.0)
+        if behind.size:
+            raise DataError(f"step-record line {block[behind[0]][0]}: t does not increase")
+        t_prev = t[-1]
         for blocks, arr in zip((scalars, bid, ask), columns):
             blocks.append(arr)
     if not scalars:

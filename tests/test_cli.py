@@ -193,6 +193,19 @@ class TestAnalyze:
         assert "step-record line 151: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_time_going_back_is_data_error(self, tmp_path, capsys):
+        result = run_baseline(configs.cs_reference(), configs.cs_reference_field(), steps=200, seed=1)
+        records = tmp_path / "records.jsonl"
+        with open(records, "w") as fh:
+            ingest.write_step_records(result, fh)
+        lines = records.read_text().splitlines()
+        lines[101], lines[102] = lines[102], lines[101]  # records 100 and 101
+        records.write_text("\n".join(lines) + "\n")
+        assert run(["analyze", "--records", str(records), "--out", str(tmp_path / "bad")]) == 3
+        assert "step-record line 103: t does not increase" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+
 class TestSnapshotFeed:
     """The CLI's own synthetic feed, gridded without --dt (the median snapshot spacing)."""
 

@@ -352,6 +352,15 @@ class TestStepRecordErrors:
         with pytest.raises(DataError, match=f"step-record line {bad}: .*{words}"):
             read_step_records_frame([lines[0], *body])
 
+    @pytest.mark.parametrize("first", [B - 1, 100], ids=["across-blocks", "in-a-block"])
+    def test_time_going_back_is_data_error(self, lines, first):
+        # Records `first` and `first` + 1 (0-based) swap; the second of them, on
+        # line `first` + 3 of the file, is the first whose t does not increase.
+        body = lines[1:]
+        body[first], body[first + 1] = body[first + 1], body[first]
+        with pytest.raises(DataError, match=f"step-record line {first + 3}: t does not increase"):
+            read_step_records_frame([lines[0], *body])
+
     def test_bad_header_json_is_data_error(self, lines):
         with pytest.raises(DataError, match="step-record line 1: "):
             read_step_records_frame([lines[0][:20], *lines[1:]])
