@@ -426,7 +426,7 @@ def read_step_records_frame(lines: Iterable[str]) -> SeriesFrame:
         except (ValueError, KeyError, TypeError):
             raise _bad_record(block, len(cells)) from None
         t = columns[0][:, 0]
-        behind = np.flatnonzero(np.diff(t, prepend=t_prev) <= 0.0)
+        behind = np.flatnonzero(~(np.diff(t, prepend=t_prev) > 0.0))  # NaN t too
         if behind.size:
             raise DataError(f"step-record line {block[behind[0]][0]}: t does not increase")
         t_prev = t[-1]

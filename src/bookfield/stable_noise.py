@@ -165,7 +165,7 @@ def _fill_unit(params: StableParams, rng: np.random.Generator, out: np.ndarray) 
         out *= np.pi
         # Log-space evaluation avoids three separate pow calls per draw.
         np.exp(((1.0 - alpha) / alpha) * (_ln_kanter_a(alpha, out) - np.log(w)), out=out)
-    return np.minimum(out, params.unit_cap, out=out)  # a no-op at the uncapped cap of inf
+    return np.minimum(out, params.unit_cap, out=out)  # the cap is inf with truncation off
 
 
 def draw(params: StableParams, shape, rng: np.random.Generator) -> np.ndarray:

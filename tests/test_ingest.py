@@ -361,6 +361,12 @@ class TestStepRecordErrors:
         with pytest.raises(DataError, match=f"step-record line {first + 3}: t does not increase"):
             read_step_records_frame([lines[0], *body])
 
+    def test_nan_time_is_data_error(self, lines):
+        body = lines[1:]
+        body[100] = edit_record(body[100], lambda r: r.update(t=float("nan")))
+        with pytest.raises(DataError, match="step-record line 102: t does not increase"):
+            read_step_records_frame([lines[0], *body])
+
     def test_bad_header_json_is_data_error(self, lines):
         with pytest.raises(DataError, match="step-record line 1: "):
             read_step_records_frame([lines[0][:20], *lines[1:]])
