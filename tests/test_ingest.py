@@ -343,7 +343,8 @@ class TestStepRecordErrors:
         (lambda line: edit_record(line, lambda r: r.update(ask=r["ask"] + [1.0])), "ask must list"),
         (lambda line: "[1.0, 2.0]\n", "must be a JSON object"),
         (lambda line: line.strip() + ", " + line, "exactly one record"),
-    ], ids=["truncated", "no-n0", "null-v", "long-ask", "list", "two-records"])
+        (lambda line: edit_record(line, lambda r: r.update(t=float("nan"))), "t does not increase"),
+    ], ids=["truncated", "no-n0", "null-v", "long-ask", "list", "two-records", "nan-t"])
     def test_bad_line_named_by_its_number_in_the_file(self, lines, change, words):
         # Blank lines count: the bad record, in the second block, is line B + 12 of the file.
         bad = B + 12
@@ -359,12 +360,6 @@ class TestStepRecordErrors:
         body = lines[1:]
         body[first], body[first + 1] = body[first + 1], body[first]
         with pytest.raises(DataError, match=f"step-record line {first + 3}: t does not increase"):
-            read_step_records_frame([lines[0], *body])
-
-    def test_nan_time_is_data_error(self, lines):
-        body = lines[1:]
-        body[100] = edit_record(body[100], lambda r: r.update(t=float("nan")))
-        with pytest.raises(DataError, match="step-record line 102: t does not increase"):
             read_step_records_frame([lines[0], *body])
 
     def test_bad_header_json_is_data_error(self, lines):
