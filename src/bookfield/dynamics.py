@@ -71,7 +71,7 @@ __all__ = [
     "check_stability",
 ]
 
-# Ticks of noise the CF engine draws and transforms at once; see the module docstring.
+# Ticks of noise the CF engine draws and scales at once; see the module docstring.
 NOISE_CHUNK = 64
 
 

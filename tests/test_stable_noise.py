@@ -184,24 +184,11 @@ def test_alpha_half_law_matches_general_kanter_form():
 
 
 class _AtZeroNormal:
-    """A stream whose every variate is the point Z = 0 of Z^2 = 2 W cos^2(U/2).
+    """A stream whose every normal variate is z = 0, the far tail of 1/(2 z^2)."""
 
-    It answers a normal draw with z = 0, and a uniform (0, pi) and exponential
-    pair with U = pi and W = 1, so either parameterization of the alpha = 1/2
-    law lands on its far tail.
-    """
-
-    def standard_normal(self, size=None, out=None):
-        if out is None:
-            return np.zeros(size)
+    def standard_normal(self, out):
         out[...] = 0.0
         return out
-
-    def uniform(self, low, high, size):
-        return np.full(size, high)
-
-    def standard_exponential(self, size):
-        return np.ones(size)
 
 
 def test_zero_normal_maps_to_cap_without_warning():
