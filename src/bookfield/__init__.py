@@ -20,7 +20,6 @@ from .dynamics import (
     compute_velocity,
     market_order_rate,
     order_imbalance,
-    placement_scale,
     simulate,
     step,
 )
@@ -31,7 +30,6 @@ from .field import (
     ModelParams,
     OrderBookField,
     PlacementActivityParams,
-    boundary_volume,
     new_field,
     shift_boundary,
 )

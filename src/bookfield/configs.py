@@ -65,7 +65,6 @@ def reference_config(model: str) -> dict:
         "mo": {"k0": 2.0, "k_inf": 0.5, "k1": 0.5, "v0": 5e-5},
         "tau": 1.0,
         "n0_floor": 5.0,
-        "noise_time_scaling": "linear",
         # sigma_in / sigma_out: the book where placement balances cancellation
         "init_profile": {"kind": "exp_decay", "amplitude": 12.5, "length_scale": 0.02, "floor": 0.0},
         "activity": None,
@@ -97,7 +96,6 @@ def model_params(cfg: dict) -> ModelParams:
         tau=cfg["tau"],
         n0_floor=cfg["n0_floor"],
         activity=_activity(cfg["activity"]) if cfg["activity"] else None,
-        noise_time_scaling=cfg["noise_time_scaling"],
     )
 
 

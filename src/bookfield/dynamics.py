@@ -16,9 +16,9 @@ fixed for reproducibility; its error is quadratic in dt and immaterial at
 tick scale.
 
 The market-order response and the velocity-coupled placement activity are
-one tanh/sech law, ``trend_response``; ``market_order_rate`` and
-``placement_scale`` are its two readings, and the comparison models and the
-market-order fit use it too.
+one tanh/sech law, ``trend_response``; the CF engine, the comparison models
+and the market-order fit all call it, and ``market_order_rate`` is its
+reading for MarketOrderParams.
 
 ``step`` advances a field once and reports a full StepRecord (including
 per-cell volume changes).  ``run_ticks`` is the one run loop of the package:
@@ -53,7 +53,6 @@ from .field import (
     MarketOrderParams,
     ModelParams,
     OrderBookField,
-    PlacementActivityParams,
     shift_boundary,
 )
 
@@ -63,7 +62,6 @@ __all__ = [
     "trend_response",
     "market_order_rate",
     "order_imbalance",
-    "placement_scale",
     "compute_velocity",
     "step",
     "run_ticks",
@@ -115,14 +113,6 @@ def order_imbalance(v: float, p: MarketOrderParams) -> float:
     return 2.0 * p.k0 * p.v0 * float(np.tanh(v / p.v0))
 
 
-def placement_scale(x, v: float, side: str, p: PlacementActivityParams):
-    """Velocity-coupled placement activity; trend term positive for bids, negative for asks."""
-    if side not in ("bid", "ask"):
-        raise ValueError(f"side must be 'bid' or 'ask', got {side!r}")
-    bid, ask = trend_response(v, *p.evaluate(np.asarray(x, dtype=float)))
-    return bid if side == "bid" else ask
-
-
 def compute_velocity(field: OrderBookField, v_prev: float, p: ModelParams) -> float:
     """Boundary continuity balance: v = [J(v_prev) + dx(D n_ask)(0) - dx(D n_bid)(0)] / n0."""
     d = np.asarray(p.diffusion(field.x[:3]), dtype=float)
@@ -172,10 +162,8 @@ class _TickEngine:
         self.d_arr = np.asarray(params.diffusion(x), dtype=float)
         self.c_diff = dt / dx**2
         self.mo_frac = dt / params.tau
-        power = 1.0 if params.noise_time_scaling == "linear" else 1.0 / params.stable.alpha
-        dt_noise = params.tau * (dt / params.tau) ** power
-        scale_in = params.stable.scale * dt_noise
-        scale_out = np.asarray(params.sigma_out(x), dtype=float) * dt_noise * params.stable.scale
+        scale_in = params.stable.scale * dt
+        scale_out = np.asarray(params.sigma_out(x), dtype=float) * dt * params.stable.scale
         # Applied to each chunk in order: scale_out * zeta, and (sigma_in * xi) * scale_in
         # for static placement, the operand order of the per-tick products they replace.
         self.folds = [(slice(2, 4), scale_out)]
@@ -191,7 +179,6 @@ class _TickEngine:
                 return s_bid * xi_b * scale_in, s_ask * xi_a * scale_in
 
             self.placement = placement
-        self.diffusive = bool(np.any(self.d_arr > 0.0))
         self.rng = rng
         self.steps_left = steps
         self.buf = np.empty((min(NOISE_CHUNK, steps), 4, length))
@@ -214,15 +201,14 @@ class _TickEngine:
         self.next += 1
         p = self.p
         bid, ask = field.bid, field.ask
-        if self.diffusive:
-            db = self.d_arr * bid
-            da = self.d_arr * ask
-            fb = db[1:] - db[:-1]
-            fa = da[1:] - da[:-1]
-            bid[:-1] += self.c_diff * fb
-            bid[1:] -= self.c_diff * fb
-            ask[:-1] += self.c_diff * fa
-            ask[1:] -= self.c_diff * fa
+        db = self.d_arr * bid
+        da = self.d_arr * ask
+        fb = db[1:] - db[:-1]
+        fa = da[1:] - da[:-1]
+        bid[:-1] += self.c_diff * fb
+        bid[1:] -= self.c_diff * fb
+        ask[:-1] += self.c_diff * fa
+        ask[1:] -= self.c_diff * fa
         placed_bid, placed_ask = self.placement(v_prev, xi_b, xi_a)
         bid += placed_bid
         ask += placed_ask

@@ -32,7 +32,6 @@ __all__ = [
     "BoundarySpill",
     "check_trend_constants",
     "new_field",
-    "boundary_volume",
     "shift_boundary",
 ]
 
@@ -138,10 +137,9 @@ class ModelParams:
 
     ``sigma_in`` is the static placement scale used when ``activity`` is None;
     with activity present the placement scale is the velocity-coupled activity
-    function evaluated per side.  ``noise_time_scaling`` selects how stable
-    increments scale for sub-tick steps: "linear" multiplies the increment by
-    dt (the tick is the native unit of the empirical fits), "levy" uses the
-    self-similar dt^(1/alpha) scaling of a stable subordinator.
+    function evaluated per side.  A step of dt scales the stable placement and
+    cancellation increments by dt: the tick is the native unit of the
+    empirical fits.
     """
 
     stable: StableParams
@@ -152,15 +150,12 @@ class ModelParams:
     tau: float = 1.0
     n0_floor: float = 1e-6
     activity: PlacementActivityParams | None = None
-    noise_time_scaling: str = "linear"
 
     def __post_init__(self) -> None:
         if not (self.tau > 0.0):
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not (self.n0_floor > 0.0):
             raise ValueError(f"n0_floor must be positive, got {self.n0_floor}")
-        if self.noise_time_scaling not in ("linear", "levy"):
-            raise ValueError(f"noise_time_scaling must be 'linear' or 'levy', got {self.noise_time_scaling!r}")
 
     def validate_on(self, x: np.ndarray) -> None:
         """Check profile nonnegativity over the grid the simulation will use."""
@@ -183,11 +178,6 @@ def new_field(length: int, dx: float, init_profile: Callable[[np.ndarray], np.nd
     if np.any(vals < 0.0):
         raise ValueError("init_profile must be nonnegative on the grid")
     return OrderBookField(bid=vals.copy(), ask=vals.copy(), dx=dx)
-
-
-def boundary_volume(field: OrderBookField) -> float:
-    """Total volume at the trading-price boundary, bid[0] + ask[0]."""
-    return float(field.bid[0] + field.ask[0])
 
 
 def _shift_toward_boundary(arr: np.ndarray, k: int) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 Profile = Callable[[np.ndarray | float], np.ndarray | float]
 
-__all__ = ["Profile", "constant", "exp_decay", "hump", "make_profile", "profile_spec_names"]
+__all__ = ["Profile", "constant", "exp_decay", "make_profile"]
 
 
 def constant(value: float) -> Profile:
@@ -33,30 +33,11 @@ def exp_decay(amplitude: float, length_scale: float, floor: float = 0.0) -> Prof
     return f
 
 
-def hump(amplitude: float, peak_x: float, power: float = 1.0, floor: float = 0.0) -> Profile:
-    """A book-shaped profile: ~x^power near the price, peaking at peak_x.
-
-    amplitude * (x/peak_x)^power * exp(power * (1 - x/peak_x)) + floor, so the
-    maximum value is ``amplitude + floor`` at x = peak_x and the profile
-    vanishes like x^power at the boundary.
-    """
-
-    def f(x):
-        xr = np.asarray(x, dtype=float) / peak_x
-        return amplitude * xr**power * np.exp(power * (1.0 - xr)) + floor
-
-    return f
-
-
-_CONSTRUCTORS = {"constant": constant, "exp_decay": exp_decay, "hump": hump}
-
-
-def profile_spec_names() -> list[str]:
-    return sorted(_CONSTRUCTORS)
+_CONSTRUCTORS = {"constant": constant, "exp_decay": exp_decay}
 
 
 def make_profile(spec: dict) -> Profile:
-    """Build a profile from a spec dict like {"kind": "hump", "amplitude": 2.0, ...}."""
+    """Build a profile from a spec dict like {"kind": "exp_decay", "amplitude": 2.0, ...}."""
     try:
         kind = spec["kind"]
     except (TypeError, KeyError):
@@ -64,7 +45,7 @@ def make_profile(spec: dict) -> Profile:
     try:
         ctor = _CONSTRUCTORS[kind]
     except KeyError:
-        raise ValueError(f"unknown profile kind {kind!r}; valid kinds: {profile_spec_names()}") from None
+        raise ValueError(f"unknown profile kind {kind!r}; valid kinds: {sorted(_CONSTRUCTORS)}") from None
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
     try:
         return ctor(**kwargs)

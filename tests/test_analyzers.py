@@ -277,13 +277,12 @@ def activity_frame(k0_in, k_inf_in, k1_in, v0_in, T=60_000, seed=16):
         k1_in=profiles.constant(k1_in),
         v0_in=profiles.constant(v0_in),
     )
-    from bookfield.dynamics import placement_scale
+    from bookfield.dynamics import trend_response
 
     bid = np.zeros((T + 1, K))
     ask = np.zeros((T + 1, K))
     for t in range(T):
-        sb = placement_scale(0.0, v[t], "bid", act)
-        sa = placement_scale(0.0, v[t], "ask", act)
+        sb, sa = trend_response(v[t], *act.evaluate(0.0))
         bid[t + 1] = bid[t] + sb * rng.exponential(1.0, K)
         ask[t + 1] = ask[t] + sa * rng.exponential(1.0, K)
     return SeriesFrame(

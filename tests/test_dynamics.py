@@ -8,10 +8,10 @@ from bookfield.dynamics import (
     compute_velocity,
     market_order_rate,
     order_imbalance,
-    placement_scale,
     run_ticks,
     simulate,
     step,
+    trend_response,
 )
 from bookfield.field import (
     MarketOrderParams,
@@ -35,7 +35,6 @@ def make_params(
     alpha=0.5,
     scale=1.0,
     quantile=0.9,
-    noise_time_scaling="linear",
 ):
     return ModelParams(
         stable=StableParams(alpha=alpha, scale=scale, truncation_quantile=quantile),
@@ -46,7 +45,6 @@ def make_params(
         tau=1.0,
         n0_floor=n0_floor,
         activity=activity,
-        noise_time_scaling=noise_time_scaling,
     )
 
 
@@ -136,34 +134,30 @@ def const_activity(k0_in=1.0, k_inf_in=2.0, k1_in=2.0, v0_in=0.5):
 class TestPlacementScale:
     def test_zero_velocity_balanced_activity(self):
         act = const_activity(k0_in=1.0, k_inf_in=2.0, k1_in=2.0)
-        assert placement_scale(0.1, 0.0, "bid", act) == 0.0
-        assert placement_scale(0.1, 0.0, "ask", act) == 0.0
+        assert trend_response(0.0, *act.evaluate(0.1)) == (0.0, 0.0)
 
     def test_no_trend_term_sides_equal(self):
         act = const_activity(k0_in=0.0, k_inf_in=2.0, k1_in=1.0)
         for v in np.linspace(-2, 2, 11):
-            assert placement_scale(0.2, v, "bid", act) == pytest.approx(
-                placement_scale(0.2, v, "ask", act), rel=1e-14
-            )
+            bid, ask = trend_response(v, *act.evaluate(0.2))
+            assert bid == pytest.approx(ask, rel=1e-14)
 
     def test_matches_market_order_shape(self):
         act = const_activity(k0_in=3.0, k_inf_in=2.0, k1_in=1.5, v0_in=0.5)
         p = MarketOrderParams(k0=3.0, k_inf=2.0, k1=1.5, v0=0.5)
         for v in np.linspace(-2, 2, 17):
             buy, sell = market_order_rate(v, p)
-            assert placement_scale(0.3, v, "bid", act) == pytest.approx(buy, rel=1e-12)
-            assert placement_scale(0.3, v, "ask", act) == pytest.approx(sell, rel=1e-12)
-
-    def test_bad_side_rejected(self):
-        with pytest.raises(ValueError):
-            placement_scale(0.1, 0.0, "mid", const_activity())
+            bid, ask = trend_response(v, *act.evaluate(0.3))
+            assert bid == pytest.approx(buy, rel=1e-12)
+            assert ask == pytest.approx(sell, rel=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_overflow_at_large_velocity(self):
         act = const_activity(k0_in=1.0, k_inf_in=2.0, k1_in=2.0, v0_in=0.5)
-        assert placement_scale(0.1, 500.0, "bid", act) == pytest.approx(1.5, rel=1e-12)
-        assert placement_scale(0.1, 500.0, "ask", act) == pytest.approx(0.5, rel=1e-12)
-        assert placement_scale(0.1, -500.0, "bid", act) == pytest.approx(0.5, rel=1e-12)
+        bid, ask = trend_response(500.0, *act.evaluate(0.1))
+        assert bid == pytest.approx(1.5, rel=1e-12)
+        assert ask == pytest.approx(0.5, rel=1e-12)
+        assert trend_response(-500.0, *act.evaluate(0.1))[0] == pytest.approx(0.5, rel=1e-12)
 
 
 class TestComputeVelocity:
@@ -285,17 +279,16 @@ class TestStep:
         assert rec.mo_sell == pytest.approx(0.5)
         assert rec.n0 == pytest.approx(0.0)
 
-    def test_sub_tick_noise_scaling_knob(self):
-        lin = make_params(sigma_in=1.0, noise_time_scaling="linear")
-        lev = make_params(sigma_in=1.0, noise_time_scaling="levy", alpha=0.5)
-        dt = 0.25
-        f1 = new_field(16, 0.01, lambda x: np.zeros_like(x))
-        f2 = new_field(16, 0.01, lambda x: np.zeros_like(x))
-        step(f1, 0.0, lin, dt, np.random.default_rng(5))
-        step(f2, 0.0, lev, dt, np.random.default_rng(5))
-        # same draws, different time scaling: levy uses dt^(1/alpha) = dt^2
-        ratio = (dt / 1.0) ** (1.0 - 1.0 / 0.5)
-        assert np.allclose(f1.bid, f2.bid * ratio, rtol=1e-12)
+    def test_sub_tick_step_places_dt_times_a_tick(self):
+        params = make_params(sigma_in=1.0)
+        placed = {}
+        for dt in (1.0, 0.25):
+            f = new_field(16, 0.01, lambda x: np.zeros_like(x))
+            step(f, 0.0, params, dt, np.random.default_rng(5))
+            placed[dt] = f
+        assert placed[1.0].bid.sum() > 0.0
+        assert np.array_equal(placed[0.25].bid, 0.25 * placed[1.0].bid)
+        assert np.array_equal(placed[0.25].ask, 0.25 * placed[1.0].ask)
 
     def test_simulate_determinism(self):
         params = make_params(sigma_in=0.05, sigma_out=0.01, diffusion=1e-5, k0=0.5,

@@ -6,7 +6,6 @@ from bookfield.field import (
     MarketOrderParams,
     OrderBookField,
     PlacementActivityParams,
-    boundary_volume,
     new_field,
     shift_boundary,
 )
@@ -44,26 +43,6 @@ def test_new_field_invalid_args(length, dx):
 def test_new_field_negative_profile_rejected():
     with pytest.raises(ValueError):
         new_field(8, 0.1, lambda x: np.full_like(x, -1.0))
-
-
-def test_boundary_volume_zero_field():
-    f = new_field(8, 0.1, lambda x: np.zeros_like(x))
-    assert boundary_volume(f) == 0.0
-
-
-def test_boundary_volume_definition():
-    f = new_field(8, 0.1, lambda x: np.zeros_like(x))
-    f.bid[0] = 3.0
-    f.ask[0] = 4.0
-    assert boundary_volume(f) == pytest.approx(7.0)
-
-
-def test_boundary_volume_matches_direct_sum():
-    rng = np.random.default_rng(3)
-    f = new_field(32, 0.1, lambda x: np.zeros_like(x))
-    f.bid[:] = rng.uniform(0, 5, 32)
-    f.ask[:] = rng.uniform(0, 5, 32)
-    assert boundary_volume(f) == pytest.approx(float(f.bid[0]) + float(f.ask[0]), rel=0.0)
 
 
 def _random_field(seed=0, length=64, dx=0.001):
