@@ -18,7 +18,8 @@ and seed.  simulate --config takes a JSON object laid out like that schema;
 it is merged over the model's reference config (grid, stable and mo key by
 key; profile specs, init_profile and activity whole), then the flags that are
 set are merged over the result.  A key the model does not run, or a value that
-is not a number where the schema has one, is a usage error.  The resolved config
+is not a number where the schema has one (an integral number where it has an
+integer), is a usage error, as is an input file that does not exist.  The resolved config
 is validated and run, then written to config.json, so ``simulate --config
 <out>/config.json`` repeats it; a run that fails writes nothing.  analyze and compare draw their statistics from one table,
 ``STATISTICS``.  Exit codes: 0 success, 2 usage or validation error, 3 data
@@ -44,19 +45,36 @@ from .field import MarketOrderParams
 from .fokker_planck import FPParams, make_grid, regime_report, stationary_density
 
 
+def _input_file(path: str, what: str) -> Path:
+    """The path of an input file, or a usage error naming it."""
+    p = Path(path)
+    if not p.is_file():
+        raise ValueError(f"{what} file not found: {path}")
+    return p
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise ValueError(f"config file not found: {path}")
     try:
-        cfg = json.loads(p.read_text())
+        cfg = json.loads(_input_file(path, "config").read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config file must be a JSON object, got {cfg!r}")
     return cfg
+
+
+def _number(value, kind: type, key: str):
+    """A config value as ``kind``: any JSON number for a float, an integral one for an int."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (kind is float or isinstance(value, int) or value.is_integer())):
+        try:
+            return kind(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"config key {key!r} must be {'an integer' if kind is int else 'a number'}, "
+                     f"got {value!r}")
 
 
 def _merge(ref: dict, cfg, where: str = "") -> dict:
@@ -70,10 +88,7 @@ def _merge(ref: dict, cfg, where: str = "") -> dict:
         if isinstance(ref[key], dict) and "kind" not in ref[key]:
             value = _merge(ref[key], value, f"{where}{key}.")
         elif isinstance(ref[key], (int, float)):
-            try:
-                value = type(ref[key])(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"config key {where + key!r} must be a number, got {value!r}") from None
+            value = _number(value, type(ref[key]), where + key)
         out[key] = value
     return out
 
@@ -87,6 +102,8 @@ def _resolve_config(cfg: dict, **flags) -> dict:
 
 def _model_run(cfg: dict):
     """The run of a resolved config (see ``_resolve_config``), validated, as a call without arguments."""
+    if cfg["steps"] < 1:
+        raise ValueError(f"steps must be >= 1, got {cfg['steps']}")
     if cfg["model"] == "cf":
         grid = configs.GridSpec(**cfg["grid"])
         field = grid.new_field(profiles.make_profile(cfg["init_profile"]))
@@ -118,8 +135,6 @@ def _run_summary(result, rd: analyzers.ReturnDistribution, **extra) -> dict:
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(_load_config(args.config), model=args.model, steps=args.steps,
                           dt=args.dt, seed=args.seed)
-    if cfg["steps"] < 1:
-        raise ValueError(f"steps must be >= 1, got {cfg['steps']}")
     run = _model_run(cfg)
     t0 = time.perf_counter()
     result = run()
@@ -145,17 +160,17 @@ def cmd_simulate(args) -> int:
 
 def _frame_from_args(args) -> analyzers.SeriesFrame:
     if args.records:
-        with open(args.records) as fh:
+        with open(_input_file(args.records, "records")) as fh:
             return ingest.read_step_records_frame(fh)
     if args.snapshots:
         report = ingest.ParseReport()
-        with open(args.snapshots) as fh:
+        with open(_input_file(args.snapshots, "snapshot")) as fh:
             snaps = list(ingest.parse_snapshots(fh, report))
         if report.failures:
             print(f"skipped snapshot lines: {report.summary()}", file=sys.stderr)
         mos = None
         if args.market_orders:
-            with open(args.market_orders) as fh:
+            with open(_input_file(args.market_orders, "market-order")) as fh:
                 mos = ingest.parse_market_orders(fh)
         return ingest.build_frame(
             snaps, dt=args.dt, dx=args.dx, L=args.L, market_orders=mos
@@ -268,18 +283,18 @@ def cmd_fit_mo(args) -> int:
 
 def cmd_fp(args) -> int:
     p = FPParams(k0=args.k0, k_inf=args.k_inf, k1=args.k1, v0=args.v0, n0=args.n0, tau=args.tau)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rep = regime_report(p)
     if rep["power_law"]:
-        grid = make_grid(p, points=args.points)
-        dens = stationary_density(p, grid)
+        dens = stationary_density(p, make_grid(p, points=args.points))
+        rep["density_file"] = "density.csv"
+        rep["normalization_check"] = dens.normalization_check
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if rep["power_law"]:
         flags = {k: v for k, v in vars(args).items()
                  if isinstance(v, (int, float, str, bool, type(None)))}
         with open(out / "density.csv", "w") as fh:
             ingest.write_density_csv(dens, fh, meta={"params": flags})
-        rep["density_file"] = "density.csv"
-        rep["normalization_check"] = dens.normalization_check
     (out / "regime_report.json").write_text(json.dumps(rep, indent=2, default=str))
     print(json.dumps(rep, indent=2, default=str))
     return 0
@@ -300,11 +315,13 @@ def cmd_compare(args) -> int:
     bad = [m for m in models if m not in configs.MODELS]
     if bad:
         raise ValueError(f"unknown model(s) {bad}; valid: {', '.join(configs.MODELS)}")
+    runs = {model: _model_run(_resolve_config({}, model=model, steps=args.steps, seed=args.seed))
+            for model in models}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
-    for model in models:
-        result = _model_run(_resolve_config({}, model=model, steps=args.steps, seed=args.seed))()
+    for model, run in runs.items():
+        result = run()
         frame = result.to_frame()
         results = {name: _write_statistic(name, frame, 1.0, out, prefix=f"{model}_")[0]
                    for name in COMPARE_STATISTICS}

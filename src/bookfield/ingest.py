@@ -49,6 +49,8 @@ __all__ = [
     "write_density_csv",
     "read_density_csv",
     "write_curve_csv",
+    "write_histogram_family_csv",
+    "write_return_distribution_csv",
     "fmt",
 ]
 
@@ -186,6 +188,8 @@ def parse_market_orders(lines: Iterable[str]) -> list[MarketOrderRecord]:
             ts, buy, sell = (float(p) for p in parts)
         except ValueError as exc:
             raise DataError(f"market-order line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, (ts, buy, sell))):
+            raise DataError(f"market-order line {lineno}: non-finite value")
         if buy < 0.0 or sell < 0.0:
             raise DataError(f"market-order line {lineno}: negative volume")
         out.append(MarketOrderRecord(ts=ts, buy_volume=buy, sell_volume=sell))

@@ -71,13 +71,15 @@ class TestSimulate:
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"steps": 50, "seed": 5, "mo": {"k0": 1.0}}))
+        # an integral number is an integer, and a JSON integer is a number
+        cfg.write_text(json.dumps({"steps": 50, "seed": 5.0, "mo": {"k0": 1}}))
         assert run(["simulate", "--config", str(cfg), "--steps", "120",
                     "--out", str(tmp_path / "c")]) == 0
         summary = json.loads((tmp_path / "c" / "summary.json").read_text())
         assert summary["steps"] == 120  # flag wins
         resolved = json.loads((tmp_path / "c" / "config.json").read_text())
-        assert resolved["mo"]["k0"] == 1.0  # config value recorded
+        assert resolved["mo"]["k0"] == 1.0 and type(resolved["mo"]["k0"]) is float  # config value recorded
+        assert resolved["seed"] == 5 and type(resolved["seed"]) is int
 
     def test_baseline_dt_flag_is_usage_error(self, tmp_path, capsys):
         # cs and kstt run on unit ticks; a dt they would not use is rejected.
@@ -113,6 +115,15 @@ class TestSimulate:
         ({"tau": "a"}, "tau"),
         ({"stable": {"alpha": "a"}}, "stable.alpha"),
         ({"grid": {"length": None}}, "grid.length"),
+        ({"steps": "50"}, "steps"),
+        ({"steps": 50.9}, "steps"),
+        ({"seed": 2.5}, "seed"),
+        ({"steps": True}, "steps"),
+        ({"grid": {"length": 64.5}}, "grid.length"),
+        ({"tau": True}, "tau"),
+        # deleted options
+        ({"noise_time_scaling": "linear"}, "noise_time_scaling"),
+        ({"sigma_in": {"kind": "hump", "amplitude": 0.05, "peak_x": 0.02}}, "hump"),
     ])
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, config, key):
         cfg = tmp_path / "cfg.json"
@@ -160,8 +171,17 @@ class TestAnalyze:
             outs.append((out / "spatial_correlation.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_missing_source_is_usage_error(self, tmp_path):
+    def test_missing_source_is_usage_error(self, tmp_path, capsys):
         assert run(["analyze", "--out", str(tmp_path / "z")]) == 2
+        feed, missing = tmp_path / "feed.jsonl", str(tmp_path / "nope")
+        assert run(["gen-synthetic", "--kind", "snapshots", "--count", "20", "--out", str(feed)]) == 0
+        capsys.readouterr()
+        for args in (["analyze", "--records", missing], ["analyze", "--snapshots", missing],
+                     ["analyze", "--snapshots", str(feed), "--market-orders", missing],
+                     ["fit-mo", "--records", missing]):
+            assert run(args + ["--out", str(tmp_path / "z")]) == 2, args
+            assert missing in capsys.readouterr().err
+            assert not (tmp_path / "z").exists()
 
     def test_one_tick_frame_is_data_error(self, tmp_path, capsys):
         # No statistic has two samples to work with; none may warn or write an all-NaN table.
@@ -266,8 +286,10 @@ class TestFp:
         assert 0.99 <= mass <= 1.01
 
     def test_invalid_params_usage_error(self, tmp_path):
-        assert run(["fp", "--k0", "1.0", "--k-inf", "0.1", "--k1", "0.25",
-                    "--v0", "1.0", "--n0", "1.0", "--out", str(tmp_path / "bad")]) == 2
+        for bad in (["--k-inf", "0.1"], ["--k-inf", "0.3", "--points", "3"]):
+            assert run(["fp", "--k0", "1.0", *bad, "--k1", "0.25",
+                        "--v0", "1.0", "--n0", "1.0", "--out", str(tmp_path / "bad")]) == 2, bad
+            assert not (tmp_path / "bad").exists()
 
     def test_k0_and_k1_zero_usage_error(self, tmp_path, capsys):
         assert run(["fp", "--k0", "0", "--k-inf", "0.3", "--k1", "0", "--v0", "1", "--n0", "1",
@@ -300,6 +322,10 @@ class TestCompare:
 
     def test_unknown_model_usage_error(self, tmp_path):
         assert run(["compare", "--models", "cf,quantum", "--out", str(tmp_path / "c")]) == 2
+
+    def test_zero_steps_is_usage_error(self, tmp_path):
+        assert run(["compare", "--steps", "0", "--out", str(tmp_path / "c")]) == 2
+        assert not (tmp_path / "c").exists()
 
     def test_single_model_matches_analyze_route(self, tmp_path):
         out = tmp_path / "cmp"

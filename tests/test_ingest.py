@@ -118,8 +118,10 @@ class TestMarketOrders:
         assert all(a == b for a, b in zip(recs, back))
 
     def test_negative_volume_rejected(self):
-        with pytest.raises(DataError):
-            parse_market_orders(["1.0,-2.0,0.0"])
+        # a NaN volume or an infinite time is as bad as a negative volume
+        for row in ("1.0,-2.0,0.0", "1.0,nan,0.0", "inf,1.0,2.0"):
+            with pytest.raises(DataError, match="line 3"):
+                parse_market_orders(["ts,buy,sell", "0.0,1.0,1.0", row])
 
 
 class TestToLogGrid:
