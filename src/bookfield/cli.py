@@ -17,13 +17,13 @@ reference parameters on unit ticks, so their configs hold only model, steps
 and seed.  simulate --config takes a JSON object laid out like that schema;
 it is merged over the model's reference config (grid, stable and mo key by
 key; profile specs, init_profile and activity whole), then the flags that are
-set are merged over the result.  A key the model does not run, or a value that
-is not a number where the schema has one (an integral number where it has an
-integer), is a usage error, as is an input file that does not exist.  The resolved config
-is validated and run, then written to config.json, so ``simulate --config
-<out>/config.json`` repeats it; a run that fails writes nothing.  analyze and compare draw their statistics from one table,
-``STATISTICS``.  Exit codes: 0 success, 2 usage or validation error, 3 data
-error, 4 numeric failure.
+set are merged over the result.  A key the model does not run, a value that is
+not a number (an integral one for an integer) where the schema has one, or an
+input file that does not exist is a usage error.  The resolved config is
+validated and run, then written to config.json, so ``simulate --config
+<out>/config.json`` repeats it; a run that fails writes nothing.  analyze and
+compare draw their statistics from one table, ``STATISTICS``.  Exit codes: 0
+success, 2 usage or validation error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
 
@@ -46,11 +46,10 @@ from .fokker_planck import FPParams, make_grid, regime_report, stationary_densit
 
 
 def _input_file(path: str, what: str) -> Path:
-    """The path of an input file, or a usage error naming it."""
-    p = Path(path)
-    if not p.is_file():
+    """``path`` as a Path, or a usage error naming it if it is not a file."""
+    if not Path(path).is_file():
         raise ValueError(f"{what} file not found: {path}")
-    return p
+    return Path(path)
 
 
 def _load_config(path: str | None) -> dict:
@@ -67,14 +66,11 @@ def _load_config(path: str | None) -> dict:
 
 def _number(value, kind: type, key: str):
     """A config value as ``kind``: any JSON number for a float, an integral one for an int."""
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and (kind is float or isinstance(value, int) or value.is_integer())):
-        try:
-            return kind(value)
-        except OverflowError:
-            pass
-    raise ValueError(f"config key {key!r} must be {'an integer' if kind is int else 'a number'}, "
-                     f"got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+            kind is float or isinstance(value, int) or value.is_integer()):
+        raise ValueError(f"config key {key!r} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}")
+    return kind(value)
 
 
 def _merge(ref: dict, cfg, where: str = "") -> dict:
@@ -284,17 +280,16 @@ def cmd_fit_mo(args) -> int:
 def cmd_fp(args) -> int:
     p = FPParams(k0=args.k0, k_inf=args.k_inf, k1=args.k1, v0=args.v0, n0=args.n0, tau=args.tau)
     rep = regime_report(p)
-    if rep["power_law"]:
-        dens = stationary_density(p, make_grid(p, points=args.points))
-        rep["density_file"] = "density.csv"
-        rep["normalization_check"] = dens.normalization_check
+    dens = stationary_density(p, make_grid(p, points=args.points)) if rep["power_law"] else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if rep["power_law"]:
+    if dens is not None:
         flags = {k: v for k, v in vars(args).items()
                  if isinstance(v, (int, float, str, bool, type(None)))}
         with open(out / "density.csv", "w") as fh:
             ingest.write_density_csv(dens, fh, meta={"params": flags})
+        rep["density_file"] = "density.csv"
+        rep["normalization_check"] = dens.normalization_check
     (out / "regime_report.json").write_text(json.dumps(rep, indent=2, default=str))
     print(json.dumps(rep, indent=2, default=str))
     return 0
