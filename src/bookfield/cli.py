@@ -18,8 +18,8 @@ and seed.  simulate --config takes a JSON object laid out like that schema;
 it is merged over the model's reference config (grid, stable and mo key by
 key; profile specs, init_profile and activity whole), then the flags that are
 set are merged over the result.  A key the model does not run, a value that is
-not a number (an integral one for an integer) where the schema has one, or an
-input file that does not exist is a usage error.  The resolved config is
+not a finite number (an integral one for an integer) where the schema has one,
+or an input file that does not exist is a usage error.  The resolved config is
 validated and run, then written to config.json, so ``simulate --config
 <out>/config.json`` repeats it; a run that fails writes nothing.  analyze and
 compare draw their statistics from one table, ``STATISTICS``.  Exit codes: 0
@@ -65,10 +65,10 @@ def _load_config(path: str | None) -> dict:
 
 
 def _number(value, kind: type, key: str):
-    """A config value as ``kind``: any JSON number for a float, an integral one for an int."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-            kind is float or isinstance(value, int) or value.is_integer()):
-        raise ValueError(f"config key {key!r} must be {'an integer' if kind is int else 'a number'}, "
+    """A config value as ``kind``: a finite JSON number for a float, an integral one for an int."""
+    if (type(value) not in (int, float) or not abs(value) <= sys.float_info.max  # NaN, inf, huge ints
+            or not (kind is float or isinstance(value, int) or value.is_integer())):
+        raise ValueError(f"config key {key!r} must be {'an integer' if kind is int else 'a finite number'}, "
                          f"got {value!r}")
     return kind(value)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -121,6 +122,8 @@ class TestSimulate:
         ({"steps": True}, "steps"),
         ({"grid": {"length": 64.5}}, "grid.length"),
         ({"tau": True}, "tau"),
+        ({"tau": 10**400}, "tau"),
+        ({"grid": {"dx": math.inf}}, "grid.dx"),
         # deleted options
         ({"noise_time_scaling": "linear"}, "noise_time_scaling"),
         ({"sigma_in": {"kind": "hump", "amplitude": 0.05, "peak_x": 0.02}}, "hump"),
