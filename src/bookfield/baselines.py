@@ -18,7 +18,9 @@ Each model is a tick engine for ``dynamics.run_ticks``, the run loop the
 continuous-field simulator uses, so every run emits the same per-tick records
 and every analyzer applies unchanged.  The engine picks CS or KSTT once, when
 it is built: KSTT's placement and market-order means are the one tanh/sech law
-``dynamics.trend_response``, with the activity profiles evaluated once per run.
+``dynamics.trend_response``, with the activity profiles evaluated once per run
+and required to be constant on the grid.  A tick draws on the (2, L)
+``field.book`` in C order, bid cells then ask cells, as per-side calls would.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ class CSParams:
 class KSTTParams:
     """Trend-following point-process book: uniform trend coupling, no diffusion."""
 
-    activity: PlacementActivityParams  # k0_in must be constant in x
+    activity: PlacementActivityParams  # each profile constant in x; checked when the run starts
     cancel_prob: float
     mo: MarketOrderParams  # market-order arrival means follow the velocity response
     n0_floor: float = 1e-6
@@ -68,45 +70,55 @@ class KSTTParams:
 class _PointProcessEngine:
     """The CS/KSTT tick on a unit-tick lattice, for run_ticks.
 
-    ``means(v)`` is the model's (bid, ask, buy, sell) Poisson means at velocity v.
-    Per tick it draws, in this order: Poisson bid and ask placements, binomial
-    bid and ask cancellations, Poisson buy and sell market orders.
+    ``place(book, v)`` adds the Poisson placements at velocity v to the book and
+    returns the (buy, sell) market-order means.  Per tick it draws, in order:
+    placements (CS: one call; KSTT: one scalar-mean call per side), one binomial
+    call for the cancellations, then buy and sell market orders as scalar calls.
     """
 
     def __init__(self, params: CSParams | KSTTParams, x: np.ndarray, rng: np.random.Generator):
         self.p = params
         self.rng = rng
         if isinstance(params, CSParams):
-            rate = np.maximum(np.asarray(params.placement_rate(x), dtype=float), 0.0)
-            self.means = lambda v: (rate, rate, params.mo_volume, params.mo_volume)
+            rates = np.stack([np.maximum(np.asarray(params.placement_rate(x), dtype=float), 0.0)] * 2)
+
+            def place(book, v):
+                book += rng.poisson(rates)
+                return params.mo_volume, params.mo_volume
         else:
             params.activity.validate_on(x)
-            activity = params.activity.evaluate(x)
-            self.means = lambda v: (*trend_response(v, *activity), *market_order_rate(v, params.mo))
+            consts = []
+            for name, vals in zip(("k0_in", "k_inf_in", "k1_in", "v0_in"),
+                                  params.activity.evaluate(x)):
+                vals = np.broadcast_to(vals, x.shape)
+                if np.any(vals != vals[0]):
+                    raise ValueError(f"KSTT activity profile {name} must be constant in x")
+                consts.append(float(vals[0]))
+
+            def place(book, v):
+                up, down = trend_response(v, *consts)
+                book[0] += rng.poisson(up, x.shape)
+                book[1] += rng.poisson(down, x.shape)
+                return market_order_rate(v, params.mo)
+
+        self.place = place
 
     def tick(self, field: OrderBookField, v: float):
         p, rng = self.p, self.rng
-        bid, ask = field.bid, field.ask
-        lam_bid, lam_ask, mean_buy, mean_sell = self.means(v)
-        # placement: Poisson counts of unit orders
-        bid += rng.poisson(lam_bid)
-        ask += rng.poisson(lam_ask)
-        # cancellation: binomial thinning of resting orders
+        book = field.book
+        mean_buy, mean_sell = self.place(book, v)
+        # cancellation: binomial thinning of resting orders (book >= 0, so truncation is floor)
         if p.cancel_prob > 0.0:
-            nb = np.floor(bid).astype(np.int64)
-            na = np.floor(ask).astype(np.int64)
-            bid -= rng.binomial(nb, p.cancel_prob)
-            ask -= rng.binomial(na, p.cancel_prob)
-            np.maximum(bid, 0.0, out=bid)
-            np.maximum(ask, 0.0, out=ask)
+            book -= rng.binomial(book.astype(np.int64), p.cancel_prob)
+            np.maximum(book, 0.0, out=book)
         # market orders: Poisson volumes
         buy = float(rng.poisson(mean_buy))
         sell = float(rng.poisson(mean_sell))
-        eaten_ask = min(buy, float(ask[0]))
-        eaten_bid = min(sell, float(bid[0]))
-        ask[0] -= eaten_ask
-        bid[0] -= eaten_bid
-        n0 = float(bid[0] + ask[0])
+        eaten_ask = min(buy, float(book[1, 0]))
+        eaten_bid = min(sell, float(book[0, 0]))
+        book[1, 0] -= eaten_ask
+        book[0, 0] -= eaten_bid
+        n0 = float(book[0, 0] + book[1, 0])
         v = (eaten_ask - eaten_bid) / max(n0, p.n0_floor)
         _, spill = shift_boundary(field, v)
         field.t += 1.0

@@ -147,8 +147,11 @@ class _TickEngine:
 
     ``tick`` is the run_ticks interface: it takes the noise of a run of ``steps``
     ticks from ``rng``, NOISE_CHUNK ticks at a time, each chunk scaled once by
-    ``folds``.  ``placement(v, xi_b, xi_a)``, fixed when the engine is built,
-    is the volume placed on each side.
+    ``folds``.  ``place(book, v, xi)``, fixed when the engine is built, adds
+    the placement of the (2, L) noise rows ``xi`` to the book.  Diffusion,
+    static placement and cancellation each act on both sides of the book at
+    once, in two work arrays allocated here; each element keeps the operand
+    order of the per-side expressions they replace.
     """
 
     def __init__(self, params: ModelParams, length: int, dx: float, dt: float,
@@ -170,20 +173,25 @@ class _TickEngine:
         if params.activity is None:
             s = np.asarray(params.sigma_in(x), dtype=float)
             self.folds += [(slice(0, 2), s), (slice(0, 2), scale_in)]
-            self.placement = lambda v, xi_b, xi_a: (xi_b, xi_a)
+
+            def place(book, v, xi):
+                book += xi
         else:
             activity = params.activity.evaluate(x)
 
-            def placement(v, xi_b, xi_a):
+            def place(book, v, xi):
                 s_bid, s_ask = trend_response(v, *activity)
-                return s_bid * xi_b * scale_in, s_ask * xi_a * scale_in
+                book[0] += s_bid * xi[0] * scale_in
+                book[1] += s_ask * xi[1] * scale_in
 
-            self.placement = placement
+        self.place = place
         self.rng = rng
         self.steps_left = steps
         self.buf = np.empty((min(NOISE_CHUNK, steps), 4, length))
         self.noise = self.buf[:0]
         self.next = 0
+        self.work = np.empty((2, length))
+        self.flux = np.empty((2, length - 1))
 
     def _draw_chunk(self) -> None:
         m = min(NOISE_CHUNK, self.steps_left)
@@ -197,26 +205,24 @@ class _TickEngine:
         """Advance the field one tick in place on the next noise of the chunked stream."""
         if self.next == len(self.noise):
             self._draw_chunk()
-        xi_b, xi_a, ze_b, ze_a = self.noise[self.next]
+        noise = self.noise[self.next]
         self.next += 1
-        p = self.p
-        bid, ask = field.bid, field.ask
-        db = self.d_arr * bid
-        da = self.d_arr * ask
-        fb = db[1:] - db[:-1]
-        fa = da[1:] - da[:-1]
-        bid[:-1] += self.c_diff * fb
-        bid[1:] -= self.c_diff * fb
-        ask[:-1] += self.c_diff * fa
-        ask[1:] -= self.c_diff * fa
-        placed_bid, placed_ask = self.placement(v_prev, xi_b, xi_a)
-        bid += placed_bid
-        ask += placed_ask
-        np.subtract(bid, np.minimum(ze_b * bid, bid), out=bid)
-        np.subtract(ask, np.minimum(ze_a * ask, ask), out=ask)
+        p, book, work, flux = self.p, field.book, self.work, self.flux
+        # diffusion of D n with zero-flux ends, both sides at once
+        np.multiply(self.d_arr, book, out=work)
+        np.subtract(work[:, 1:], work[:, :-1], out=flux)
+        flux *= self.c_diff
+        book[:, :-1] += flux
+        book[:, 1:] -= flux
+        self.place(book, v_prev, noise[:2])
+        # cancellation: n -= min(zeta n, n)
+        np.multiply(noise[2:], book, out=work)
+        np.minimum(work, book, out=work)
+        book -= work
         mo_buy, mo_sell = market_order_rate(v_prev, p.mo)
         mo_buy *= self.mo_frac
         mo_sell *= self.mo_frac
+        bid, ask = field.bid, field.ask
         eaten_ask = min(mo_buy, float(ask[0]))
         eaten_bid = min(mo_sell, float(bid[0]))
         ask[0] -= eaten_ask
@@ -240,20 +246,11 @@ def step(
 ) -> tuple[OrderBookField, StepRecord]:
     """Advance the field one tick, returning it with a complete StepRecord."""
     engine = _TickEngine(params, field.length, field.dx, dt, rng, steps=1)
-    bid0 = field.bid.copy()
-    ask0 = field.ask.copy()
+    book0 = field.book.copy()
     v, n0, mo_buy, mo_sell, spill = engine.tick(field, v_prev)
-    rec = StepRecord(
-        t=field.t,
-        v=v,
-        n0=n0,
-        mo_buy=mo_buy,
-        mo_sell=mo_sell,
-        delta_bid=field.bid - bid0,
-        delta_ask=field.ask - ask0,
-        spill_bid=spill.bid,
-        spill_ask=spill.ask,
-    )
+    delta = field.book - book0
+    rec = StepRecord(t=field.t, v=v, n0=n0, mo_buy=mo_buy, mo_sell=mo_sell, delta_bid=delta[0],
+                     delta_ask=delta[1], spill_bid=spill.bid, spill_ask=spill.ask)
     return field, rec
 
 
@@ -313,8 +310,7 @@ def run_ticks(engine, field: OrderBookField, steps: int, dt: float,
     tracked_cells = np.asarray(tracked_cells, dtype=int)
     times = field.t + dt * (1.0 + np.arange(steps))
     out_v, out_n0, out_mob, out_mos, out_spb, out_spa = np.empty((6, steps))
-    out_bid = np.empty((steps, len(tracked_cells)))
-    out_ask = np.empty_like(out_bid)
+    out_book = np.empty((steps, 2, len(tracked_cells)))
     tick = engine.tick
     v = 0.0
     for t in range(steps):
@@ -328,21 +324,11 @@ def run_ticks(engine, field: OrderBookField, steps: int, dt: float,
         out_mos[t] = mos
         out_spb[t] = spill.bid
         out_spa[t] = spill.ask
-        out_bid[t] = field.bid[tracked_cells]
-        out_ask[t] = field.ask[tracked_cells]
+        out_book[t] = field.book[:, tracked_cells]
     return SimulationResult(
-        times=times,
-        velocities=out_v,
-        n0s=out_n0,
-        mo_buy=out_mob,
-        mo_sell=out_mos,
-        spill_bid=out_spb,
-        spill_ask=out_spa,
-        tracked_cells=tracked_cells,
-        bid_tracks=out_bid,
-        ask_tracks=out_ask,
-        dx=field.dx,
-        dt=dt,
+        times=times, velocities=out_v, n0s=out_n0, mo_buy=out_mob, mo_sell=out_mos,
+        spill_bid=out_spb, spill_ask=out_spa, tracked_cells=tracked_cells,
+        bid_tracks=out_book[:, 0], ask_tracks=out_book[:, 1], dx=field.dx, dt=dt,
         final_field=field,
     )
 

@@ -2,6 +2,9 @@
 
 Cell i of each side holds the order volume at log-price distance x = i*dx from
 the current trading price (bid side: price below, ask side: price above).  The
+book is one (2, L) array, ``OrderBookField.book``, whose rows are the bid and
+the ask; ``bid`` and ``ask`` are views of those rows, so an engine updates
+both sides in one numpy or RNG call and a reader of one side sees it.  The
 lattice co-moves with the price: a price change is a rigid translation of both
 sides relative to the x = 0 boundary, which keeps transport exact and free of
 numerical diffusion.  Sub-cell price motion accumulates in ``fractional_offset``
@@ -16,6 +19,7 @@ of the grid piles up in the last cell so translation conserves volume exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -45,6 +49,8 @@ class BoundarySpill(NamedTuple):
 
 @dataclass
 class OrderBookField:
+    """Copies ``bid`` and ``ask`` into the (2, L) ``book``; ``bid`` and ``ask`` view its rows."""
+
     bid: np.ndarray
     ask: np.ndarray
     dx: float
@@ -52,15 +58,16 @@ class OrderBookField:
     fractional_offset: float = 0.0
 
     def __post_init__(self) -> None:
-        self.bid = np.asarray(self.bid, dtype=float)
-        self.ask = np.asarray(self.ask, dtype=float)
-        if self.bid.shape != self.ask.shape or self.bid.ndim != 1:
+        bid, ask = np.asarray(self.bid, dtype=float), np.asarray(self.ask, dtype=float)
+        if bid.shape != ask.shape or bid.ndim != 1:
             raise ValueError("bid and ask must be 1-d arrays of equal length")
-        if len(self.bid) < 4:
-            raise ValueError(f"field needs at least 4 cells, got {len(self.bid)}")
+        if len(bid) < 4:
+            raise ValueError(f"field needs at least 4 cells, got {len(bid)}")
         if not (self.dx > 0.0):
             raise ValueError(f"dx must be positive, got {self.dx}")
-        if np.any(self.bid < 0.0) or np.any(self.ask < 0.0):
+        self.book = np.stack((bid, ask))
+        self.bid, self.ask = self.book
+        if np.any(self.book < 0.0):
             raise ValueError("order volumes must be nonnegative")
         if not (0.0 <= self.fractional_offset < self.dx):
             raise ValueError("fractional_offset must lie in [0, dx)")
@@ -80,13 +87,8 @@ class OrderBookField:
         return np.arange(self.length) * self.dx
 
     def copy(self) -> "OrderBookField":
-        return OrderBookField(
-            bid=self.bid.copy(),
-            ask=self.ask.copy(),
-            dx=self.dx,
-            t=self.t,
-            fractional_offset=self.fractional_offset,
-        )
+        return OrderBookField(bid=self.bid, ask=self.ask, dx=self.dx, t=self.t,
+                              fractional_offset=self.fractional_offset)
 
 
 def check_trend_constants(k0, k_inf, k1, v0, where: str = "") -> None:
@@ -177,7 +179,7 @@ def new_field(length: int, dx: float, init_profile: Callable[[np.ndarray], np.nd
     vals = np.asarray(init_profile(x), dtype=float)
     if np.any(vals < 0.0):
         raise ValueError("init_profile must be nonnegative on the grid")
-    return OrderBookField(bid=vals.copy(), ask=vals.copy(), dx=dx)
+    return OrderBookField(bid=vals, ask=vals, dx=dx)
 
 
 def _shift_toward_boundary(arr: np.ndarray, k: int) -> float:
@@ -208,23 +210,17 @@ def shift_boundary(field: OrderBookField, d_logprice: float) -> tuple[OrderBookF
             f"|d_logprice|={abs(d_logprice):.6g} exceeds half the grid extent {half:.6g}"
         )
     total = field.fractional_offset + d_logprice
-    k = int(np.floor(total / field.dx))
+    k = math.floor(total / field.dx)
     field.fractional_offset = total - k * field.dx
     # Guard against float roundoff pushing the offset onto dx exactly.
     if field.fractional_offset >= field.dx:
         field.fractional_offset -= field.dx
         k += 1
-    spill_bid = 0.0
-    spill_ask = 0.0
-    if k > 0:
-        if k >= field.length // 2:
-            raise ValueError(f"shift of {k} cells exceeds half the grid ({field.length} cells)")
-        spill_ask = _shift_toward_boundary(field.ask, k)
-        _shift_away_from_boundary(field.bid, k)
-    elif k < 0:
-        kk = -k
-        if kk >= field.length // 2:
-            raise ValueError(f"shift of {kk} cells exceeds half the grid ({field.length} cells)")
-        spill_bid = _shift_toward_boundary(field.bid, kk)
-        _shift_away_from_boundary(field.ask, kk)
-    return field, BoundarySpill(bid=spill_bid, ask=spill_ask)
+    if abs(k) >= field.length // 2:
+        raise ValueError(f"shift of {abs(k)} cells exceeds half the grid ({field.length} cells)")
+    spill = [0.0, 0.0]
+    if k:
+        toward = 1 if k > 0 else 0  # a rise moves the ask (row 1) toward x = 0
+        spill[toward] = _shift_toward_boundary(field.book[toward], abs(k))
+        _shift_away_from_boundary(field.book[1 - toward], abs(k))
+    return field, BoundarySpill(*spill)

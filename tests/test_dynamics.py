@@ -189,7 +189,7 @@ class TestComputeVelocity:
         f.ask[:] = rng.uniform(1, 5, 16)
         v = compute_velocity(f, 0.2 * params.mo.v0, params)
         g = f.copy()
-        g.bid, g.ask = g.ask.copy(), g.bid.copy()
+        g.book[:] = f.book[::-1]  # swap the sides in place; bid and ask stay views of book
         v_m = compute_velocity(g, -0.2 * params.mo.v0, params)
         assert v_m == -v
 
