@@ -90,10 +90,9 @@ class _PointProcessEngine:
             consts = []
             for name, vals in zip(("k0_in", "k_inf_in", "k1_in", "v0_in"),
                                   params.activity.evaluate(x)):
-                vals = np.broadcast_to(vals, x.shape)
-                if np.any(vals != vals[0]):
+                if np.any(vals != vals.flat[0]):
                     raise ValueError(f"KSTT activity profile {name} must be constant in x")
-                consts.append(float(vals[0]))
+                consts.append(float(vals.flat[0]))
 
             def place(book, v):
                 up, down = trend_response(v, *consts)
@@ -114,11 +113,12 @@ class _PointProcessEngine:
         # market orders: Poisson volumes
         buy = float(rng.poisson(mean_buy))
         sell = float(rng.poisson(mean_sell))
-        eaten_ask = min(buy, float(book[1, 0]))
-        eaten_bid = min(sell, float(book[0, 0]))
-        book[1, 0] -= eaten_ask
-        book[0, 0] -= eaten_bid
-        n0 = float(book[0, 0] + book[1, 0])
+        bid0, ask0 = book[:, 0].tolist()  # Python floats: same IEEE arithmetic, less overhead
+        eaten_ask = min(buy, ask0)
+        eaten_bid = min(sell, bid0)
+        book[0, 0] = bid0 = bid0 - eaten_bid
+        book[1, 0] = ask0 = ask0 - eaten_ask
+        n0 = bid0 + ask0
         v = (eaten_ask - eaten_bid) / max(n0, p.n0_floor)
         _, spill = shift_boundary(field, v)
         field.t += 1.0

@@ -324,7 +324,7 @@ def run_ticks(engine, field: OrderBookField, steps: int, dt: float,
         out_mos[t] = mos
         out_spb[t] = spill.bid
         out_spa[t] = spill.ask
-        out_book[t] = field.book[:, tracked_cells]
+        field.book.take(tracked_cells, 1, out_book[t])
     return SimulationResult(
         times=times, velocities=out_v, n0s=out_n0, mo_buy=out_mob, mo_sell=out_mos,
         spill_bid=out_spb, spill_ask=out_spa, tracked_cells=tracked_cells,
