@@ -67,8 +67,8 @@ class OrderBookField:
             raise ValueError(f"dx must be positive, got {self.dx}")
         self.book = np.stack((bid, ask))
         self.bid, self.ask = self.book
-        if np.any(self.book < 0.0):
-            raise ValueError("order volumes must be nonnegative")
+        if not np.all(np.isfinite(self.book) & (self.book >= 0.0)):
+            raise ValueError("order volumes must be finite and nonnegative")
         if not (0.0 <= self.fractional_offset < self.dx):
             raise ValueError("fractional_offset must lie in [0, dx)")
 
@@ -160,11 +160,11 @@ class ModelParams:
             raise ValueError(f"n0_floor must be positive, got {self.n0_floor}")
 
     def validate_on(self, x: np.ndarray) -> None:
-        """Check profile nonnegativity over the grid the simulation will use."""
+        """Check the profiles are finite and nonnegative over the grid the simulation will use."""
         for name in ("sigma_in", "sigma_out", "diffusion"):
             vals = np.asarray(getattr(self, name)(x), dtype=float)
-            if np.any(vals < 0.0):
-                raise ValueError(f"{name}(x) must be nonnegative over the grid")
+            if not np.all(np.isfinite(vals) & (vals >= 0.0)):
+                raise ValueError(f"{name}(x) must be finite and nonnegative over the grid")
         if self.activity is not None:
             self.activity.validate_on(x)
 
@@ -177,8 +177,8 @@ def new_field(length: int, dx: float, init_profile: Callable[[np.ndarray], np.nd
         raise ValueError(f"dx must be positive, got {dx}")
     x = np.arange(length) * dx
     vals = np.asarray(init_profile(x), dtype=float)
-    if np.any(vals < 0.0):
-        raise ValueError("init_profile must be nonnegative on the grid")
+    if not np.all(np.isfinite(vals) & (vals >= 0.0)):
+        raise ValueError("init_profile must be finite and nonnegative on the grid")
     return OrderBookField(bid=vals, ask=vals, dx=dx)
 
 

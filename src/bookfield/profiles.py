@@ -8,6 +8,7 @@ dictionary.
 """
 from __future__ import annotations
 
+import sys
 from typing import Callable
 
 import numpy as np
@@ -25,7 +26,9 @@ def constant(value: float) -> Profile:
 
 
 def exp_decay(amplitude: float, length_scale: float, floor: float = 0.0) -> Profile:
-    """amplitude * exp(-x / length_scale) + floor."""
+    """amplitude * exp(-x / length_scale) + floor; length_scale > 0."""
+    if not length_scale > 0.0:
+        raise ValueError(f"'exp_decay' profile parameter 'length_scale' must be positive, got {length_scale!r}")
 
     def f(x):
         return amplitude * np.exp(-np.asarray(x, dtype=float) / length_scale) + floor
@@ -47,6 +50,9 @@ def make_profile(spec: dict) -> Profile:
     except KeyError:
         raise ValueError(f"unknown profile kind {kind!r}; valid kinds: {sorted(_CONSTRUCTORS)}") from None
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
+    for name, value in kwargs.items():  # NaN, inf, huge ints, strings and booleans fail
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{kind!r} profile parameter {name!r} must be a finite number, got {value!r}")
     try:
         return ctor(**kwargs)
     except TypeError as exc:  # a missing or unknown parameter of the kind

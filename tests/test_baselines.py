@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bookfield import configs, profiles
+from _oracles import per_side_point_process
+from bookfield import baselines, configs, dynamics, profiles
 from bookfield.analyzers import rms_delta_vs_velocity, velocity_volume_correlation
 from bookfield.baselines import CSParams, KSTTParams, run_baseline
 from bookfield.errors import NumericError
@@ -137,3 +138,71 @@ def test_kstt_activity_validated_before_the_run(k_inf, k1, v0, condition):
         run_baseline(params, f, steps=50, seed=1)
     assert np.array_equal(f.bid, before.bid) and np.array_equal(f.ask, before.ask)
     assert f.t == before.t
+
+
+THIN_BOOKS = {  # thin books whose price crosses cells, so shifts and spills are exercised
+    "cs": CSParams(placement_rate=profiles.exp_decay(3.0, 4.0), cancel_prob=0.05,
+                   mo_volume=3.0, n0_floor=20.0),
+    "kstt": KSTTParams(
+        activity=PlacementActivityParams(
+            k0_in=profiles.constant(10.0), k_inf_in=profiles.constant(30.0),
+            k1_in=profiles.constant(5.0), v0_in=profiles.constant(0.1)),
+        cancel_prob=0.05, mo=MarketOrderParams(k0=10.0, k_inf=30.0, k1=5.0, v0=0.1), n0_floor=20.0),
+}
+
+
+@pytest.mark.parametrize("model", ["cs", "kstt"])
+def test_stacked_book_keeps_the_per_side_stream(model, monkeypatch):
+    # One RNG call over (bid; ask) draws in C order, so it must consume the
+    # stream exactly as a bid call followed by an ask call: same run, same
+    # final book, same generator state.
+    params = THIN_BOOKS[model]
+    f = new_field(13, 1.0, profiles.constant(40.0))
+    start = f.copy()
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
+    res = run_baseline(params, f, steps=3000, seed=60613, tracked_cells=np.arange(13))
+    oracle_rng = default_rng(60613)
+    scalars, bids, asks, bid, ask, offset = per_side_point_process(
+        params, start.bid, start.ask, 1.0, 3000, oracle_rng)
+    got = np.column_stack([res.velocities, res.n0s, res.mo_buy, res.mo_sell,
+                           res.spill_bid, res.spill_ask])
+    assert np.array_equal(got, scalars)
+    assert np.array_equal(res.bid_tracks, bids) and np.array_equal(res.ask_tracks, asks)
+    assert np.array_equal(f.bid, bid) and np.array_equal(f.ask, ask)
+    assert f.fractional_offset == offset
+    assert np.count_nonzero(scalars[:, 4]) > 10 and np.count_nonzero(scalars[:, 5]) > 10
+    assert made[0].bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["k0_in", "k_inf_in", "k1_in", "v0_in"])
+def test_kstt_activity_varying_in_x_rejected_before_the_run(name):
+    ref = configs.kstt_reference()
+    base = getattr(ref.activity, name)
+    varying = lambda x: base(x) + 1e-3 * np.asarray(x)  # still passes check_trend_constants
+    params = dataclasses.replace(ref, activity=dataclasses.replace(ref.activity, **{name: varying}))
+    f = configs.kstt_reference_field()
+    before = f.copy()
+    with pytest.raises(ValueError, match=f"{name} must be constant in x"):
+        run_baseline(params, f, steps=50, seed=1)
+    assert np.array_equal(f.book, before.book)
+    assert (f.t, f.fractional_offset) == (before.t, before.fractional_offset)
+
+
+def test_shift_boundary_looked_up_on_its_module_every_tick(monkeypatch):
+    # perfbench's tracer times shift_boundary by wrapping the name on
+    # dynamics and baselines; a local binding would hide every call from it.
+    calls = []
+    for module in (dynamics, baselines):
+        real = module.shift_boundary
+        monkeypatch.setattr(module, "shift_boundary",
+                            lambda *args, real=real: calls.append(1) or real(*args))
+    cf_field = configs.GridSpec(length=32, dx=2e-4).new_field(configs.reference_init_profile())
+    runs = [lambda: dynamics.simulate(configs.reference_model_params(), cf_field, 40, 1.0, 3),
+            lambda: run_baseline(configs.cs_reference(), configs.cs_reference_field(), 40, 3),
+            lambda: run_baseline(configs.kstt_reference(), configs.kstt_reference_field(), 40, 3)]
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == 40

@@ -124,6 +124,14 @@ class TestSimulate:
         ({"tau": True}, "tau"),
         ({"tau": 10**400}, "tau"),
         ({"grid": {"dx": math.inf}}, "grid.dx"),
+        # a profile parameter must be a finite number; exp_decay's length_scale positive
+        ({"sigma_in": {**CONST, "value": math.nan}}, "value"),
+        ({"init_profile": {**CONST, "value": math.nan}}, "value"),
+        ({"sigma_in": {"kind": "exp_decay", "amplitude": 0.05, "length_scale": 0.0}}, "length_scale"),
+        ({"sigma_in": {"kind": "exp_decay", "amplitude": 0.05, "length_scale": math.nan}},
+         "length_scale"),
+        ({"activity": {**ACTIVITY, "k_inf_in": {**CONST, "value": math.inf}}}, "value"),
+        ({"sigma_in": {**CONST, "value": "a"}}, "value"),
         # deleted options
         ({"noise_time_scaling": "linear"}, "noise_time_scaling"),
         ({"sigma_in": {"kind": "hump", "amplitude": 0.05, "peak_x": 0.02}}, "hump"),

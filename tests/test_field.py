@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from bookfield import profiles
+from bookfield import configs, profiles
+from bookfield.baselines import run_baseline
+from bookfield.dynamics import step
 from bookfield.field import (
     MarketOrderParams,
     OrderBookField,
@@ -41,8 +43,9 @@ def test_new_field_invalid_args(length, dx):
 
 
 def test_new_field_negative_profile_rejected():
-    with pytest.raises(ValueError):
-        new_field(8, 0.1, lambda x: np.full_like(x, -1.0))
+    for value in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            new_field(8, 0.1, lambda x: np.full_like(x, value))
 
 
 def _random_field(seed=0, length=64, dx=0.001):
@@ -182,7 +185,36 @@ def test_nan_trend_constants_rejected(build, condition):
 
 
 def test_field_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="equal length"):
         OrderBookField(bid=np.zeros(8), ask=np.zeros(7), dx=0.1)
-    with pytest.raises(ValueError):
-        OrderBookField(bid=-np.ones(8), ask=np.ones(8), dx=0.1)
+    with pytest.raises(ValueError, match="equal length"):
+        OrderBookField(bid=np.zeros(8), ask=np.zeros((2, 4)), dx=0.1)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            OrderBookField(bid=np.ones(8), ask=np.full(8, bad), dx=0.1)
+
+
+def _views_book(f):
+    return (f.book.shape == (2, f.length) and np.shares_memory(f.bid, f.book)
+            and np.shares_memory(f.ask, f.book))
+
+
+def test_bid_and_ask_stay_views_of_the_book():
+    f = configs.GridSpec(length=16, dx=2e-4).new_field(configs.reference_init_profile())
+    assert _views_book(f)
+    g = f.copy()
+    assert _views_book(g) and not np.shares_memory(g.book, f.book)
+    shift_boundary(f, 2.5e-4)
+    assert _views_book(f) and f.ask[-1] == 0.0  # shifted one cell through the views
+    f, _ = step(f, 0.0, configs.reference_model_params(), 1.0, np.random.default_rng(0))
+    assert _views_book(f)
+    res = run_baseline(configs.cs_reference(), configs.cs_reference_field(), steps=1, seed=1)
+    assert _views_book(res.final_field)
+
+
+def test_field_copies_its_input():
+    bid, ask = np.ones(8), np.full(8, 2.0)
+    f = OrderBookField(bid=bid, ask=ask, dx=0.1)
+    bid[:] = 7.0
+    ask[:] = 7.0
+    assert np.all(f.bid == 1.0) and np.all(f.ask == 2.0)
