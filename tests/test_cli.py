@@ -124,6 +124,9 @@ class TestSimulate:
         ({"tau": True}, "tau"),
         ({"tau": 10**400}, "tau"),
         ({"grid": {"dx": math.inf}}, "grid.dx"),
+        # deleted options
+        ({"noise_time_scaling": "linear"}, "noise_time_scaling"),
+        ({"sigma_in": {"kind": "hump", "amplitude": 0.05, "peak_x": 0.02}}, "hump"),
         # a profile parameter must be a finite number; exp_decay's length_scale positive
         ({"sigma_in": {**CONST, "value": math.nan}}, "value"),
         ({"init_profile": {**CONST, "value": math.nan}}, "value"),
@@ -132,9 +135,6 @@ class TestSimulate:
          "length_scale"),
         ({"activity": {**ACTIVITY, "k_inf_in": {**CONST, "value": math.inf}}}, "value"),
         ({"sigma_in": {**CONST, "value": "a"}}, "value"),
-        # deleted options
-        ({"noise_time_scaling": "linear"}, "noise_time_scaling"),
-        ({"sigma_in": {"kind": "hump", "amplitude": 0.05, "peak_x": 0.02}}, "hump"),
     ])
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, config, key):
         cfg = tmp_path / "cfg.json"
