@@ -86,7 +86,6 @@ class _PointProcessEngine:
                 book += rng.poisson(rates)
                 return params.mo_volume, params.mo_volume
         else:
-            params.activity.validate_on(x)
             consts = []
             for name, vals in zip(("k0_in", "k_inf_in", "k1_in", "v0_in"),
                                   params.activity.evaluate(x)):
@@ -120,7 +119,7 @@ class _PointProcessEngine:
         book[1, 0] = ask0 = ask0 - eaten_ask
         n0 = bid0 + ask0
         v = (eaten_ask - eaten_bid) / max(n0, p.n0_floor)
-        _, spill = shift_boundary(field, v)
+        spill = shift_boundary(field, v)
         field.t += 1.0
         return v, n0, eaten_ask, eaten_bid, spill
 

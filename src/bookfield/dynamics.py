@@ -66,7 +66,6 @@ __all__ = [
     "step",
     "run_ticks",
     "simulate",
-    "check_stability",
 ]
 
 # Ticks of noise the CF engine draws and scales at once; see the module docstring.
@@ -128,23 +127,12 @@ def _velocity(bid, ask, v_prev, p, d3, dx) -> float:
     return (j + ga - gb) / max(n0, p.n0_floor)
 
 
-def check_stability(params: ModelParams, length: int, dx: float, dt: float) -> None:
-    """Raise before any mutation if the diffusion bound or tick bound is violated."""
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    if dt > params.tau:
-        raise ValueError(f"dt={dt} exceeds the tick tau={params.tau}")
-    x = np.arange(length) * dx
-    dmax = float(np.max(np.asarray(params.diffusion(x), dtype=float)))
-    if dmax * dt / dx**2 > 0.5 + 1e-12:
-        raise ValueError(
-            f"diffusion stability bound violated: max D*dt/dx^2 = {dmax * dt / dx**2:.3g} > 0.5"
-        )
-
-
 class _TickEngine:
     """Per-grid precomputation and the CF tick update.
 
+    Building it checks, before any state changes: dt > 0 and dt <= tau; then
+    sigma_in, sigma_out and diffusion, each evaluated once on x = i*dx, are
+    finite and nonnegative; then the stability bound holds on that diffusion.
     ``tick`` is the run_ticks interface: it takes the noise of a run of ``steps``
     ticks from ``rng``, NOISE_CHUNK ticks at a time, each chunk scaled once by
     ``folds``.  ``place(book, v, xi)``, fixed when the engine is built, adds
@@ -156,23 +144,33 @@ class _TickEngine:
 
     def __init__(self, params: ModelParams, length: int, dx: float, dt: float,
                  rng: np.random.Generator, steps: int):
-        check_stability(params, length, dx, dt)
-        params.validate_on(np.arange(length) * dx)
+        if not (dt > 0.0):
+            raise ValueError(f"dt must be positive, got {dt}")
+        if dt > params.tau:
+            raise ValueError(f"dt={dt} exceeds the tick tau={params.tau}")
+        x = np.arange(length) * dx
+        on_grid = []
+        for name in ("sigma_in", "sigma_out", "diffusion"):
+            vals = np.asarray(getattr(params, name)(x), dtype=float)
+            if not np.all(np.isfinite(vals) & (vals >= 0.0)):
+                raise ValueError(f"{name}(x) must be finite and nonnegative over the grid")
+            on_grid.append(vals)
+        sigma_in, sigma_out, self.d_arr = on_grid
+        ratio = float(np.max(self.d_arr)) * dt / dx**2
+        if ratio > 0.5 + 1e-12:
+            raise ValueError(f"diffusion stability bound violated: max D*dt/dx^2 = {ratio:.3g} > 0.5")
         self.p = params
         self.dx = dx
         self.dt = dt
-        x = np.arange(length) * dx
-        self.d_arr = np.asarray(params.diffusion(x), dtype=float)
         self.c_diff = dt / dx**2
         self.mo_frac = dt / params.tau
         scale_in = params.stable.scale * dt
-        scale_out = np.asarray(params.sigma_out(x), dtype=float) * dt * params.stable.scale
+        scale_out = sigma_out * dt * params.stable.scale
         # Applied to each chunk in order: scale_out * zeta, and (sigma_in * xi) * scale_in
         # for static placement, the operand order of the per-tick products they replace.
         self.folds = [(slice(2, 4), scale_out)]
         if params.activity is None:
-            s = np.asarray(params.sigma_in(x), dtype=float)
-            self.folds += [(slice(0, 2), s), (slice(0, 2), scale_in)]
+            self.folds += [(slice(0, 2), sigma_in), (slice(0, 2), scale_in)]
 
             def place(book, v, xi):
                 book += xi
@@ -230,7 +228,7 @@ class _TickEngine:
         n0 = float(bid[0] + ask[0])
         v = _velocity(bid, ask, v_prev, p, self.d_arr[:3], self.dx)
         try:
-            _, spill = shift_boundary(field, v * self.dt)
+            spill = shift_boundary(field, v * self.dt)
         except ValueError as exc:
             raise NumericError(f"velocity {v:.6g} outgrew the grid: {exc}") from None
         field.t += self.dt

@@ -62,7 +62,7 @@ class OrderBookField:
         if bid.shape != ask.shape or bid.ndim != 1:
             raise ValueError("bid and ask must be 1-d arrays of equal length")
         if len(bid) < 4:
-            raise ValueError(f"field needs at least 4 cells, got {len(bid)}")
+            raise ValueError(f"length must be >= 4, got {len(bid)}")
         if not (self.dx > 0.0):
             raise ValueError(f"dx must be positive, got {self.dx}")
         self.book = np.stack((bid, ask))
@@ -91,7 +91,7 @@ class OrderBookField:
                               fractional_offset=self.fractional_offset)
 
 
-def check_trend_constants(k0, k_inf, k1, v0, where: str = "") -> None:
+def check_trend_constants(k0, k_inf, k1, v0, where: str) -> None:
     """Require v0 > 0, k0 >= 0, k1 >= 0, k_inf >= k1 of numbers or grid arrays; NaN fails.
 
     The ValueError names ``where`` and the failed condition, never the values.
@@ -99,7 +99,7 @@ def check_trend_constants(k0, k_inf, k1, v0, where: str = "") -> None:
     for holds, condition in ((v0 > 0.0, "v0 > 0"), (k0 >= 0.0, "k0 >= 0"),
                              (k1 >= 0.0, "k1 >= 0"), (k_inf >= k1, "k_inf >= k1")):
         if not np.all(holds):
-            raise ValueError(f"{where + ': ' if where else ''}{condition} required (NaN fails it)")
+            raise ValueError(f"{where}: {condition} required (NaN fails it)")
 
 
 @dataclass(frozen=True)
@@ -125,12 +125,14 @@ class PlacementActivityParams:
     v0_in: Profile
 
     def evaluate(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(k0, k_inf, k1, v0) at x, in the argument order of dynamics.trend_response."""
-        return tuple(np.asarray(f(x), dtype=float)
-                     for f in (self.k0_in, self.k_inf_in, self.k1_in, self.v0_in))
+        """(k0, k_inf, k1, v0) at x, in the argument order of dynamics.trend_response.
 
-    def validate_on(self, x: np.ndarray) -> None:
-        check_trend_constants(*self.evaluate(x), "activity profiles on the grid")
+        They pass check_trend_constants, so no caller runs on unchecked constants.
+        """
+        consts = tuple(np.asarray(f(x), dtype=float)
+                       for f in (self.k0_in, self.k_inf_in, self.k1_in, self.v0_in))
+        check_trend_constants(*consts, "activity profiles on the grid")
+        return consts
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,9 @@ class ModelParams:
     function evaluated per side.  A step of dt scales the stable placement and
     cancellation increments by dt: the tick is the native unit of the
     empirical fits.
+
+    Only the scalars are checked here; the CF engine in ``dynamics`` checks
+    the profiles on the grid of its run.
     """
 
     stable: StableParams
@@ -159,22 +164,9 @@ class ModelParams:
         if not (self.n0_floor > 0.0):
             raise ValueError(f"n0_floor must be positive, got {self.n0_floor}")
 
-    def validate_on(self, x: np.ndarray) -> None:
-        """Check the profiles are finite and nonnegative over the grid the simulation will use."""
-        for name in ("sigma_in", "sigma_out", "diffusion"):
-            vals = np.asarray(getattr(self, name)(x), dtype=float)
-            if not np.all(np.isfinite(vals) & (vals >= 0.0)):
-                raise ValueError(f"{name}(x) must be finite and nonnegative over the grid")
-        if self.activity is not None:
-            self.activity.validate_on(x)
-
 
 def new_field(length: int, dx: float, init_profile: Callable[[np.ndarray], np.ndarray]) -> OrderBookField:
     """Create a field with both sides initialized to init_profile(x) at the cells x = i*dx."""
-    if length < 4:
-        raise ValueError(f"length must be >= 4, got {length}")
-    if not (dx > 0.0):
-        raise ValueError(f"dx must be positive, got {dx}")
     x = np.arange(length) * dx
     vals = np.asarray(init_profile(x), dtype=float)
     if not np.all(np.isfinite(vals) & (vals >= 0.0)):
@@ -198,11 +190,11 @@ def _shift_away_from_boundary(arr: np.ndarray, k: int) -> None:
     arr[-1] += pile
 
 
-def shift_boundary(field: OrderBookField, d_logprice: float) -> tuple[OrderBookField, BoundarySpill]:
+def shift_boundary(field: OrderBookField, d_logprice: float) -> BoundarySpill:
     """Advect both sides by a log-price change, mutating the field in place.
 
-    Returns the (possibly unchanged) field and the volume spilled past x = 0
-    on each side, for market-order accounting by the caller.
+    Returns the volume spilled past x = 0 on each side, for market-order
+    accounting by the caller.
     """
     half = field.extent / 2.0
     if not (abs(d_logprice) < half):
@@ -211,11 +203,14 @@ def shift_boundary(field: OrderBookField, d_logprice: float) -> tuple[OrderBookF
         )
     total = field.fractional_offset + d_logprice
     k = math.floor(total / field.dx)
-    field.fractional_offset = total - k * field.dx
-    # Guard against float roundoff pushing the offset onto dx exactly.
-    if field.fractional_offset >= field.dx:
-        field.fractional_offset -= field.dx
+    offset = total - k * field.dx
+    # Float roundoff can put the offset on dx (carry a cell) or just below 0 (clamp).
+    if offset >= field.dx:
+        offset -= field.dx
         k += 1
+    elif offset < 0.0:
+        offset = 0.0
+    field.fractional_offset = offset
     if abs(k) >= field.length // 2:
         raise ValueError(f"shift of {abs(k)} cells exceeds half the grid ({field.length} cells)")
     spill = [0.0, 0.0]
@@ -223,4 +218,4 @@ def shift_boundary(field: OrderBookField, d_logprice: float) -> tuple[OrderBookF
         toward = 1 if k > 0 else 0  # a rise moves the ask (row 1) toward x = 0
         spill[toward] = _shift_toward_boundary(field.book[toward], abs(k))
         _shift_away_from_boundary(field.book[1 - toward], abs(k))
-    return field, BoundarySpill(*spill)
+    return BoundarySpill(*spill)

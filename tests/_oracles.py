@@ -91,6 +91,8 @@ def per_side_point_process(params, bid, ask, dx: float, steps: int, rng: np.rand
         if offset >= dx:
             offset -= dx
             k += 1
+        elif offset < 0.0:
+            offset = 0.0
         spill = {"bid": 0.0, "ask": 0.0}
         if k:
             near, arr, other, kk = ("ask", ask, bid, k) if k > 0 else ("bid", bid, ask, -k)

@@ -367,3 +367,29 @@ class TestGenSynthetic:
         with open(out) as fh:
             recs = parse_market_orders(fh)
         assert len(recs) == 500
+
+
+@pytest.mark.parametrize("config, args, code, needle", [
+    ({"sigma_out": {**CONST, "value": -0.004}}, None, 2, "sigma_out(x)"),
+    ({"diffusion": {**CONST, "value": -1e-9}}, None, 2, "diffusion(x)"),
+    ({"dt": 2.0}, None, 2, "tau"),
+    ({"diffusion": {**CONST, "value": 1e-6}}, None, 2, "stability bound violated: max D*dt/dx^2 = 25"),
+    (None, ["fp", "--k0", "1", "--k-inf", "0.3", "--k1", "0.25", "--v0", "1", "--n0", "0.5"],
+     0, "tail exponent 2.5"),
+], ids=["negative-sigma-out", "negative-diffusion", "dt-above-tau", "unstable-diffusion",
+        "fp-divergent-variance"])
+def test_model_checks_reached_from_the_cli(tmp_path, capsys, config, args, code, needle):
+    # A cf config the engine rejects exits 2 before writing anything; an fp
+    # tail too heavy for a second moment reports the variance as null.
+    out = tmp_path / "out"
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = ["simulate", "--config", str(cfg), "--steps", "10"]
+    assert run([*args, "--out", str(out)]) == code
+    if code:
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        rep = json.loads((out / "regime_report.json").read_text())
+        assert rep["variance"] is None and needle in rep["variance_note"]

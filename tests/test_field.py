@@ -59,7 +59,7 @@ def _random_field(seed=0, length=64, dx=0.001):
 def test_shift_zero_is_identity():
     f = _random_field()
     bid0, ask0 = f.bid.copy(), f.ask.copy()
-    _, spill = shift_boundary(f, 0.0)
+    spill = shift_boundary(f, 0.0)
     assert spill.bid == 0.0 and spill.ask == 0.0
     assert np.array_equal(f.bid, bid0)
     assert np.array_equal(f.ask, ask0)
@@ -68,7 +68,7 @@ def test_shift_zero_is_identity():
 def test_price_rise_moves_ask_toward_boundary():
     f = _random_field(seed=5)
     bid0, ask0 = f.bid.copy(), f.ask.copy()
-    _, spill = shift_boundary(f, f.dx)
+    spill = shift_boundary(f, f.dx)
     # ask advanced one cell toward x=0; its old boundary cell spilled
     assert spill.ask == pytest.approx(float(ask0[0]))
     assert spill.bid == 0.0
@@ -82,7 +82,7 @@ def test_price_rise_moves_ask_toward_boundary():
 
 def test_uniform_field_interior_unchanged_spill_one_cell():
     f = new_field(16, 0.01, lambda x: np.full_like(x, 2.0))
-    _, spill = shift_boundary(f, 0.01)
+    spill = shift_boundary(f, 0.01)
     assert spill.ask == pytest.approx(2.0)
     assert np.all(f.ask[:-1] == 2.0)
     assert np.all(f.bid[1:-1] == 2.0)
@@ -91,9 +91,9 @@ def test_uniform_field_interior_unchanged_spill_one_cell():
 def test_two_half_shifts_equal_one_full_shift():
     f1 = _random_field(seed=11)
     f2 = f1.copy()
-    _, sa = shift_boundary(f1, f1.dx / 2)
-    _, sb = shift_boundary(f1, f1.dx / 2)
-    _, sc = shift_boundary(f2, f2.dx)
+    sa = shift_boundary(f1, f1.dx / 2)
+    sb = shift_boundary(f1, f1.dx / 2)
+    sc = shift_boundary(f2, f2.dx)
     assert np.allclose(f1.bid, f2.bid, rtol=1e-12, atol=0.0)
     assert np.allclose(f1.ask, f2.ask, rtol=1e-12, atol=0.0)
     assert sa.ask + sb.ask == pytest.approx(sc.ask, rel=1e-12)
@@ -103,10 +103,10 @@ def test_two_half_shifts_equal_one_full_shift():
 def test_shift_conserves_volume_minus_spill():
     f = _random_field(seed=21)
     tb, ta = f.bid.sum(), f.ask.sum()
-    _, spill = shift_boundary(f, 3.4 * f.dx)
+    spill = shift_boundary(f, 3.4 * f.dx)
     assert f.bid.sum() == pytest.approx(tb - spill.bid, rel=1e-10)
     assert f.ask.sum() == pytest.approx(ta - spill.ask, rel=1e-10)
-    _, spill2 = shift_boundary(f, -5.7 * f.dx)
+    spill2 = shift_boundary(f, -5.7 * f.dx)
     assert f.bid.sum() == pytest.approx(tb - spill.bid - spill2.bid, rel=1e-10)
 
 
@@ -150,6 +150,16 @@ def test_negative_fraction_shifts_immediately():
     assert np.array_equal(f.ask[1:-1], ask0[:-2])
 
 
+def test_offset_rounding_onto_a_cell_edge_stays_in_range():
+    # total / dx rounds onto -3 exactly, and total - k dx comes out at -3.5e-18
+    f = new_field(16, 0.01, lambda x: np.full_like(x, 2.0))
+    f.fractional_offset = 0.0028683322407611457
+    spill = shift_boundary(f, -0.03286833224076115)
+    assert f.fractional_offset == 0.0
+    assert spill.bid == 6.0  # three bid cells crossed x = 0
+    f.copy()
+
+
 def test_nonnegativity_preserved():
     f = _random_field(seed=50)
     for d in (0.7 * f.dx, -2.3 * f.dx, 5.1 * f.dx):
@@ -169,7 +179,7 @@ def test_market_order_params_validation():
 
 def _nan_v0_activity_on_grid():
     activity = PlacementActivityParams(*(profiles.constant(c) for c in (0.4, 0.5, 0.3, np.nan)))
-    activity.validate_on(np.arange(16) * 0.01)
+    activity.evaluate(np.arange(16) * 0.01)
 
 
 @pytest.mark.parametrize("build, condition", [
