@@ -17,9 +17,7 @@ from .baselines import CSParams, KSTTParams, run_baseline
 from .dynamics import (
     SimulationResult,
     StepRecord,
-    compute_velocity,
     market_order_rate,
-    order_imbalance,
     simulate,
     step,
 )

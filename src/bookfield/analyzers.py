@@ -43,7 +43,7 @@ __all__ = [
 
 _FIT_SEED = 718293  # fixed so analyzers stay deterministic per input
 _FIT_MAX_NFEV = 4000  # residual evaluations per start of the market-order fit
-_MIN_BIN_SAMPLES = 1000
+_MIN_BIN_SAMPLES = 1000  # conditioning bins of conditional_delta_distribution with fewer are dropped
 _DELTA_BINS = 40  # mirrored log bins of Delta n in conditional_delta_distribution
 _MEAN_DELTA_BINS = 12  # log volume bins of mean_delta_vs_n
 _RETURN_BINS = 60  # log bins of the return pdf
@@ -228,25 +228,20 @@ def _mirrored_delta_edges(deltas: np.ndarray, count: int) -> np.ndarray:
 def conditional_delta_distribution(
     frame: SeriesFrame,
     x: float,
-    n_bin_edges: np.ndarray | int,
+    n_bins: int,
     dt: float,
-    min_samples: int = _MIN_BIN_SAMPLES,
 ) -> HistogramFamily:
     """P(Delta n | n) of bid volume at x: one normalized histogram per conditioning bin.
 
-    Conditioning bins with fewer than min_samples observations are dropped and
-    flagged in ``kept``.
+    The n_bins conditioning bins are log-spaced over the observed volumes; those
+    with fewer than _MIN_BIN_SAMPLES observations are dropped and flagged in ``kept``.
     """
     lag = _lag_steps(frame, dt)
     now, delta = _lagged(frame, frame.bid[:, _bin_column(frame, x)], lag)
-    if isinstance(n_bin_edges, (int, np.integer)):
-        n_edges = _log_bins(now, int(n_bin_edges))
-    else:
-        n_edges = np.asarray(n_bin_edges, dtype=float)
+    n_edges = _log_bins(now, n_bins)
     d_edges = _mirrored_delta_edges(delta, _DELTA_BINS)
     centers = 0.5 * (d_edges[:-1] + d_edges[1:])
     widths = np.diff(d_edges)
-    n_bins = len(n_edges) - 1
     densities = np.zeros((n_bins, len(centers)))
     counts = np.zeros(n_bins, dtype=int)
     kept = np.zeros(n_bins, dtype=bool)
@@ -254,7 +249,7 @@ def conditional_delta_distribution(
     for i in range(n_bins):
         sel = delta[which == i]
         counts[i] = len(sel)
-        if counts[i] < min_samples:
+        if counts[i] < _MIN_BIN_SAMPLES:
             continue
         kept[i] = True
         hist, _ = np.histogram(sel, bins=d_edges)
@@ -268,7 +263,7 @@ def conditional_delta_distribution(
         densities=densities,
         counts=counts,
         kept=kept,
-        meta={"x": x, "side": "bid", "dt": dt, "lag_steps": lag, "min_samples": min_samples},
+        meta={"x": x, "side": "bid", "dt": dt, "lag_steps": lag, "min_samples": _MIN_BIN_SAMPLES},
     )
 
 

@@ -52,6 +52,14 @@ def _input_file(path: str, what: str) -> Path:
     return Path(path)
 
 
+def _positive(text: str) -> float:
+    """argparse type of a length or a time: a finite number > 0 (NaN fails)."""
+    value = float(text)
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -243,9 +251,11 @@ def cmd_analyze(args) -> int:
     if bad:
         raise ValueError(f"unknown statistic(s) {bad}; valid names: {', '.join(STATISTICS)}")
     frame = _frame_from_args(args)
+    dt = args.lag if args.lag is not None else frame.dt_sample
+    if args.lag is not None:  # a lag below the sampling interval fails before any output
+        analyzers._lag_steps(frame, dt)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dt = args.lag if args.lag is not None else frame.dt_sample
     written = []
     for stat in wanted:
         try:
@@ -394,16 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
     frame_source.add_argument("--records", help="step-record JSONL file from simulate")
     frame_source.add_argument("--snapshots", help="snapshot JSONL file")
     frame_source.add_argument("--market-orders", help="market-order CSV aligned with snapshots")
-    frame_source.add_argument("--dx", type=float, default=2e-4,
+    frame_source.add_argument("--dx", type=_positive, default=2e-4,
                               help="lattice spacing for snapshot gridding")
-    frame_source.add_argument("--L", type=float, default=0.05,
+    frame_source.add_argument("--L", type=_positive, default=0.05,
                               help="lattice extent for snapshot gridding")
-    frame_source.add_argument("--dt", type=float, default=None,
+    frame_source.add_argument("--dt", type=_positive, default=None,
                               help="frame build interval for snapshots (default: median spacing)")
 
     p = sub.add_parser("analyze", parents=[frame_source],
                        help="compute statistics from records or snapshots")
-    p.add_argument("--lag", type=float, default=None, help="lag for delta statistics")
+    p.add_argument("--lag", type=_positive, default=None, help="lag for delta statistics")
     p.add_argument("--stats", default="", help=f"comma list of: {', '.join(STATISTICS)} (default all)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)

@@ -20,11 +20,11 @@ one tanh/sech law, ``trend_response``; the CF engine, the comparison models
 and the market-order fit all call it, and ``market_order_rate`` is its
 reading for MarketOrderParams.
 
-``step`` advances a field once and reports a full StepRecord (including
-per-cell volume changes).  ``run_ticks`` is the one run loop of the package:
-it records ``steps`` ticks of an engine -- the CF engine here, the CS/KSTT
-engine in ``baselines`` -- into a SimulationResult.  ``simulate`` is the CF
-engine plus ``run_ticks``; ``step`` is a one-tick CF engine.  Each engine
+``run_ticks`` is the one run loop of the package: it records ``steps``
+ticks of an engine -- the CF engine here, the CS/KSTT engine in
+``baselines`` -- into a SimulationResult.  ``simulate`` is the CF engine plus
+``run_ticks``; ``step`` is a one-tick CF engine that returns the tick's
+scalars as a StepRecord (no per-cell volume changes).  Each engine
 picks its model once, when it is built, not on every tick (CF: static or
 velocity-coupled placement).
 
@@ -61,8 +61,6 @@ __all__ = [
     "SimulationResult",
     "trend_response",
     "market_order_rate",
-    "order_imbalance",
-    "compute_velocity",
     "step",
     "run_ticks",
     "simulate",
@@ -79,8 +77,6 @@ class StepRecord:
     n0: float
     mo_buy: float
     mo_sell: float
-    delta_bid: np.ndarray
-    delta_ask: np.ndarray
     spill_bid: float = 0.0
     spill_ask: float = 0.0
 
@@ -107,20 +103,11 @@ def market_order_rate(v: float, p: MarketOrderParams) -> tuple[float, float]:
     return float(buy), float(sell)
 
 
-def order_imbalance(v: float, p: MarketOrderParams) -> float:
-    """Buy-minus-sell market-order volume before clamping: 2 k0 v0 tanh(v/v0)."""
-    return 2.0 * p.k0 * p.v0 * float(np.tanh(v / p.v0))
-
-
-def compute_velocity(field: OrderBookField, v_prev: float, p: ModelParams) -> float:
-    """Boundary continuity balance: v = [J(v_prev) + dx(D n_ask)(0) - dx(D n_bid)(0)] / n0."""
-    d = np.asarray(p.diffusion(field.x[:3]), dtype=float)
-    return _velocity(field.bid, field.ask, v_prev, p, d, field.dx)
-
-
 def _velocity(bid, ask, v_prev, p, d3, dx) -> float:
+    """Boundary continuity balance: v = [J(v_prev) + dx(D n_ask)(0) - dx(D n_bid)(0)] / n0."""
     n0 = float(bid[0] + ask[0])
-    j = order_imbalance(v_prev, p.mo)
+    # J: buy-minus-sell market-order volume before clamping; d3 is D at cells 0..2
+    j = 2.0 * p.mo.k0 * p.mo.v0 * float(np.tanh(v_prev / p.mo.v0))
     # One-sided second-order gradients of D*n at x = 0.
     gb = (-3.0 * d3[0] * bid[0] + 4.0 * d3[1] * bid[1] - d3[2] * bid[2]) / (2.0 * dx)
     ga = (-3.0 * d3[0] * ask[0] + 4.0 * d3[1] * ask[1] - d3[2] * ask[2]) / (2.0 * dx)
@@ -242,13 +229,11 @@ def step(
     dt: float,
     rng: np.random.Generator,
 ) -> tuple[OrderBookField, StepRecord]:
-    """Advance the field one tick, returning it with a complete StepRecord."""
+    """Advance the field one tick in place, returning it with the tick's StepRecord."""
     engine = _TickEngine(params, field.length, field.dx, dt, rng, steps=1)
-    book0 = field.book.copy()
     v, n0, mo_buy, mo_sell, spill = engine.tick(field, v_prev)
-    delta = field.book - book0
-    rec = StepRecord(t=field.t, v=v, n0=n0, mo_buy=mo_buy, mo_sell=mo_sell, delta_bid=delta[0],
-                     delta_ask=delta[1], spill_bid=spill.bid, spill_ask=spill.ask)
+    rec = StepRecord(t=field.t, v=v, n0=n0, mo_buy=mo_buy, mo_sell=mo_sell,
+                     spill_bid=spill.bid, spill_ask=spill.ask)
     return field, rec
 
 

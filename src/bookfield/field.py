@@ -167,10 +167,7 @@ class ModelParams:
 
 def new_field(length: int, dx: float, init_profile: Callable[[np.ndarray], np.ndarray]) -> OrderBookField:
     """Create a field with both sides initialized to init_profile(x) at the cells x = i*dx."""
-    x = np.arange(length) * dx
-    vals = np.asarray(init_profile(x), dtype=float)
-    if not np.all(np.isfinite(vals) & (vals >= 0.0)):
-        raise ValueError("init_profile must be finite and nonnegative on the grid")
+    vals = init_profile(np.arange(length) * dx)
     return OrderBookField(bid=vals, ask=vals, dx=dx)
 
 
@@ -194,7 +191,8 @@ def shift_boundary(field: OrderBookField, d_logprice: float) -> BoundarySpill:
     """Advect both sides by a log-price change, mutating the field in place.
 
     Returns the volume spilled past x = 0 on each side, for market-order
-    accounting by the caller.
+    accounting by the caller.  A change too large for the grid raises
+    ValueError and leaves the field as it was.
     """
     half = field.extent / 2.0
     if not (abs(d_logprice) < half):
@@ -210,9 +208,9 @@ def shift_boundary(field: OrderBookField, d_logprice: float) -> BoundarySpill:
         k += 1
     elif offset < 0.0:
         offset = 0.0
-    field.fractional_offset = offset
     if abs(k) >= field.length // 2:
         raise ValueError(f"shift of {abs(k)} cells exceeds half the grid ({field.length} cells)")
+    field.fractional_offset = offset
     spill = [0.0, 0.0]
     if k:
         toward = 1 if k > 0 else 0  # a rise moves the ask (row 1) toward x = 0

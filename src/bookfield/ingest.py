@@ -37,7 +37,6 @@ __all__ = [
     "SnapshotRecord",
     "MarketOrderRecord",
     "ParseReport",
-    "OverflowTotals",
     "parse_snapshots",
     "write_snapshots",
     "parse_market_orders",
@@ -47,7 +46,6 @@ __all__ = [
     "write_step_records",
     "read_step_records_frame",
     "write_density_csv",
-    "read_density_csv",
     "write_curve_csv",
     "write_histogram_family_csv",
     "write_return_distribution_csv",
@@ -203,38 +201,26 @@ def write_market_orders(records: Iterable[MarketOrderRecord], out: TextIO) -> No
         _write_rows(out, 3, tuple(chain.from_iterable(block)))
 
 
-@dataclass
-class OverflowTotals:
-    bid: float = 0.0
-    ask: float = 0.0
-
-
-def to_log_grid(
-    record: SnapshotRecord, dx: float, L: float
-) -> tuple[np.ndarray, np.ndarray, OverflowTotals]:
-    """Accumulate ladder volumes into log-distance cells of width dx over [0, L).
+def to_log_grid(record: SnapshotRecord, dx: float, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulate ladder volumes into log-distance cells of width dx over [0, L): (bid, ask).
 
     Each order's distance is x = |ln(trade price) - ln(price)|, assigned to
-    cell floor(x / dx); volume beyond L goes to the overflow totals.
+    cell floor(x / dx); volume beyond L is dropped.
     """
     if not (dx > 0.0) or not (L > dx):
         raise ValueError("need dx > 0 and L > dx")
     n_cells = int(round(L / dx))
     lp = math.log(record.trade_price)
-    grids, spills = [], []
+    grids = []
     for ladder in (record.bids, record.asks):
         cells = np.zeros(n_cells)
-        spill = 0.0
         for price, vol in ladder:
             x = abs(lp - math.log(price))
             i = int(math.floor(x / dx))
             if i < n_cells:
                 cells[i] += vol
-            else:
-                spill += vol
         grids.append(cells)
-        spills.append(spill)
-    return grids[0], grids[1], OverflowTotals(*spills)
+    return grids[0], grids[1]
 
 
 def build_frame(
@@ -265,7 +251,7 @@ def build_frame(
     ask = np.empty((T, n_cells))
     prices = np.empty(T)
     for i, r in enumerate(recs):
-        bid[i], ask[i], _ = to_log_grid(r, dx, L)
+        bid[i], ask[i] = to_log_grid(r, dx, L)
         prices[i] = r.trade_price
     logp = np.log(prices)
     gaps = np.diff(ts)
@@ -465,29 +451,6 @@ def write_density_csv(density: ReturnDensity, out: TextIO, meta: dict | None = N
     if meta:
         m.update(meta)
     _write_csv(out, m, {"v": density.grid, "p": density.density})
-
-
-def read_density_csv(lines: Iterable[str]) -> ReturnDensity:
-    it = iter(lines)
-    first = next(it).strip()
-    if not first.startswith("#"):
-        raise DataError("density CSV must start with a JSON metadata comment")
-    meta = json.loads(first[1:].strip())
-    header = next(it).strip().split(",")
-    if header[:2] != ["v", "p"]:
-        raise DataError(f"unexpected density CSV columns {header}")
-    vs, ps = [], []
-    for line in it:
-        line = line.strip()
-        if not line:
-            continue
-        a, b = line.split(",")[:2]
-        vs.append(float(a))
-        ps.append(float(b))
-    return ReturnDensity(
-        grid=np.array(vs), density=np.array(ps),
-        normalization_check=float(meta.get("normalization_check", np.nan)),
-    )
 
 
 def write_curve_csv(curve: Curve, out: TextIO, name: str = "value") -> None:

@@ -56,8 +56,7 @@ def cf_run(steps=40_000, length=64, D=2e-9, sigma_out=0.004, seed=3, k0=2.0,
 class TestConditionalDeltaDistribution:
     def test_constant_series_point_mass_at_zero(self):
         frame = synthetic_frame(vol_fn=lambda rng, T, K: (np.ones((T, K)), np.ones((T, K))))
-        fam = conditional_delta_distribution(frame, 0.0, np.array([0.5, 1.5]), 1.0,
-                                             min_samples=100)
+        fam = conditional_delta_distribution(frame, 0.0, 1, 1.0)
         assert fam.kept[0]
         row = fam.densities[0]
         inner = (fam.delta_edges[:-1] < 0) & (fam.delta_edges[1:] > 0)
@@ -71,7 +70,7 @@ class TestConditionalDeltaDistribution:
             return base, base.copy()
 
         frame = synthetic_frame(T=60_000, vol_fn=vol, seed=4)
-        fam = conditional_delta_distribution(frame, 0.0, 1, 1.0, min_samples=1000)
+        fam = conditional_delta_distribution(frame, 0.0, 1, 1.0)
         i = np.argmax(fam.kept)
         dens = fam.densities[i]
         edges = fam.delta_edges
@@ -83,7 +82,7 @@ class TestConditionalDeltaDistribution:
 
     def test_histograms_integrate_to_one(self):
         frame = synthetic_frame(T=20_000, seed=5)
-        fam = conditional_delta_distribution(frame, 0.0, 3, 1.0, min_samples=200)
+        fam = conditional_delta_distribution(frame, 0.0, 3, 1.0)
         for i in range(len(fam.kept)):
             if fam.kept[i]:
                 mass = np.sum(fam.densities[i] * np.diff(fam.delta_edges))

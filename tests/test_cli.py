@@ -206,6 +206,26 @@ class TestAnalyze:
         assert list(out.iterdir()) == []
 
 
+    @pytest.mark.parametrize("source, flags", [
+        ("records", ["--lag", "inf"]),
+        ("records", ["--lag", "nan"]),
+        ("records", ["--lag", "0.2"]),  # below the 1-tick sampling interval
+        ("snapshots", ["--L", "inf"]),
+    ], ids=["lag-inf", "lag-nan", "lag-below-sampling", "L-inf"])
+    def test_bad_lag_or_grid_flag_is_usage_error(self, tmp_path, source, flags):
+        path = tmp_path / source
+        if source == "records":
+            result = run_baseline(configs.cs_reference(), configs.cs_reference_field(),
+                                  steps=50, seed=1)
+            with open(path, "w") as fh:
+                ingest.write_step_records(result, fh)
+        else:
+            assert run(["gen-synthetic", "--kind", "snapshots", "--count", "50",
+                        "--out", str(path)]) == 0
+        out = tmp_path / "bad"
+        assert run(["analyze", f"--{source}", str(path), *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("change", [
         lambda line: line[: len(line) // 2],
         lambda line: edit_record(line, lambda rec: rec.pop("bid")),
@@ -289,11 +309,8 @@ class TestFp:
         out = tmp_path / "fpd"
         assert run(["fp", "--k0", "1.0", "--k-inf", "0.3", "--k1", "0.25",
                     "--v0", "1.0", "--n0", "1.2", "--out", str(out)]) == 0
-        from bookfield.ingest import read_density_csv
-
-        with open(out / "density.csv") as fh:
-            dens = read_density_csv(fh)
-        mass = np.trapezoid(dens.density, dens.grid)
+        v, p = np.loadtxt(out / "density.csv", delimiter=",", skiprows=2, unpack=True)
+        mass = np.trapezoid(p, v)
         assert 0.99 <= mass <= 1.01
 
     def test_invalid_params_usage_error(self, tmp_path):

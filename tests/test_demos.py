@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -27,3 +28,17 @@ def test_stationary_theory_demo_runs(tmp_path):
     proc = run_demo("03_stationary_theory.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "stationary_density.csv").exists()
+
+
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda p: p.name)
+def test_demo_imports_resolve(path):
+    # Demos 02 and 04 are too long to run here; this catches a deleted name they import.
+    # Each import statement runs on its own, so a submodule resolves as it does in the demo.
+    missing = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "bookfield":
+            try:
+                exec(ast.unparse(node), {})
+            except ImportError as exc:
+                missing.append(str(exc))
+    assert missing == []

@@ -5,9 +5,8 @@ from bookfield import configs, profiles
 from bookfield.dynamics import (
     NOISE_CHUNK,
     _TickEngine,
-    compute_velocity,
+    _velocity,
     market_order_rate,
-    order_imbalance,
     run_ticks,
     simulate,
     step,
@@ -102,23 +101,30 @@ class TestMarketOrderRate:
             assert sell_p == pytest.approx(buy_m, rel=1e-12, abs=1e-15)
 
 
+def imbalance(v, mo=MO):
+    """J(v) read off the velocity closure: no diffusion and n0 = 1, so v = J."""
+    params = make_params(k0=mo.k0, k_inf=mo.k_inf, k1=mo.k1, v0=mo.v0)
+    bid = ask = np.array([0.5, 0.0, 0.0])
+    return _velocity(bid, ask, v, params, np.zeros(3), 0.01)
+
+
 class TestOrderImbalance:
     def test_zero_at_zero(self):
-        assert order_imbalance(0.0, MO) == 0.0
+        assert imbalance(0.0) == 0.0
 
     def test_value_at_v0(self):
-        assert order_imbalance(MO.v0, MO) == pytest.approx(
+        assert imbalance(MO.v0) == pytest.approx(
             2.0 * MO.k0 * MO.v0 * np.tanh(1.0), rel=1e-12
         )
 
     def test_small_velocity_slope(self):
         v = 1e-9 * MO.v0
-        assert order_imbalance(v, MO) / v == pytest.approx(2.0 * MO.k0, rel=1e-6)
+        assert imbalance(v) / v == pytest.approx(2.0 * MO.k0, rel=1e-6)
 
     def test_odd_and_bounded(self):
         for v in np.linspace(-5, 5, 41):
-            j = order_imbalance(v, MO)
-            assert j == pytest.approx(-order_imbalance(-v, MO), abs=1e-15)
+            j = imbalance(v)
+            assert j == pytest.approx(-imbalance(-v), abs=1e-15)
             assert abs(j) <= 2.0 * MO.k0 * MO.v0 + 1e-15
 
 
@@ -161,62 +167,62 @@ class TestPlacementScale:
 
 
 class TestComputeVelocity:
+    """The closure ``_velocity`` on a field, with D at its first three cells."""
+
     def test_all_off_is_zero(self):
         params = make_params(k0=2.0, k_inf=1.0, k1=1.0)
         f = new_field(16, 0.01, lambda x: np.full_like(x, 3.0))
-        assert compute_velocity(f, 0.0, params) == 0.0
+        assert _velocity(f.bid, f.ask, 0.0, params, np.zeros(3), f.dx) == 0.0
 
     def test_definition_j_over_n0(self):
         params = make_params(k0=2.0, k_inf=1.0, k1=1.0)
         f = new_field(16, 0.01, lambda x: np.full_like(x, 3.0))
         v_prev = 0.3 * params.mo.v0
-        j = order_imbalance(v_prev, params.mo)
-        assert compute_velocity(f, v_prev, params) == pytest.approx(j / 6.0, rel=1e-12)
+        j = 2.0 * params.mo.k0 * params.mo.v0 * np.tanh(0.3)
+        v = _velocity(f.bid, f.ask, v_prev, params, np.zeros(3), f.dx)
+        assert v == pytest.approx(j / 6.0, rel=1e-12)
 
     def test_mirror_symmetric_books_cancel_gradients(self):
         params = make_params(k0=2.0, k_inf=1.0, k1=1.0, diffusion=4e-5)
         f = new_field(16, 0.01, lambda x: 1.0 + 10.0 * x)
         v_prev = 0.5 * params.mo.v0
-        j = order_imbalance(v_prev, params.mo)
+        j = imbalance(v_prev, params.mo)
         n0 = f.bid[0] + f.ask[0]
-        assert compute_velocity(f, v_prev, params) == pytest.approx(j / n0, rel=1e-12)
+        v = _velocity(f.bid, f.ask, v_prev, params, np.full(3, 4e-5), f.dx)
+        assert v == pytest.approx(j / n0, rel=1e-12)
 
     def test_velocity_parity_under_book_mirror(self):
         params = make_params(k0=2.0, k_inf=1.5, k1=1.0, diffusion=4e-5)
         rng = np.random.default_rng(7)
-        f = new_field(16, 0.01, lambda x: np.zeros_like(x))
-        f.bid[:] = rng.uniform(1, 5, 16)
-        f.ask[:] = rng.uniform(1, 5, 16)
-        v = compute_velocity(f, 0.2 * params.mo.v0, params)
-        g = f.copy()
-        g.book[:] = f.book[::-1]  # swap the sides in place; bid and ask stay views of book
-        v_m = compute_velocity(g, -0.2 * params.mo.v0, params)
+        bid, ask = rng.uniform(1, 5, (2, 16))
+        d3 = np.full(3, 4e-5)
+        v = _velocity(bid, ask, 0.2 * params.mo.v0, params, d3, 0.01)
+        v_m = _velocity(ask, bid, -0.2 * params.mo.v0, params, d3, 0.01)
         assert v_m == -v
 
     def test_floor_prevents_blowup(self):
         params = make_params(k0=2.0, k_inf=1.5, k1=1.0, n0_floor=0.5)
         f = new_field(16, 0.01, lambda x: np.zeros_like(x))
-        v = compute_velocity(f, 10.0, params)
-        assert abs(v) <= order_imbalance(10.0, params.mo) / 0.5 + 1e-12
+        v = _velocity(f.bid, f.ask, 10.0, params, np.zeros(3), f.dx)
+        assert v == imbalance(10.0, params.mo) / 0.5
+        assert abs(v) <= 2.0 * params.mo.k0 * params.mo.v0 / 0.5
 
 
 class TestStep:
     def test_all_generators_off_leaves_field_unchanged(self):
         params = make_params()
         f = new_field(16, 0.01, lambda x: np.full_like(x, 2.0))
-        rng = np.random.default_rng(0)
-        f, rec = step(f, 0.0, params, 1.0, rng)
+        book0 = f.book.copy()
+        f, rec = step(f, 0.0, params, 1.0, np.random.default_rng(0))
         assert rec.v == 0.0
-        assert np.all(rec.delta_bid == 0.0)
-        assert np.all(rec.delta_ask == 0.0)
+        assert np.array_equal(f.book, book0)
 
     def test_diffusion_of_uniform_field_is_zero(self):
         params = make_params(diffusion=4e-5)
         f = new_field(16, 0.01, lambda x: np.full_like(x, 2.0))
-        rng = np.random.default_rng(0)
-        f, rec = step(f, 0.0, params, 1.0, rng)
-        assert np.allclose(rec.delta_bid, 0.0, atol=1e-15)
-        assert np.allclose(rec.delta_ask, 0.0, atol=1e-15)
+        book0 = f.book.copy()
+        f, rec = step(f, 0.0, params, 1.0, np.random.default_rng(0))
+        assert np.allclose(f.book - book0, 0.0, atol=1e-15)
 
     def test_placement_only_mean_matches_single_cell_oracle(self):
         # Independent oracle: the mean increment per tick is sigma_in * E[xi] * dt,

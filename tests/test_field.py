@@ -160,6 +160,17 @@ def test_offset_rounding_onto_a_cell_edge_stays_in_range():
     f.copy()
 
 
+def test_shift_past_half_the_grid_leaves_the_field_unchanged():
+    # |d| is under half the extent, but with the offset it crosses 8 of 16 cells
+    f = _random_field(seed=46, length=16, dx=0.01)
+    f.fractional_offset = 0.009
+    book0 = f.book.copy()
+    with pytest.raises(ValueError, match="half the grid"):
+        shift_boundary(f, 0.0799)
+    assert f.fractional_offset == 0.009
+    assert np.array_equal(f.book, book0)
+
+
 def test_nonnegativity_preserved():
     f = _random_field(seed=50)
     for d in (0.7 * f.dx, -2.3 * f.dx, 5.1 * f.dx):
