@@ -237,6 +237,7 @@ def _write_statistic(name: str, frame, dt: float, out: Path, prefix: str = ""):
     """Compute statistic ``name`` and write its files; returns (result, file names)."""
     stem, compute, writer, column = STATISTICS[name]
     result = compute(frame, dt)
+    out.mkdir(parents=True, exist_ok=True)  # only once a statistic has something to write
     written = []
     for side, part in result.items() if isinstance(result, dict) else [("", result)]:
         written.append(f"{prefix}{stem}{'_' + side if side else ''}.csv")
@@ -255,7 +256,6 @@ def cmd_analyze(args) -> int:
     if args.lag is not None:  # a lag below the sampling interval fails before any output
         analyzers._lag_steps(frame, dt)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
     for stat in wanted:
         try:

@@ -35,14 +35,24 @@ engine applies the per-cell noise scales to it once: sigma_out to the
 cancellation noise and, on static placement, sigma_in and the time scale to
 the placement noise.  Each product keeps the operand order of the per-tick
 expression it replaces, so a simulate() run is bit-for-bit the same
-trajectory as repeated step() calls on one stream.  At the reference grid
-(512 cells) a chunk array is 1 MB and stays in cache.
+trajectory as repeated step() calls on one stream.
+
+The engine fills the first chunk in the calling thread.  While a chunk's
+ticks run, one background thread fills the next chunk into a second buffer,
+so the fill, which releases the interpreter lock, overlaps the tick loop.
+Two 32-tick buffers take 1 MB at the reference grid (512 cells).  The stream
+does not change: only that thread touches the RNG while a run goes on, the
+chunks are filled in order, and no fill reaches past the run's last tick, so
+the trajectory and the final RNG state are those of one fill per chunk in
+the calling thread.  A run of one chunk or less, and so step(), starts no
+thread.
 
 A velocity that would move the price by half the grid or more in one tick
 ends the run with NumericError naming the tick.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +77,7 @@ __all__ = [
 ]
 
 # Ticks of noise the CF engine draws and scales at once; see the module docstring.
-NOISE_CHUNK = 64
+NOISE_CHUNK = 32
 
 
 @dataclass
@@ -127,6 +137,18 @@ class _TickEngine:
     static placement and cancellation each act on both sides of the book at
     once, in two work arrays allocated here; each element keeps the operand
     order of the per-side expressions they replace.
+
+    Noise comes in two buffers of up to NOISE_CHUNK ticks.  The first chunk is
+    filled in the calling thread.  Whenever more ticks are left, one
+    ``threading.Thread`` fills the next chunk into the other buffer while the
+    current chunk's ticks run; ``_draw_chunk`` joins it before that chunk is
+    used and re-raises what the fill raised.  Only that thread touches ``rng``
+    during a run, the chunks are filled in order, and a chunk never holds more
+    ticks than are left, so the stream, every trajectory and the final
+    ``rng`` state are those of filling each chunk in the calling thread.  A
+    run of at most one chunk starts no thread and allocates one buffer.
+    ``join`` waits for a pending fill; simulate calls it when a run ends, so
+    no fill outlives a failed run.
     """
 
     def __init__(self, params: ModelParams, length: int, dx: float, dt: float,
@@ -172,19 +194,55 @@ class _TickEngine:
         self.place = place
         self.rng = rng
         self.steps_left = steps
-        self.buf = np.empty((min(NOISE_CHUNK, steps), 4, length))
-        self.noise = self.buf[:0]
+        self.bufs = [np.empty((min(NOISE_CHUNK, steps), 4, length))
+                     for _ in range(1 if steps <= NOISE_CHUNK else 2)]
+        self.noise = self.bufs[0][:0]
         self.next = 0
+        self.filler = None  # the thread filling self.pending, or None
+        self.pending = None
+        self.fill_error = None
         self.work = np.empty((2, length))
         self.flux = np.empty((2, length - 1))
 
-    def _draw_chunk(self) -> None:
+    def _take_chunk(self, buf: np.ndarray) -> np.ndarray:
+        """The leading rows of ``buf`` for the next chunk of the ticks left."""
         m = min(NOISE_CHUNK, self.steps_left)
         self.steps_left -= m
-        self.noise = stable_noise._fill_unit(self.p.stable, self.rng, self.buf[:m])
+        return buf[:m]
+
+    def _fill(self, chunk: np.ndarray) -> None:
+        stable_noise._fill_unit(self.p.stable, self.rng, chunk)
         for rows, factor in self.folds:
-            self.noise[:, rows] *= factor
+            chunk[:, rows] *= factor
+
+    def _fill_ahead(self, chunk: np.ndarray) -> None:
+        """The background thread's body: fill ``chunk``, keeping what it raises for the caller."""
+        try:
+            self._fill(chunk)
+        except BaseException as exc:  # _draw_chunk re-raises it in the caller
+            self.fill_error = exc
+
+    def join(self) -> None:
+        """Wait for the pending fill, if any."""
+        if self.filler is not None:
+            self.filler.join()
+            self.filler = None
+
+    def _draw_chunk(self) -> None:
+        if self.pending is None:
+            self.noise = self._take_chunk(self.bufs[0])
+            self._fill(self.noise)
+        else:
+            self.join()
+            if self.fill_error is not None:
+                raise self.fill_error
+            self.noise, self.pending = self.pending, None
+            self.bufs.reverse()
         self.next = 0
+        if self.steps_left:
+            self.pending = self._take_chunk(self.bufs[1])
+            self.filler = threading.Thread(target=self._fill_ahead, args=(self.pending,))
+            self.filler.start()
 
     def tick(self, field: OrderBookField, v_prev: float):
         """Advance the field one tick in place on the next noise of the chunked stream."""
@@ -333,4 +391,7 @@ def simulate(
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     engine = _TickEngine(params, field.length, field.dx, dt, np.random.default_rng(seed), steps)
-    return run_ticks(engine, field, steps, dt, tracked_cells)
+    try:
+        return run_ticks(engine, field, steps, dt, tracked_cells)
+    finally:
+        engine.join()  # a failed run can leave the next chunk's fill pending

@@ -1,7 +1,11 @@
+import dataclasses
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from bookfield import configs, profiles
+from bookfield import configs, profiles, stable_noise
 from bookfield.dynamics import (
     NOISE_CHUNK,
     _TickEngine,
@@ -12,6 +16,7 @@ from bookfield.dynamics import (
     step,
     trend_response,
 )
+from bookfield.errors import NumericError
 from bookfield.field import (
     MarketOrderParams,
     ModelParams,
@@ -323,10 +328,13 @@ class TestStep:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.7])
     @pytest.mark.parametrize("steps", [NOISE_CHUNK - 1, NOISE_CHUNK, NOISE_CHUNK + 1,
-                                       2 * NOISE_CHUNK + 1])
+                                       2 * NOISE_CHUNK - 1, 2 * NOISE_CHUNK,
+                                       2 * NOISE_CHUNK + 1, 4 * NOISE_CHUNK + 1])
     def test_run_consumes_one_draw_per_tick(self, alpha, steps):
         # The chunked engine leaves the stream where `steps` draw(..., (4, L))
-        # calls leave it: it never draws noise for ticks it does not run.
+        # calls leave it: it never draws noise for ticks it does not run.  The
+        # runs of 2 to 5 chunks end in either of the two buffers, after a full
+        # or a partial last chunk.
         params = make_params(sigma_in=0.05, sigma_out=0.01, alpha=alpha)
         f = new_field(32, 0.01, lambda x: np.full_like(x, 4.0))
         engine = _TickEngine(params, f.length, f.dx, 1.0, np.random.default_rng(9), steps)
@@ -346,3 +354,71 @@ class TestStep:
         assert float(np.std(res.velocities)) == pytest.approx(4.539886516282304e-05, rel=1e-9)
         assert float(np.mean(res.n0s)) == pytest.approx(91.23833328272812, rel=1e-9)
         assert float(f.bid.sum()) == pytest.approx(4640.945202690273, rel=1e-9)
+
+
+class TestBackgroundFill:
+    """The next noise chunk is filled on one background thread while a chunk's ticks run."""
+
+    def test_failed_run_joins_the_pending_fill(self, monkeypatch):
+        # Seed 1 fails at tick 147, in the fifth chunk, while the sixth is filling;
+        # the slowed fill is still running when the tick fails.
+        real = stable_noise._fill_unit
+        fills = []
+
+        def slow_fill(params, rng, out):
+            fills.append({"main": threading.current_thread() is threading.main_thread()})
+            if not fills[-1]["main"]:
+                time.sleep(0.02)
+            real(params, rng, out)
+            fills[-1]["done"] = True
+            return out
+
+        monkeypatch.setattr(stable_noise, "_fill_unit", slow_fill)
+        params = configs.reference_model_params()
+        params = dataclasses.replace(
+            params, stable=dataclasses.replace(params.stable, truncation_quantile=1.0))
+        f = configs.reference_grid().new_field(configs.reference_init_profile())
+        threads = threading.active_count()
+        with pytest.raises(NumericError, match="tick 147 of 2000"):
+            simulate(params, f, steps=2000, dt=1.0, seed=1)
+        assert threading.active_count() == threads
+        assert [x["main"] for x in fills] == [True] + [False] * (147 // NOISE_CHUNK + 1)
+        assert all(x.get("done") for x in fills)
+
+    def test_fill_error_surfaces_from_simulate(self, monkeypatch):
+        class FillFailed(Exception):
+            pass
+
+        real = stable_noise._fill_unit
+        calls = []
+
+        def failing_fill(params, rng, out):
+            calls.append(len(out))
+            if len(calls) == 2:
+                raise FillFailed("chunk 2")
+            return real(params, rng, out)
+
+        monkeypatch.setattr(stable_noise, "_fill_unit", failing_fill)
+        params = make_params(sigma_in=0.05, sigma_out=0.01)
+        f = new_field(32, 0.01, lambda x: np.full_like(x, 4.0))
+        threads = threading.active_count()
+        with pytest.raises(FillFailed, match="chunk 2"):
+            simulate(params, f, steps=3 * NOISE_CHUNK, dt=1.0, seed=3)
+        assert calls == [NOISE_CHUNK, NOISE_CHUNK]
+        assert threading.active_count() == threads
+        # the first chunk's ticks ran; the failure came before any tick of the second
+        assert f.t == NOISE_CHUNK
+
+    @pytest.mark.parametrize("run", ["step", "one-chunk simulate"])
+    def test_short_runs_start_no_thread(self, monkeypatch, run):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a run of at most one chunk started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        params = make_params(sigma_in=0.05, sigma_out=0.01)
+        f = new_field(32, 0.01, lambda x: np.full_like(x, 4.0))
+        if run == "step":
+            step(f, 0.0, params, 1.0, np.random.default_rng(4))
+        else:
+            simulate(params, f, steps=NOISE_CHUNK, dt=1.0, seed=4)
+        assert f.t == (1.0 if run == "step" else NOISE_CHUNK)
