@@ -317,9 +317,8 @@ def _excess_kurtosis(v: np.ndarray) -> float:
 
 def cmd_compare(args) -> int:
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    bad = [m for m in models if m not in configs.MODELS]
-    if bad:
-        raise ValueError(f"unknown model(s) {bad}; valid: {', '.join(configs.MODELS)}")
+    if not models or any(m not in configs.MODELS for m in models):
+        raise ValueError(f"--models must list models of {', '.join(configs.MODELS)}, got {args.models!r}")
     runs = {model: _model_run(_resolve_config({}, model=model, steps=args.steps, seed=args.seed))
             for model in models}
     out = Path(args.out)
@@ -338,6 +337,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     # Both kinds build this snapshot path: a log-normal price walk with 12 gamma-volume levels a
     # side, one snapshot every U(0.8, 1.2) s.
     rng = np.random.default_rng(args.seed)

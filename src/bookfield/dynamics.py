@@ -37,14 +37,16 @@ the placement noise.  Each product keeps the operand order of the per-tick
 expression it replaces, so a simulate() run is bit-for-bit the same
 trajectory as repeated step() calls on one stream.
 
-The engine fills the first chunk in the calling thread.  While a chunk's
-ticks run, one background thread fills the next chunk into a second buffer,
-so the fill, which releases the interpreter lock, overlaps the tick loop.
-Two 32-tick buffers take 1 MB at the reference grid (512 cells).  The stream
-does not change: only that thread touches the RNG while a run goes on, the
-chunks are filled in order, and no fill reaches past the run's last tick, so
-the trajectory and the final RNG state are those of one fill per chunk in
-the calling thread.  A run of one chunk or less, and so step(), starts no
+The noise stream is one generator over two 32-tick buffers, 1 MB at the
+reference grid (512 cells).  It fills the first chunk in the calling thread;
+from then on, one worker thread of an executor fills the next chunk into the
+other buffer while the current chunk's ticks run, so the fill, which releases
+the interpreter lock, overlaps the tick loop.  The stream does not change:
+only the worker touches the RNG while a later chunk fills, the chunks are
+filled in order, each waits for the one before it, and no fill reaches past
+the run's last tick, so the trajectory and the final RNG state are those of
+one fill per chunk in the calling thread.  The worker starts at the first
+fill it is given, so a run of one chunk or less, and so step(), starts no
 thread.
 
 A velocity that would move the price by half the grid or more in one tick
@@ -52,7 +54,6 @@ ends the run with NumericError naming the tick.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,13 +83,10 @@ NOISE_CHUNK = 32
 
 @dataclass
 class StepRecord:
-    t: float
     v: float
     n0: float
     mo_buy: float
     mo_sell: float
-    spill_bid: float = 0.0
-    spill_ask: float = 0.0
 
 
 def trend_response(v, k0, k_inf, k1, v0):
@@ -124,31 +122,46 @@ def _velocity(bid, ask, v_prev, p, d3, dx) -> float:
     return (j + ga - gb) / max(n0, p.n0_floor)
 
 
+def _noise_stream(fill, steps: int, length: int):
+    """Yield ``steps`` (4, length) noise rows, filled by ``fill`` NOISE_CHUNK ticks at a time."""
+    sizes = [min(NOISE_CHUNK, steps - done) for done in range(0, steps, NOISE_CHUNK)]
+    bufs = [np.empty((sizes[0], 4, length)) for _ in sizes[:2]]
+    chunk = fill(bufs[0])
+    from concurrent.futures import ThreadPoolExecutor  # here, so importing bookfield skips it
+
+    with ThreadPoolExecutor(1) as pool:
+        for i, m in enumerate(sizes[1:], 1):
+            ahead = pool.submit(fill, bufs[i % 2][:m])
+            yield from chunk
+            chunk = ahead.result()
+    yield from chunk
+
+
 class _TickEngine:
     """Per-grid precomputation and the CF tick update.
 
     Building it checks, before any state changes: dt > 0 and dt <= tau; then
     sigma_in, sigma_out and diffusion, each evaluated once on x = i*dx, are
     finite and nonnegative; then the stability bound holds on that diffusion.
-    ``tick`` is the run_ticks interface: it takes the noise of a run of ``steps``
-    ticks from ``rng``, NOISE_CHUNK ticks at a time, each chunk scaled once by
-    ``folds``.  ``place(book, v, xi)``, fixed when the engine is built, adds
-    the placement of the (2, L) noise rows ``xi`` to the book.  Diffusion,
-    static placement and cancellation each act on both sides of the book at
-    once, in two work arrays allocated here; each element keeps the operand
-    order of the per-side expressions they replace.
+    ``tick`` is the run_ticks interface: it takes the noise of a run of
+    ``steps`` ticks from ``rng``, NOISE_CHUNK ticks at a time, each chunk
+    scaled once by the ``folds`` of its rows.  ``place(book, v, xi)``, fixed
+    when the engine is built, adds the placement of the (2, L) noise rows
+    ``xi`` to the book.  Diffusion, static placement and cancellation each act
+    on both sides of the book at once, in two work arrays allocated here; each
+    element keeps the operand order of the per-side expressions they replace.
 
-    Noise comes in two buffers of up to NOISE_CHUNK ticks.  The first chunk is
-    filled in the calling thread.  Whenever more ticks are left, one
-    ``threading.Thread`` fills the next chunk into the other buffer while the
-    current chunk's ticks run; ``_draw_chunk`` joins it before that chunk is
-    used and re-raises what the fill raised.  Only that thread touches ``rng``
-    during a run, the chunks are filled in order, and a chunk never holds more
-    ticks than are left, so the stream, every trajectory and the final
-    ``rng`` state are those of filling each chunk in the calling thread.  A
-    run of at most one chunk starts no thread and allocates one buffer.
-    ``join`` waits for a pending fill; simulate calls it when a run ends, so
-    no fill outlives a failed run.
+    ``noise`` is the generator of the run's scaled (4, L) noise rows, one a
+    tick (``_noise_stream``).  It fills chunk 0 into the first of two buffers
+    in the calling thread.  For each later chunk it gives the fill of that
+    chunk into the other buffer to a one-worker executor, yields the current
+    chunk's rows, and takes the fill's result, which re-raises what the fill
+    raised.  Only the worker touches ``rng`` while a later chunk fills, each
+    fill starts after the one before it ended, and a chunk never holds more
+    ticks than are left, so the stream, every trajectory and the final ``rng``
+    state are those of filling each chunk in the calling thread.  ``close``
+    ends the stream; the executor's exit waits for a pending fill, so no fill
+    outlives a failed run.
     """
 
     def __init__(self, params: ModelParams, length: int, dx: float, dt: float,
@@ -177,9 +190,9 @@ class _TickEngine:
         scale_out = sigma_out * dt * params.stable.scale
         # Applied to each chunk in order: scale_out * zeta, and (sigma_in * xi) * scale_in
         # for static placement, the operand order of the per-tick products they replace.
-        self.folds = [(slice(2, 4), scale_out)]
+        folds = [(slice(2, 4), scale_out)]
         if params.activity is None:
-            self.folds += [(slice(0, 2), sigma_in), (slice(0, 2), scale_in)]
+            folds += [(slice(0, 2), sigma_in), (slice(0, 2), scale_in)]
 
             def place(book, v, xi):
                 book += xi
@@ -191,65 +204,27 @@ class _TickEngine:
                 book[0] += s_bid * xi[0] * scale_in
                 book[1] += s_ask * xi[1] * scale_in
 
+        def fill(chunk):
+            stable_noise._fill_unit(params.stable, rng, chunk)
+            for rows, factor in folds:
+                chunk[:, rows] *= factor
+            return chunk
+
         self.place = place
         self.rng = rng
-        self.steps_left = steps
-        self.bufs = [np.empty((min(NOISE_CHUNK, steps), 4, length))
-                     for _ in range(1 if steps <= NOISE_CHUNK else 2)]
-        self.noise = self.bufs[0][:0]
-        self.next = 0
-        self.filler = None  # the thread filling self.pending, or None
-        self.pending = None
-        self.fill_error = None
+        # fill holds no reference to the engine, so an engine that is not closed is not
+        # kept alive by a cycle through its generator
+        self.noise = _noise_stream(fill, steps, length)
         self.work = np.empty((2, length))
         self.flux = np.empty((2, length - 1))
 
-    def _take_chunk(self, buf: np.ndarray) -> np.ndarray:
-        """The leading rows of ``buf`` for the next chunk of the ticks left."""
-        m = min(NOISE_CHUNK, self.steps_left)
-        self.steps_left -= m
-        return buf[:m]
-
-    def _fill(self, chunk: np.ndarray) -> None:
-        stable_noise._fill_unit(self.p.stable, self.rng, chunk)
-        for rows, factor in self.folds:
-            chunk[:, rows] *= factor
-
-    def _fill_ahead(self, chunk: np.ndarray) -> None:
-        """The background thread's body: fill ``chunk``, keeping what it raises for the caller."""
-        try:
-            self._fill(chunk)
-        except BaseException as exc:  # _draw_chunk re-raises it in the caller
-            self.fill_error = exc
-
-    def join(self) -> None:
-        """Wait for the pending fill, if any."""
-        if self.filler is not None:
-            self.filler.join()
-            self.filler = None
-
-    def _draw_chunk(self) -> None:
-        if self.pending is None:
-            self.noise = self._take_chunk(self.bufs[0])
-            self._fill(self.noise)
-        else:
-            self.join()
-            if self.fill_error is not None:
-                raise self.fill_error
-            self.noise, self.pending = self.pending, None
-            self.bufs.reverse()
-        self.next = 0
-        if self.steps_left:
-            self.pending = self._take_chunk(self.bufs[1])
-            self.filler = threading.Thread(target=self._fill_ahead, args=(self.pending,))
-            self.filler.start()
+    def close(self) -> None:
+        """End the noise stream, waiting for a pending fill."""
+        self.noise.close()
 
     def tick(self, field: OrderBookField, v_prev: float):
         """Advance the field one tick in place on the next noise of the chunked stream."""
-        if self.next == len(self.noise):
-            self._draw_chunk()
-        noise = self.noise[self.next]
-        self.next += 1
+        noise = next(self.noise)
         p, book, work, flux = self.p, field.book, self.work, self.flux
         # diffusion of D n with zero-flux ends, both sides at once
         np.multiply(self.d_arr, book, out=work)
@@ -289,10 +264,8 @@ def step(
 ) -> tuple[OrderBookField, StepRecord]:
     """Advance the field one tick in place, returning it with the tick's StepRecord."""
     engine = _TickEngine(params, field.length, field.dx, dt, rng, steps=1)
-    v, n0, mo_buy, mo_sell, spill = engine.tick(field, v_prev)
-    rec = StepRecord(t=field.t, v=v, n0=n0, mo_buy=mo_buy, mo_sell=mo_sell,
-                     spill_bid=spill.bid, spill_ask=spill.ask)
-    return field, rec
+    v, n0, mo_buy, mo_sell, _ = engine.tick(field, v_prev)
+    return field, StepRecord(v=v, n0=n0, mo_buy=mo_buy, mo_sell=mo_sell)
 
 
 @dataclass
@@ -394,4 +367,4 @@ def simulate(
     try:
         return run_ticks(engine, field, steps, dt, tracked_cells)
     finally:
-        engine.join()  # a failed run can leave the next chunk's fill pending
+        engine.close()  # a failed run can leave the next chunk's fill pending

@@ -82,8 +82,16 @@ class FPParams:
             raise ValueError(f"n0 must be positive, got {self.n0}")
         if not (self.tau > 0.0):
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.k0**2 + self.k1 == 0.0:
-            raise ValueError(f"k0^2 + k1 must be positive, got k0 = {self.k0}, k1 = {self.k1}")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        # The scales the solver derives, as it computes them; numpy gives inf or 0 where a float ** raises.
+        k0, v0, n0, tau = np.float64([self.k0, self.v0, self.n0, self.tau])
+        with np.errstate(all="ignore"):
+            scales = {"k0^2 + k1": k0**2 + self.k1, "v0^2/(n0^2 tau^2)": v0**2 / (n0**2 * tau**2)}
+        for name, scale in scales.items():
+            if not (0.0 < scale < math.inf):
+                raise ValueError(f"{name} must be finite and positive, got {float(scale)}")
 
 
 @dataclass

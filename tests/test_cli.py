@@ -332,6 +332,16 @@ class TestFp:
         assert "k0 >= 0" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--k0", "1e200"), ("--n0", "1e-300"), ("--tau", "inf"),
+                                             ("--n0", "inf"), ("--v0", "inf"), ("--k-inf", "inf")])
+    def test_unusable_constant_usage_error(self, tmp_path, capsys, flag, value):
+        # Unchecked, these end in a traceback (OverflowError, ZeroDivisionError) or in
+        # RuntimeWarnings and a numeric error; tier-1 fails any warning.
+        consts = {"--k0": "1.0", "--k-inf": "0.3", "--k1": "0.25", "--v0": "1.0", "--n0": "4", flag: value}
+        assert run(["fp", *[x for pair in consts.items() for x in pair], "--out", str(tmp_path / "bad")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
 
 class TestCompare:
     def test_excess_kurtosis_equals_scipy(self):
@@ -349,7 +359,9 @@ class TestCompare:
         assert np.isnan(_excess_kurtosis(np.full(10, 3.0)))
 
     def test_unknown_model_usage_error(self, tmp_path):
-        assert run(["compare", "--models", "cf,quantum", "--out", str(tmp_path / "c")]) == 2
+        for models in ("cf,quantum", ","):
+            assert run(["compare", "--models", models, "--out", str(tmp_path / "c")]) == 2, models
+            assert not (tmp_path / "c").exists()
 
     def test_zero_steps_is_usage_error(self, tmp_path):
         assert run(["compare", "--steps", "0", "--out", str(tmp_path / "c")]) == 2
@@ -365,6 +377,12 @@ class TestCompare:
 
 
 class TestGenSynthetic:
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_usage_error(self, tmp_path, count):
+        out = tmp_path / "gen" / "snaps.jsonl"
+        assert run(["gen-synthetic", "--kind", "snapshots", "--count", count, "--out", str(out)]) == 2
+        assert not (tmp_path / "gen").exists()
+
     def test_snapshots_parse_back(self, tmp_path):
         out = tmp_path / "snaps.jsonl"
         assert run(["gen-synthetic", "--kind", "snapshots", "--count", "200",

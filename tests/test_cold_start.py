@@ -3,7 +3,9 @@
 Every command but ``fit-mo`` runs on numpy and the standard library, so a
 fresh interpreter that imports the CLI and runs them must load none of the
 scipy submodules below.  A module-level scipy import anywhere on those paths
-adds ~0.6 s to every command's start and fails this test.
+adds ~0.6 s to every command's start and fails this test.  Importing the CLI
+must not load ``concurrent.futures`` either: only a CF run's noise stream
+needs it, and a module-level import adds ~5 ms to every start.
 """
 import json
 import os
@@ -24,6 +26,7 @@ from bookfield import configs
 
 out = Path(sys.argv[1])
 configs.reference_model_params().stable.unit_cap
+executor_at_start = "concurrent.futures" in sys.modules
 runs = [
     ["simulate", "--model", "cf", "--steps", "50", "--no-records", "--out", str(out / "cf")],
     ["fp", "--k0", "1.0", "--k-inf", "0.3", "--k1", "0.25", "--v0", "1.0", "--n0", "4",
@@ -36,7 +39,7 @@ codes = [bookfield.cli.main(args) for args in runs]
 loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
 fit = bookfield.cli.main(["fit-mo", "--records", str(out / "cs" / "records.jsonl"),
                           "--out", str(out / "fit")])
-print(json.dumps({"codes": codes, "loaded": loaded, "fit": fit,
+print(json.dumps({"executor_at_start": executor_at_start, "codes": codes, "loaded": loaded, "fit": fit,
                   "fit_loaded": sorted(m for m in sys.modules if m.startswith("scipy."))}))
 """
 
@@ -47,6 +50,7 @@ def test_commands_other_than_fit_mo_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["executor_at_start"] is False
     assert got["codes"] == [0] * 5
     assert not [m for m in SCIPY_MODULES if m in got["loaded"]], got["loaded"]
     assert got["fit"] == 0

@@ -366,7 +366,8 @@ class TestBackgroundFill:
         fills = []
 
         def slow_fill(params, rng, out):
-            fills.append({"main": threading.current_thread() is threading.main_thread()})
+            thread = threading.current_thread()
+            fills.append({"main": thread is threading.main_thread(), "thread": thread})
             if not fills[-1]["main"]:
                 time.sleep(0.02)
             real(params, rng, out)
@@ -384,6 +385,9 @@ class TestBackgroundFill:
         assert threading.active_count() == threads
         assert [x["main"] for x in fills] == [True] + [False] * (147 // NOISE_CHUNK + 1)
         assert all(x.get("done") for x in fills)
+        # One worker serves the run.  Compare the Thread objects, not get_ident(): the OS
+        # reuses the ident of a finished thread.
+        assert all(x["thread"] is fills[1]["thread"] for x in fills[1:])
 
     def test_fill_error_surfaces_from_simulate(self, monkeypatch):
         class FillFailed(Exception):
