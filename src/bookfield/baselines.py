@@ -16,11 +16,13 @@ makes their return distributions thin-tailed:
 
 Each model is a tick engine for ``dynamics.run_ticks``, the run loop the
 continuous-field simulator uses, so every run emits the same per-tick records
-and every analyzer applies unchanged.  The engine picks CS or KSTT once, when
-it is built: KSTT's placement and market-order means are the one tanh/sech law
-``dynamics.trend_response``, with the activity profiles evaluated once per run
-and required to be constant on the grid.  A tick draws on the (2, L)
-``field.book`` in C order, bid cells then ask cells, as per-side calls would.
+and every analyzer applies unchanged; a tick clears cells 0 with
+``dynamics.clear_boundary`` and leaves the frame shift to ``run_ticks``.  The
+engine picks CS or KSTT once, when it is built: KSTT's placement and
+market-order means are the one tanh/sech law, each read from a
+MarketOrderParams by ``dynamics.market_order_rate``.  A tick draws on the
+(2, L) ``field.book`` in C order, bid cells then ask cells, as per-side calls
+would.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimulationResult, market_order_rate, run_ticks, trend_response
-from .field import MarketOrderParams, OrderBookField, PlacementActivityParams, shift_boundary
+from .dynamics import SimulationResult, clear_boundary, market_order_rate, run_ticks
+from .field import MarketOrderParams, OrderBookField
 from .profiles import Profile
 
 __all__ = ["CSParams", "KSTTParams", "run_baseline"]
@@ -55,7 +57,7 @@ class CSParams:
 class KSTTParams:
     """Trend-following point-process book: uniform trend coupling, no diffusion."""
 
-    activity: PlacementActivityParams  # each profile constant in x; checked when the run starts
+    placement: MarketOrderParams  # (bid, ask) placement means per cell: numbers, so uniform in x
     cancel_prob: float
     mo: MarketOrderParams  # market-order arrival means follow the velocity response
     n0_floor: float = 1e-6
@@ -73,7 +75,8 @@ class _PointProcessEngine:
     ``place(book, v)`` adds the Poisson placements at velocity v to the book and
     returns the (buy, sell) market-order means.  Per tick it draws, in order:
     placements (CS: one call; KSTT: one scalar-mean call per side), one binomial
-    call for the cancellations, then buy and sell market orders as scalar calls.
+    call for the cancellations (none at cancel_prob 0), then buy and sell
+    market orders as scalar calls.
     """
 
     def __init__(self, params: CSParams | KSTTParams, x: np.ndarray, rng: np.random.Generator):
@@ -86,15 +89,8 @@ class _PointProcessEngine:
                 book += rng.poisson(rates)
                 return params.mo_volume, params.mo_volume
         else:
-            consts = []
-            for name, vals in zip(("k0_in", "k_inf_in", "k1_in", "v0_in"),
-                                  params.activity.evaluate(x)):
-                if np.any(vals != vals.flat[0]):
-                    raise ValueError(f"KSTT activity profile {name} must be constant in x")
-                consts.append(float(vals.flat[0]))
-
             def place(book, v):
-                up, down = trend_response(v, *consts)
+                up, down = market_order_rate(v, params.placement)
                 book[0] += rng.poisson(up, x.shape)
                 book[1] += rng.poisson(down, x.shape)
                 return market_order_rate(v, params.mo)
@@ -102,26 +98,17 @@ class _PointProcessEngine:
         self.place = place
 
     def tick(self, field: OrderBookField, v: float):
-        p, rng = self.p, self.rng
-        book = field.book
+        """One unit tick of the model from velocity v: (v, n0, eaten_ask, eaten_bid)."""
+        rng, book = self.rng, field.book
         mean_buy, mean_sell = self.place(book, v)
-        # cancellation: binomial thinning of resting orders (book >= 0, so truncation is floor)
-        if p.cancel_prob > 0.0:
-            book -= rng.binomial(book.astype(np.int64), p.cancel_prob)
-            np.maximum(book, 0.0, out=book)
+        # cancellation: binomial thinning of floor(volume) orders (book >= 0, so truncation is
+        # floor); at most floor(n) of them leave, so n stays >= 0
+        book -= rng.binomial(book.astype(np.int64), self.p.cancel_prob)
         # market orders: Poisson volumes
         buy = float(rng.poisson(mean_buy))
         sell = float(rng.poisson(mean_sell))
-        bid0, ask0 = book[:, 0].tolist()  # Python floats: same IEEE arithmetic, less overhead
-        eaten_ask = min(buy, ask0)
-        eaten_bid = min(sell, bid0)
-        book[0, 0] = bid0 = bid0 - eaten_bid
-        book[1, 0] = ask0 = ask0 - eaten_ask
-        n0 = bid0 + ask0
-        v = (eaten_ask - eaten_bid) / max(n0, p.n0_floor)
-        spill = shift_boundary(field, v)
-        field.t += 1.0
-        return v, n0, eaten_ask, eaten_bid, spill
+        eaten_ask, eaten_bid, n0 = clear_boundary(book, buy, sell)
+        return (eaten_ask - eaten_bid) / max(n0, self.p.n0_floor), n0, eaten_ask, eaten_bid
 
 
 def run_baseline(

@@ -126,12 +126,7 @@ def cs_reference_field() -> OrderBookField:
 
 def kstt_reference() -> KSTTParams:
     return KSTTParams(
-        activity=PlacementActivityParams(
-            k0_in=profiles.constant(1.25e4),
-            k_inf_in=profiles.constant(5e5),
-            k1_in=profiles.constant(0.0),
-            v0_in=profiles.constant(2e-4),
-        ),
+        placement=MarketOrderParams(k0=1.25e4, k_inf=5e5, k1=0.0, v0=2e-4),
         cancel_prob=0.01,
         mo=MarketOrderParams(k0=2.5e3, k_inf=1.5e4, k1=0.0, v0=2e-4),
         n0_floor=100.0,

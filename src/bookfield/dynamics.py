@@ -22,9 +22,11 @@ reading for MarketOrderParams.
 
 ``run_ticks`` is the one run loop of the package: it records ``steps``
 ticks of an engine -- the CF engine here, the CS/KSTT engine in
-``baselines`` -- into a SimulationResult.  ``simulate`` is the CF engine plus
-``run_ticks``; ``step`` is a one-tick CF engine that returns the tick's
-scalars as a StepRecord (no per-cell volume changes).  Each engine
+``baselines`` -- into a SimulationResult.  An engine's ``tick`` is steps
+(a)-(e) of its model, with (d) the shared ``clear_boundary``; step (f) is
+``_advance``, shared by ``run_ticks`` and ``step``.  ``simulate`` is the CF
+engine plus ``run_ticks``; ``step`` is a one-tick CF engine that returns the
+tick's scalars as a StepRecord (no per-cell volume changes).  Each engine
 picks its model once, when it is built, not on every tick (CF: static or
 velocity-coupled placement).
 
@@ -37,17 +39,17 @@ the placement noise.  Each product keeps the operand order of the per-tick
 expression it replaces, so a simulate() run is bit-for-bit the same
 trajectory as repeated step() calls on one stream.
 
-The noise stream is one generator over two 32-tick buffers, 1 MB at the
-reference grid (512 cells).  It fills the first chunk in the calling thread;
-from then on, one worker thread of an executor fills the next chunk into the
-other buffer while the current chunk's ticks run, so the fill, which releases
-the interpreter lock, overlaps the tick loop.  The stream does not change:
-only the worker touches the RNG while a later chunk fills, the chunks are
-filled in order, each waits for the one before it, and no fill reaches past
-the run's last tick, so the trajectory and the final RNG state are those of
-one fill per chunk in the calling thread.  The worker starts at the first
-fill it is given, so a run of one chunk or less, and so step(), starts no
-thread.
+The noise stream, ``_noise_stream``, is one generator over two 32-tick
+buffers, 1 MB at the reference grid (512 cells).  It fills the first chunk in
+the calling thread; from then on, one worker thread of an executor fills the
+next chunk into the other buffer while the current chunk's ticks run, so the
+fill, which releases the interpreter lock, overlaps the tick loop.  The
+stream does not change: only the worker touches the RNG while a later chunk
+fills, the chunks are filled in order, each waits for the one before it, and
+no fill reaches past the run's last tick, so the trajectory and the final RNG
+state are those of one fill per chunk in the calling thread.  A run of one
+chunk or less, and so step(), builds no executor.  A fill's error surfaces
+when its chunk is due; closing the stream waits for a pending fill.
 
 A velocity that would move the price by half the grid or more in one tick
 ends the run with NumericError naming the tick.
@@ -72,6 +74,7 @@ __all__ = [
     "SimulationResult",
     "trend_response",
     "market_order_rate",
+    "clear_boundary",
     "step",
     "run_ticks",
     "simulate",
@@ -106,7 +109,7 @@ def trend_response(v, k0, k_inf, k1, v0):
 
 
 def market_order_rate(v: float, p: MarketOrderParams) -> tuple[float, float]:
-    """Market-order volumes (buy, sell) per tick at velocity v, clamped at zero."""
+    """trend_response of ``p`` at v, as floats: market-order (buy, sell) or KSTT (bid, ask) placement."""
     buy, sell = trend_response(v, p.k0, p.k_inf, p.k1, p.v0)
     return float(buy), float(sell)
 
@@ -127,14 +130,28 @@ def _noise_stream(fill, steps: int, length: int):
     sizes = [min(NOISE_CHUNK, steps - done) for done in range(0, steps, NOISE_CHUNK)]
     bufs = [np.empty((sizes[0], 4, length)) for _ in sizes[:2]]
     chunk = fill(bufs[0])
-    from concurrent.futures import ThreadPoolExecutor  # here, so importing bookfield skips it
+    if len(sizes) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, so importing bookfield skips it
 
-    with ThreadPoolExecutor(1) as pool:
-        for i, m in enumerate(sizes[1:], 1):
-            ahead = pool.submit(fill, bufs[i % 2][:m])
-            yield from chunk
-            chunk = ahead.result()
+        with ThreadPoolExecutor(1) as pool:
+            for i, m in enumerate(sizes[1:], 1):
+                ahead = pool.submit(fill, bufs[i % 2][:m])
+                yield from chunk
+                chunk = ahead.result()
     yield from chunk
+
+
+def clear_boundary(book: np.ndarray, buy: float, sell: float) -> tuple[float, float, float]:
+    """Take buys from the ask's cell 0 and sells from the bid's, each at most the cell, in place.
+
+    Returns (eaten_ask, eaten_bid, n0 left), on Python floats: numpy's IEEE arithmetic, less overhead.
+    """
+    bid0, ask0 = book[:, 0].tolist()
+    eaten_ask = min(buy, ask0)
+    eaten_bid = min(sell, bid0)
+    book[0, 0] = bid0 = bid0 - eaten_bid
+    book[1, 0] = ask0 = ask0 - eaten_ask
+    return eaten_ask, eaten_bid, bid0 + ask0
 
 
 class _TickEngine:
@@ -143,25 +160,14 @@ class _TickEngine:
     Building it checks, before any state changes: dt > 0 and dt <= tau; then
     sigma_in, sigma_out and diffusion, each evaluated once on x = i*dx, are
     finite and nonnegative; then the stability bound holds on that diffusion.
-    ``tick`` is the run_ticks interface: it takes the noise of a run of
-    ``steps`` ticks from ``rng``, NOISE_CHUNK ticks at a time, each chunk
-    scaled once by the ``folds`` of its rows.  ``place(book, v, xi)``, fixed
-    when the engine is built, adds the placement of the (2, L) noise rows
-    ``xi`` to the book.  Diffusion, static placement and cancellation each act
-    on both sides of the book at once, in two work arrays allocated here; each
-    element keeps the operand order of the per-side expressions they replace.
-
-    ``noise`` is the generator of the run's scaled (4, L) noise rows, one a
-    tick (``_noise_stream``).  It fills chunk 0 into the first of two buffers
-    in the calling thread.  For each later chunk it gives the fill of that
-    chunk into the other buffer to a one-worker executor, yields the current
-    chunk's rows, and takes the fill's result, which re-raises what the fill
-    raised.  Only the worker touches ``rng`` while a later chunk fills, each
-    fill starts after the one before it ended, and a chunk never holds more
-    ticks than are left, so the stream, every trajectory and the final ``rng``
-    state are those of filling each chunk in the calling thread.  ``close``
-    ends the stream; the executor's exit waits for a pending fill, so no fill
-    outlives a failed run.
+    ``tick`` is the run_ticks interface: it takes the next rows of ``noise``,
+    the run's scaled (4, L) noise stream (see the module docstring), each
+    chunk scaled once by the ``folds`` of its rows.  ``place(book, v, xi)``,
+    fixed when the engine is built, adds the placement of the (2, L) noise
+    rows ``xi`` to the book.  Diffusion, static placement and cancellation
+    each act on both sides of the book at once, in two work arrays allocated
+    here; each element keeps the operand order of the per-side expressions
+    they replace.  ``close`` ends the stream.
     """
 
     def __init__(self, params: ModelParams, length: int, dx: float, dt: float,
@@ -183,7 +189,6 @@ class _TickEngine:
             raise ValueError(f"diffusion stability bound violated: max D*dt/dx^2 = {ratio:.3g} > 0.5")
         self.p = params
         self.dx = dx
-        self.dt = dt
         self.c_diff = dt / dx**2
         self.mo_frac = dt / params.tau
         scale_in = params.stable.scale * dt
@@ -223,7 +228,7 @@ class _TickEngine:
         self.noise.close()
 
     def tick(self, field: OrderBookField, v_prev: float):
-        """Advance the field one tick in place on the next noise of the chunked stream."""
+        """Steps (a)-(e) of one tick on the next noise rows: (v, n0, eaten_ask, eaten_bid)."""
         noise = next(self.noise)
         p, book, work, flux = self.p, field.book, self.work, self.flux
         # diffusion of D n with zero-flux ends, both sides at once
@@ -238,21 +243,23 @@ class _TickEngine:
         np.minimum(work, book, out=work)
         book -= work
         mo_buy, mo_sell = market_order_rate(v_prev, p.mo)
-        mo_buy *= self.mo_frac
-        mo_sell *= self.mo_frac
-        bid, ask = field.bid, field.ask
-        eaten_ask = min(mo_buy, float(ask[0]))
-        eaten_bid = min(mo_sell, float(bid[0]))
-        ask[0] -= eaten_ask
-        bid[0] -= eaten_bid
-        n0 = float(bid[0] + ask[0])
-        v = _velocity(bid, ask, v_prev, p, self.d_arr[:3], self.dx)
-        try:
-            spill = shift_boundary(field, v * self.dt)
-        except ValueError as exc:
-            raise NumericError(f"velocity {v:.6g} outgrew the grid: {exc}") from None
-        field.t += self.dt
-        return v, n0, eaten_ask, eaten_bid, spill
+        eaten_ask, eaten_bid, n0 = clear_boundary(book, mo_buy * self.mo_frac, mo_sell * self.mo_frac)
+        v = _velocity(field.bid, field.ask, v_prev, p, self.d_arr[:3], self.dx)
+        return v, n0, eaten_ask, eaten_bid
+
+
+def _advance(engine, field: OrderBookField, v_prev: float, dt: float):
+    """One tick of ``engine``, the frame shift by v dt and the time advance: the tick's scalars and spill.
+
+    A shift too large for the grid raises NumericError and leaves the frame and the time unmoved.
+    """
+    v, n0, eaten_ask, eaten_bid = engine.tick(field, v_prev)
+    try:
+        spill = shift_boundary(field, v * dt)
+    except ValueError as exc:
+        raise NumericError(f"velocity {v:.6g} outgrew the grid: {exc}") from None
+    field.t += dt
+    return v, n0, eaten_ask, eaten_bid, spill
 
 
 def step(
@@ -264,7 +271,7 @@ def step(
 ) -> tuple[OrderBookField, StepRecord]:
     """Advance the field one tick in place, returning it with the tick's StepRecord."""
     engine = _TickEngine(params, field.length, field.dx, dt, rng, steps=1)
-    v, n0, mo_buy, mo_sell, _ = engine.tick(field, v_prev)
+    v, n0, mo_buy, mo_sell, _ = _advance(engine, field, v_prev, dt)
     return field, StepRecord(v=v, n0=n0, mo_buy=mo_buy, mo_sell=mo_sell)
 
 
@@ -306,8 +313,9 @@ def run_ticks(engine, field: OrderBookField, steps: int, dt: float,
               tracked_cells=None) -> SimulationResult:
     """Run and record ``steps`` ticks of ``engine``, from v = 0, on the field (mutated in place).
 
-    ``engine.tick(field, v)`` advances the field one tick of length ``dt``
-    from velocity ``v`` and returns ``(v, n0, eaten_ask, eaten_bid, spill)``.
+    ``engine.tick(field, v)`` applies the engine's model for one tick from
+    velocity ``v`` and returns ``(v, n0, eaten_ask, eaten_bid)``; ``_advance``
+    then shifts the frame by v dt and advances ``field.t`` by ``dt``.
     tracked_cells: cell indices whose bid/ask volumes are recorded every tick
     (defaults to 8 cells spread log-evenly across the grid).
 
@@ -325,11 +333,10 @@ def run_ticks(engine, field: OrderBookField, steps: int, dt: float,
     times = field.t + dt * (1.0 + np.arange(steps))
     out_v, out_n0, out_mob, out_mos, out_spb, out_spa = np.empty((6, steps))
     out_book = np.empty((steps, 2, len(tracked_cells)))
-    tick = engine.tick
     v = 0.0
     for t in range(steps):
         try:
-            v, n0, mob, mos, spill = tick(field, v)
+            v, n0, mob, mos, spill = _advance(engine, field, v, dt)
         except (NumericError, ValueError) as exc:
             raise NumericError(f"tick {t} of {steps}: {exc}") from None
         out_v[t] = v

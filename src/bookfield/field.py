@@ -104,7 +104,7 @@ def check_trend_constants(k0, k_inf, k1, v0, where: str) -> None:
 
 @dataclass(frozen=True)
 class MarketOrderParams:
-    """Constants of the market-order response to velocity (volume per tick at scale v0)."""
+    """Constants of a tanh/sech response to velocity: market orders, or KSTT's placement, per tick."""
 
     k0: float
     k_inf: float

@@ -89,6 +89,8 @@ class FPParams:
         k0, v0, n0, tau = np.float64([self.k0, self.v0, self.n0, self.tau])
         with np.errstate(all="ignore"):
             scales = {"k0^2 + k1": k0**2 + self.k1, "v0^2/(n0^2 tau^2)": v0**2 / (n0**2 * tau**2)}
+            if k0 > 0.0:  # tail_exponent's ratio
+                scales["n0^2/k0^2"] = n0**2 / k0**2
         for name, scale in scales.items():
             if not (0.0 < scale < math.inf):
                 raise ValueError(f"{name} must be finite and positive, got {float(scale)}")

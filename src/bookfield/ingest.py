@@ -49,7 +49,6 @@ __all__ = [
     "write_curve_csv",
     "write_histogram_family_csv",
     "write_return_distribution_csv",
-    "fmt",
 ]
 
 _MALFORMED_HARD_LIMIT = 0.10
@@ -59,15 +58,11 @@ _RECORD_BLOCK_ROWS = 64  # step records the reader parses per json.loads call
 _RECORD_SCALARS = ("t", "v", "n0", "mo_buy", "mo_sell")  # a step record's per-tick numbers
 
 
-def fmt(x: float) -> str:
-    """17-significant-digit decimal form; round-trips float64 exactly."""
-    return f"{x:.17g}"
-
-
 def _write_rows(out: TextIO, width: int, values: tuple[float, ...]) -> None:
-    """Row-major floats as CSV lines of ``width`` numbers, each number as ``fmt`` writes it.
+    """Row-major floats as CSV lines of ``width`` numbers, each in 17 significant digits.
 
-    '%.17g' % x is format(x, '.17g') for every float, NaN, +-inf and -0.0 included.
+    '%.17g' % x is format(x, '.17g') for every float, NaN, +-inf and -0.0
+    included, and 17 digits round-trip float64 exactly.
     """
     row = ",".join(["%.17g"] * width) + "\n"
     out.write((row * (len(values) // width)) % values)

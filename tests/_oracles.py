@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from bookfield.dynamics import market_order_rate, trend_response
+from bookfield.dynamics import market_order_rate
 from bookfield.fokker_planck import FPParams, diffusion_coefficient
 
 
@@ -51,7 +51,7 @@ def ks_distance_vs_density(samples: np.ndarray, grid: np.ndarray, density: np.nd
 
 
 def per_side_point_process(params, bid, ask, dx: float, steps: int, rng: np.random.Generator):
-    """CS (``placement_rate``) or KSTT (``activity``) ticks on separate bid and ask arrays.
+    """CS (``placement_rate``) or KSTT (``placement``) ticks on separate bid and ask arrays.
 
     Per tick: Poisson bid then ask placements, binomial bid then ask
     cancellations of floor(volume), Poisson buy then sell market orders, then
@@ -65,8 +65,9 @@ def per_side_point_process(params, bid, ask, dx: float, steps: int, rng: np.rand
         rate = np.maximum(np.asarray(params.placement_rate(x), dtype=float), 0.0)
         means = lambda v: (rate, rate, params.mo_volume, params.mo_volume)
     else:
-        act = params.activity.evaluate(x)
-        means = lambda v: (*trend_response(v, *act), *market_order_rate(v, params.mo))
+        def means(v):
+            up, down = market_order_rate(v, params.placement)
+            return np.full(len(x), up), np.full(len(x), down), *market_order_rate(v, params.mo)
     scalars, bids, asks = [], [], []
     offset, v = 0.5 * dx, 0.0
     for _ in range(steps):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +5,11 @@ import pytest
 from scipy import stats
 
 from _oracles import per_side_point_process
-from bookfield import baselines, configs, dynamics, profiles
+from bookfield import configs, dynamics, profiles
 from bookfield.analyzers import rms_delta_vs_velocity, velocity_volume_correlation
 from bookfield.baselines import CSParams, KSTTParams, run_baseline
 from bookfield.errors import NumericError
-from bookfield.field import MarketOrderParams, PlacementActivityParams, new_field
+from bookfield.field import MarketOrderParams, new_field
 
 
 def run_cs(steps=80_000, seed=4):
@@ -102,7 +101,7 @@ def test_kstt_no_overflow_at_large_velocity():
     v0 = 1e-4
     c = profiles.constant
     params = KSTTParams(
-        activity=PlacementActivityParams(k0_in=c(1e4), k_inf_in=c(1e4), k1_in=c(5e3), v0_in=c(v0)),
+        placement=MarketOrderParams(k0=1e4, k_inf=1e4, k1=5e3, v0=v0),
         cancel_prob=0.1,
         mo=MarketOrderParams(k0=1e4, k_inf=1e4, k1=5e3, v0=v0),
         n0_floor=10.0,
@@ -128,25 +127,17 @@ def test_grid_overflow_is_numeric_error_naming_the_tick():
     (5e5, 0.0, math.nan, "v0 > 0"),
 ])
 def test_kstt_activity_validated_before_the_run(k_inf, k1, v0, condition):
-    ref = configs.kstt_reference()
-    c = profiles.constant
-    params = dataclasses.replace(ref, activity=PlacementActivityParams(
-        k0_in=ref.activity.k0_in, k_inf_in=c(k_inf), k1_in=c(k1), v0_in=c(v0)))
-    f = configs.kstt_reference_field()
-    before = f.copy()
+    # KSTT's placement constants are a MarketOrderParams, checked when it is built,
+    # so no run can start on them.
     with pytest.raises(ValueError, match=condition):
-        run_baseline(params, f, steps=50, seed=1)
-    assert np.array_equal(f.bid, before.bid) and np.array_equal(f.ask, before.ask)
-    assert f.t == before.t
+        MarketOrderParams(k0=configs.kstt_reference().placement.k0, k_inf=k_inf, k1=k1, v0=v0)
 
 
 THIN_BOOKS = {  # thin books whose price crosses cells, so shifts and spills are exercised
     "cs": CSParams(placement_rate=profiles.exp_decay(3.0, 4.0), cancel_prob=0.05,
                    mo_volume=3.0, n0_floor=20.0),
     "kstt": KSTTParams(
-        activity=PlacementActivityParams(
-            k0_in=profiles.constant(10.0), k_inf_in=profiles.constant(30.0),
-            k1_in=profiles.constant(5.0), v0_in=profiles.constant(0.1)),
+        placement=MarketOrderParams(k0=10.0, k_inf=30.0, k1=5.0, v0=0.1),
         cancel_prob=0.05, mo=MarketOrderParams(k0=10.0, k_inf=30.0, k1=5.0, v0=0.1), n0_floor=20.0),
 }
 
@@ -176,28 +167,12 @@ def test_stacked_book_keeps_the_per_side_stream(model, monkeypatch):
     assert made[0].bit_generator.state == oracle_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("name", ["k0_in", "k_inf_in", "k1_in", "v0_in"])
-def test_kstt_activity_varying_in_x_rejected_before_the_run(name):
-    ref = configs.kstt_reference()
-    base = getattr(ref.activity, name)
-    varying = lambda x: base(x) + 1e-3 * np.asarray(x)  # still passes check_trend_constants
-    params = dataclasses.replace(ref, activity=dataclasses.replace(ref.activity, **{name: varying}))
-    f = configs.kstt_reference_field()
-    before = f.copy()
-    with pytest.raises(ValueError, match=f"{name} must be constant in x"):
-        run_baseline(params, f, steps=50, seed=1)
-    assert np.array_equal(f.book, before.book)
-    assert (f.t, f.fractional_offset) == (before.t, before.fractional_offset)
-
-
 def test_shift_boundary_looked_up_on_its_module_every_tick(monkeypatch):
-    # perfbench's tracer times shift_boundary by wrapping the name on
-    # dynamics and baselines; a local binding would hide every call from it.
+    # perfbench's tracer times shift_boundary by wrapping the name on dynamics,
+    # whose frame step every model shares; a local binding would hide every call from it.
     calls = []
-    for module in (dynamics, baselines):
-        real = module.shift_boundary
-        monkeypatch.setattr(module, "shift_boundary",
-                            lambda *args, real=real: calls.append(1) or real(*args))
+    real = dynamics.shift_boundary
+    monkeypatch.setattr(dynamics, "shift_boundary", lambda *args: calls.append(1) or real(*args))
     cf_field = configs.GridSpec(length=32, dx=2e-4).new_field(configs.reference_init_profile())
     runs = [lambda: dynamics.simulate(configs.reference_model_params(), cf_field, 40, 1.0, 3),
             lambda: run_baseline(configs.cs_reference(), configs.cs_reference_field(), 40, 3),

@@ -333,10 +333,12 @@ class TestFp:
         assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("flag, value", [("--k0", "1e200"), ("--n0", "1e-300"), ("--tau", "inf"),
-                                             ("--n0", "inf"), ("--v0", "inf"), ("--k-inf", "inf")])
+                                             ("--n0", "inf"), ("--v0", "inf"), ("--k-inf", "inf"),
+                                             ("--k0", "1e-200")])
     def test_unusable_constant_usage_error(self, tmp_path, capsys, flag, value):
         # Unchecked, these end in a traceback (OverflowError, ZeroDivisionError) or in
-        # RuntimeWarnings and a numeric error; tier-1 fails any warning.
+        # RuntimeWarnings and a numeric error; tier-1 fails any warning.  k0 = 1e-200
+        # underflows k0^2 in tail_exponent's n0^2/k0^2.
         consts = {"--k0": "1.0", "--k-inf": "0.3", "--k1": "0.25", "--v0": "1.0", "--n0": "4", flag: value}
         assert run(["fp", *[x for pair in consts.items() for x in pair], "--out", str(tmp_path / "bad")]) == 2
         assert "must be finite" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import threading
 import time
@@ -416,9 +417,10 @@ class TestBackgroundFill:
     @pytest.mark.parametrize("run", ["step", "one-chunk simulate"])
     def test_short_runs_start_no_thread(self, monkeypatch, run):
         def no_thread(*args, **kwargs):
-            raise AssertionError("a run of at most one chunk started a thread")
+            raise AssertionError("a run of at most one chunk started a thread or built an executor")
 
         monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_thread)
         params = make_params(sigma_in=0.05, sigma_out=0.01)
         f = new_field(32, 0.01, lambda x: np.full_like(x, 4.0))
         if run == "step":

@@ -21,7 +21,6 @@ from bookfield.ingest import (
     _RECORD_BLOCK_ROWS,
     _write_csv,
     build_frame,
-    fmt,
     parse_market_orders,
     parse_snapshots,
     read_step_records_frame,
@@ -402,7 +401,7 @@ class TestDensityCsv:
 
 
 class TestTableFormatting:
-    """The table writers against the per-cell ``fmt`` formula, byte for byte."""
+    """The table writers against per-cell ``format(x, ".17g")``, byte for byte."""
 
     SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1.7976931348623157e308]
 
@@ -424,7 +423,7 @@ class TestTableFormatting:
         meta = {"type": "test"}
         cols = [np.asarray(c) for c in columns.values()]
         lines = ["# " + json.dumps(meta), ",".join(columns)]
-        lines += [",".join(fmt(float(c[i])) for c in cols) for i in range(rows)]
+        lines += [",".join(format(float(c[i]), ".17g") for c in cols) for i in range(rows)]
         buf = io.StringIO()
         _write_csv(buf, meta, columns)
         assert buf.getvalue() == "".join(line + "\n" for line in lines)
@@ -437,4 +436,4 @@ class TestTableFormatting:
         buf = io.StringIO()
         write_market_orders(recs, buf)
         assert buf.getvalue() == "ts,buy,sell\n" + "".join(
-            f"{fmt(r.ts)},{fmt(r.buy_volume)},{fmt(r.sell_volume)}\n" for r in recs)
+            f"{r.ts:.17g},{r.buy_volume:.17g},{r.sell_volume:.17g}\n" for r in recs)
