@@ -411,10 +411,11 @@ class TestGenSynthetic:
     ({"diffusion": {**CONST, "value": -1e-9}}, None, 2, "diffusion(x)"),
     ({"dt": 2.0}, None, 2, "tau"),
     ({"diffusion": {**CONST, "value": 1e-6}}, None, 2, "stability bound violated: max D*dt/dx^2 = 25"),
+    ({"diffusion": {**CONST, "value": 2e-8}}, None, 2, "max D*dt/dx^2 = 0.5"),
     (None, ["fp", "--k0", "1", "--k-inf", "0.3", "--k1", "0.25", "--v0", "1", "--n0", "0.5"],
      0, "tail exponent 2.5"),
 ], ids=["negative-sigma-out", "negative-diffusion", "dt-above-tau", "unstable-diffusion",
-        "fp-divergent-variance"])
+        "diffusion-at-the-bound", "fp-divergent-variance"])
 def test_model_checks_reached_from_the_cli(tmp_path, capsys, config, args, code, needle):
     # A cf config the engine rejects exits 2 before writing anything; an fp
     # tail too heavy for a second moment reports the variance as null.
@@ -430,3 +431,12 @@ def test_model_checks_reached_from_the_cli(tmp_path, capsys, config, args, code,
     else:
         rep = json.loads((out / "regime_report.json").read_text())
         assert rep["variance"] is None and needle in rep["variance_note"]
+
+
+def test_diffusion_just_below_the_bound_runs(tmp_path):
+    # D = 1.9e-8 on the reference grid is c = D dt/dx^2 = 0.475, inside the bound
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"diffusion": {**CONST, "value": 1.9e-8}}))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg), "--steps", "10", "--out", str(out)]) == 0
+    assert (out / "summary.json").exists()

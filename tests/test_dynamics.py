@@ -98,6 +98,23 @@ class TestMarketOrderRate:
         assert buy == 0.0
         assert sell == pytest.approx((p.k0 + p.k_inf) * p.v0, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [configs.reference_model_params().mo,
+                                   configs.kstt_reference().placement, MO],
+                             ids=["cf-mo", "kstt-placement", "test-mo"])
+    def test_float_path_is_trend_response_bit_for_bit(self, p):
+        w = np.concatenate([[0.0, -0.0], np.geomspace(1e-12, 1e3, 61)])
+        clamped = set()
+        for v in [*(w * p.v0), *(-w * p.v0)]:
+            got = market_order_rate(float(v), p)
+            want = trend_response(float(v), p.k0, p.k_inf, p.k1, p.v0)
+            assert [type(x) for x in got] == [float, float]
+            assert got == (float(want[0]), float(want[1]))
+            assert np.signbit(got).tolist() == np.signbit(want).tolist()
+            clamped |= {side for side in (0, 1) if v != 0.0 and got[side] == 0.0}
+        # where k0 > k_inf, the trend outweighs the constant and each side clamps somewhere
+        assert clamped == ({0, 1} if p.k0 > p.k_inf else set())
+
     def test_buy_sell_parity(self):
         p = MarketOrderParams(k0=3.0, k_inf=2.0, k1=1.5, v0=0.5)
         for v in np.linspace(-3, 3, 25):
@@ -110,8 +127,8 @@ class TestMarketOrderRate:
 def imbalance(v, mo=MO):
     """J(v) read off the velocity closure: no diffusion and n0 = 1, so v = J."""
     params = make_params(k0=mo.k0, k_inf=mo.k_inf, k1=mo.k1, v0=mo.v0)
-    bid = ask = np.array([0.5, 0.0, 0.0])
-    return _velocity(bid, ask, v, params, np.zeros(3), 0.01)
+    book = np.array([[0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    return _velocity(book, 1.0, v, params, np.zeros(3), 0.01)
 
 
 class TestOrderImbalance:
@@ -178,14 +195,14 @@ class TestComputeVelocity:
     def test_all_off_is_zero(self):
         params = make_params(k0=2.0, k_inf=1.0, k1=1.0)
         f = new_field(16, 0.01, lambda x: np.full_like(x, 3.0))
-        assert _velocity(f.bid, f.ask, 0.0, params, np.zeros(3), f.dx) == 0.0
+        assert _velocity(f.book, 6.0, 0.0, params, np.zeros(3), f.dx) == 0.0
 
     def test_definition_j_over_n0(self):
         params = make_params(k0=2.0, k_inf=1.0, k1=1.0)
         f = new_field(16, 0.01, lambda x: np.full_like(x, 3.0))
         v_prev = 0.3 * params.mo.v0
         j = 2.0 * params.mo.k0 * params.mo.v0 * np.tanh(0.3)
-        v = _velocity(f.bid, f.ask, v_prev, params, np.zeros(3), f.dx)
+        v = _velocity(f.book, 6.0, v_prev, params, np.zeros(3), f.dx)
         assert v == pytest.approx(j / 6.0, rel=1e-12)
 
     def test_mirror_symmetric_books_cancel_gradients(self):
@@ -194,7 +211,7 @@ class TestComputeVelocity:
         v_prev = 0.5 * params.mo.v0
         j = imbalance(v_prev, params.mo)
         n0 = f.bid[0] + f.ask[0]
-        v = _velocity(f.bid, f.ask, v_prev, params, np.full(3, 4e-5), f.dx)
+        v = _velocity(f.book, n0, v_prev, params, np.full(3, 4e-5), f.dx)
         assert v == pytest.approx(j / n0, rel=1e-12)
 
     def test_velocity_parity_under_book_mirror(self):
@@ -202,16 +219,25 @@ class TestComputeVelocity:
         rng = np.random.default_rng(7)
         bid, ask = rng.uniform(1, 5, (2, 16))
         d3 = np.full(3, 4e-5)
-        v = _velocity(bid, ask, 0.2 * params.mo.v0, params, d3, 0.01)
-        v_m = _velocity(ask, bid, -0.2 * params.mo.v0, params, d3, 0.01)
+        n0 = bid[0] + ask[0]
+        v = _velocity(np.stack([bid, ask]), n0, 0.2 * params.mo.v0, params, d3, 0.01)
+        v_m = _velocity(np.stack([ask, bid]), n0, -0.2 * params.mo.v0, params, d3, 0.01)
         assert v_m == -v
 
     def test_floor_prevents_blowup(self):
         params = make_params(k0=2.0, k_inf=1.5, k1=1.0, n0_floor=0.5)
         f = new_field(16, 0.01, lambda x: np.zeros_like(x))
-        v = _velocity(f.bid, f.ask, 10.0, params, np.zeros(3), f.dx)
+        v = _velocity(f.book, 0.0, 10.0, params, np.zeros(3), f.dx)
         assert v == imbalance(10.0, params.mo) / 0.5
         assert abs(v) <= 2.0 * params.mo.k0 * params.mo.v0 / 0.5
+
+    def test_divides_by_the_given_n0_floored(self):
+        # n0 is the caller's (clear_boundary's), not re-read from the book's cells 0
+        params = make_params(k0=2.0, k_inf=1.5, k1=1.0, n0_floor=0.5)
+        f = new_field(16, 0.01, lambda x: np.full_like(x, 3.0))
+        j = imbalance(0.4, params.mo)
+        assert _velocity(f.book, 4.0, 0.4, params, np.zeros(3), f.dx) == j / 4.0
+        assert _velocity(f.book, 0.2, 0.4, params, np.zeros(3), f.dx) == j / 0.5
 
 
 class TestStep:
@@ -361,8 +387,8 @@ class TestBackgroundFill:
     """The next noise chunk is filled on one background thread while a chunk's ticks run."""
 
     def test_failed_run_joins_the_pending_fill(self, monkeypatch):
-        # Seed 1 fails at tick 147, in the fifth chunk, while the sixth is filling;
-        # the slowed fill is still running when the tick fails.
+        # Seed 1 fails at tick 147, in chunk 147 // NOISE_CHUNK, while the next chunk is
+        # filling; the slowed fill is still running when the tick fails.
         real = stable_noise._fill_unit
         fills = []
 
