@@ -115,14 +115,14 @@ def trend_response(v, k0, k_inf, k1, v0):
 def market_order_rate(v: float, p: MarketOrderParams) -> tuple[float, float]:
     """trend_response of ``p`` at v, as floats: market-order (buy, sell) or KSTT (bid, ask) placement."""
     w = v / p.v0
-    # numpy's tanh and exp, then float algebra; max agrees with np.maximum on -0.0 and a NaN first operand
+    # np.tanh and np.exp, then float algebra: max agrees with np.maximum on -0.0 and a NaN first operand
     return _trend(float(np.tanh(w)), float(np.exp(-abs(w))), p.k0, p.k_inf, p.k1, p.v0, max)
 
 
 def _velocity(book, n0, v_prev, p, d3, dx) -> float:
     """Boundary continuity balance: v = [J(v_prev) + dx(D n_ask)(0) - dx(D n_bid)(0)] / n0, n0 floored."""
     (b0, b1, b2), (a0, a1, a2) = book[:, :3].tolist()
-    # J: buy-minus-sell market-order volume before clamping; d3 is D at cells 0..2, n0 clear_boundary's
+    # J: buy-minus-sell market-order volume before clamping; d3: D at cells 0..2; n0: clear_boundary's
     j = 2.0 * p.mo.k0 * p.mo.v0 * float(np.tanh(v_prev / p.mo.v0))
     # One-sided second-order gradients of D*n at x = 0.
     gb = (-3.0 * d3[0] * b0 + 4.0 * d3[1] * b1 - d3[2] * b2) / (2.0 * dx)
@@ -164,8 +164,9 @@ class _TickEngine:
 
     Building it checks, before any state changes: dt > 0 and dt <= tau; then
     sigma_in, sigma_out and diffusion, each evaluated once on x = i*dx, are
-    finite and nonnegative; then c = max D dt/dx^2 < 0.5 on that diffusion (at c = 0.5 the
-    explicit step multiplies the shortest mode by 1 - 4c = -1 each tick, so it never decays).
+    finite and nonnegative; then c = max D dt/dx^2 < 0.5 on that diffusion (at
+    c = 0.5 the explicit step multiplies the shortest mode by 1 - 4c = -1 each
+    tick, so it never decays).
     ``tick`` is the run_ticks interface: it takes the next rows of ``noise``,
     the run's scaled (4, L) noise stream (see the module docstring), each
     chunk scaled once by the ``folds`` of its rows.  ``place(book, v, xi)``,
