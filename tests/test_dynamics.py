@@ -354,14 +354,16 @@ class TestStep:
                                           activity=activity)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.7])
-    @pytest.mark.parametrize("steps", [NOISE_CHUNK - 1, NOISE_CHUNK, NOISE_CHUNK + 1,
+    @pytest.mark.parametrize("steps", [NOISE_CHUNK // 2 - 1, NOISE_CHUNK // 2, NOISE_CHUNK // 2 + 1,
+                                       NOISE_CHUNK - 1, NOISE_CHUNK, NOISE_CHUNK + 1,
                                        2 * NOISE_CHUNK - 1, 2 * NOISE_CHUNK,
                                        2 * NOISE_CHUNK + 1, 4 * NOISE_CHUNK + 1])
     def test_run_consumes_one_draw_per_tick(self, alpha, steps):
         # The chunked engine leaves the stream where `steps` draw(..., (4, L))
         # calls leave it: it never draws noise for ticks it does not run.  The
-        # runs of 2 to 5 chunks end in either of the two buffers, after a full
-        # or a partial last chunk.
+        # runs of part of a chunk fill one short buffer; the runs of 2 to 5
+        # chunks end in either of the two buffers, after a full or a partial
+        # last chunk.
         params = make_params(sigma_in=0.05, sigma_out=0.01, alpha=alpha)
         f = new_field(32, 0.01, lambda x: np.full_like(x, 4.0))
         engine = _TickEngine(params, f.length, f.dx, 1.0, np.random.default_rng(9), steps)
