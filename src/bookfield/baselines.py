@@ -74,9 +74,9 @@ class _PointProcessEngine:
 
     ``place(book, v)`` adds the Poisson placements at velocity v to the book and
     returns the (buy, sell) market-order means.  Per tick it draws, in order:
-    placements (CS: one call; KSTT: one scalar-mean call per side), one binomial
-    call for the cancellations (none at cancel_prob 0), then buy and sell
-    market orders as scalar calls.
+    placements in one call (CS: per-cell rates; KSTT: one mean per side), one
+    binomial call for the cancellations (none at cancel_prob 0), then buy and
+    sell market orders as scalar calls.
     """
 
     def __init__(self, params: CSParams | KSTTParams, x: np.ndarray, rng: np.random.Generator):
@@ -91,8 +91,7 @@ class _PointProcessEngine:
         else:
             def place(book, v):
                 up, down = market_order_rate(v, params.placement)
-                book[0] += rng.poisson(up, x.shape)
-                book[1] += rng.poisson(down, x.shape)
+                book += rng.poisson([[up], [down]], book.shape)
                 return market_order_rate(v, params.mo)
 
         self.place = place
@@ -124,7 +123,5 @@ def run_baseline(
     """
     if not isinstance(params, (CSParams, KSTTParams)):
         raise ValueError(f"params must be CSParams or KSTTParams, got {type(params).__name__}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     engine = _PointProcessEngine(params, field.x, np.random.default_rng(seed))
     return run_ticks(engine, field, steps, 1.0, tracked_cells)

@@ -65,7 +65,7 @@ def reference_config(model: str) -> dict:
         "mo": {"k0": 2.0, "k_inf": 0.5, "k1": 0.5, "v0": 5e-5},
         "tau": 1.0,
         "n0_floor": 5.0,
-        # sigma_in / sigma_out: the book where placement balances cancellation
+        # sigma_in(0) / sigma_out = 0.05 / 0.004, below the mean-field stationary mu(0) = 42.2 per side
         "init_profile": {"kind": "exp_decay", "amplitude": 12.5, "length_scale": 0.02, "floor": 0.0},
         "activity": None,
     }

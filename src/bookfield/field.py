@@ -86,10 +86,6 @@ class OrderBookField:
         """Cell coordinates i*dx."""
         return np.arange(self.length) * self.dx
 
-    def copy(self) -> "OrderBookField":
-        return OrderBookField(bid=self.bid, ask=self.ask, dx=self.dx, t=self.t,
-                              fractional_offset=self.fractional_offset)
-
 
 def check_trend_constants(k0, k_inf, k1, v0, where: str) -> None:
     """Require v0 > 0, k0 >= 0, k1 >= 0, k_inf >= k1 of numbers or grid arrays; NaN fails.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -149,7 +150,7 @@ def test_stacked_book_keeps_the_per_side_stream(model, monkeypatch):
     # final book, same generator state.
     params = THIN_BOOKS[model]
     f = new_field(13, 1.0, profiles.constant(40.0))
-    start = f.copy()
+    start = dataclasses.replace(f)
     made = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import threading
 import time
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from bookfield import configs, profiles, stable_noise
+from bookfield.baselines import run_baseline
 from bookfield.dynamics import (
     NOISE_CHUNK,
     _TickEngine,
@@ -308,6 +310,30 @@ class TestStep:
         with pytest.raises(ValueError, match="tau"):
             step(f, 0.0, params, 2.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_run_of_no_ticks_rejected_before_mutation(self, steps):
+        params = make_params(sigma_in=0.05)
+        f = new_field(16, 0.01, lambda x: np.full_like(x, 2.0))
+        book0 = f.book.copy()
+        engine = _TickEngine(params, f.length, f.dx, 1.0, np.random.default_rng(0), steps)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            run_ticks(engine, f, steps, 1.0)
+        engine.close()
+        assert f.t == 0.0 and f.fractional_offset == 0.0
+        assert np.array_equal(f.book, book0)
+
+    @pytest.mark.parametrize("model", ["cf", "cs", "kstt"])
+    def test_every_model_rejects_no_ticks(self, model):
+        if model == "cf":
+            f = configs.reference_grid().new_field(configs.reference_init_profile())
+            run = functools.partial(simulate, configs.reference_model_params(), f, dt=1.0)
+        else:
+            f = getattr(configs, f"{model}_reference_field")()
+            run = functools.partial(run_baseline, getattr(configs, f"{model}_reference")(), f)
+        with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+            run(steps=0, seed=1)
+        assert f.fractional_offset == 0.0
+
     def test_mo_volumes_recorded_and_clamped(self):
         params = make_params(k0=0.0, k_inf=3.0, k1=0.0, v0=0.5, n0_floor=1.0)
         f = new_field(16, 0.01, lambda x: np.full_like(x, 0.5))
@@ -366,12 +392,13 @@ class TestStep:
         # last chunk.
         params = make_params(sigma_in=0.05, sigma_out=0.01, alpha=alpha)
         f = new_field(32, 0.01, lambda x: np.full_like(x, 4.0))
-        engine = _TickEngine(params, f.length, f.dx, 1.0, np.random.default_rng(9), steps)
+        run_rng = np.random.default_rng(9)
+        engine = _TickEngine(params, f.length, f.dx, 1.0, run_rng, steps)
         run_ticks(engine, f, steps, 1.0)
         rng = np.random.default_rng(9)
         for _ in range(steps):
             draw(params.stable, (4, f.length), rng)
-        assert engine.rng.bit_generator.state == rng.bit_generator.state
+        assert run_rng.bit_generator.state == rng.bit_generator.state
 
     def test_reference_run_matches_recorded_values(self):
         # Recorded when the alpha = 1/2 noise became 1/(2 Z^2) from one standard

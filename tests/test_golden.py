@@ -99,6 +99,22 @@ def cf_activity():
     return simulate(params, f, steps=300, dt=1.0, seed=7)
 
 
+def cf_static_alpha():
+    # Static placement off alpha = 1/2 with scale * dt = 0.4, not a power of two: pins the
+    # general stable fill and the three static noise folds over five noise chunks, the last
+    # one partial.  Volume spills past x = 0 on 45 of the 300 ticks.
+    params = ModelParams(
+        stable=StableParams(alpha=0.7, scale=0.8, truncation_quantile=0.99),
+        sigma_in=profiles.exp_decay(0.05, 0.02),
+        sigma_out=profiles.constant(0.004),
+        diffusion=profiles.constant(2e-9),
+        mo=MarketOrderParams(k0=2.0, k_inf=0.5, k1=0.5, v0=5e-5),
+        n0_floor=5.0,
+    )
+    f = new_field(64, 2e-4, profiles.exp_decay(12.5, 0.02))
+    return simulate(params, f, steps=300, dt=0.5, seed=3)
+
+
 def cs_reference():
     f = configs.cs_reference_field()
     return run_baseline(configs.cs_reference(), f, steps=2000, seed=4)
@@ -131,6 +147,15 @@ CF_GOLDEN = {
         "tracks": (3012.0393848678445, 5983.2602929126915, 3.982399875825843),
         "spills": (0.4389329304960064, 0.045395067272569464, 0.19546353516008488),
         "final": (2.589948773806362, 0.05378989421038102, 0.027366435119644286),
+    }),
+    # Recorded before the public re-exports, OrderBookField.copy and _TickEngine.rng were deleted.
+    "cf_static_alpha": (cf_static_alpha, {
+        "v": (-0.0002241142010884844, 7.775000344185375e-09, 2.1303878727552883e-05),
+        "n0": (5949.378968768192, 131869.2006505104, 30.806132088087935),
+        "mo": (0.0010446999754975816, 7.885746099306545e-09, 2.1156617007401035e-05),
+        "tracks": (41745.91268920647, 451635.37087207485, 18.79741313289169),
+        "spills": (33.24115698191442, 185.64424639323929, 13.162637755416846),
+        "final": (1191.3004043629974, 11883.011381683897, 15.36031275042199),
     }),
 }
 
