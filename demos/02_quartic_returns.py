@@ -33,8 +33,9 @@ print(f"mean boundary volume n0 = {n0.mean():.1f}  (k0 = {params.mo.k0:.1f}, "
       f"ratio {n0.mean() / params.mo.k0:.2f})")
 
 rd = return_distribution(v, tau=params.tau)
-print(f"normalized |return| pdf tail exponent: Hill {rd.tail_exponent:.2f}, "
-      f"log-log OLS {rd.tail_exponent_ols:.2f}  flags={rd.flags}")
+# a run too short for a tail fit has no exponents; its flags say why
+hill, ols = ("none" if e is None else f"{e:.2f}" for e in (rd.tail_exponent, rd.tail_exponent_ols))
+print(f"normalized |return| pdf tail exponent: Hill {hill}, log-log OLS {ols}  flags={rd.flags}")
 
 fp = FPParams(k0=params.mo.k0, k_inf=params.mo.k_inf, k1=params.mo.k1,
               v0=params.mo.v0, n0=float(n0.mean()), tau=params.tau)

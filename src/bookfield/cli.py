@@ -398,11 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--no-records", dest="records", action="store_false",
-                   help="skip writing records.jsonl (summary only)")
+                   help="skip writing records.jsonl, the per-tick rows (summary only)")
     p.set_defaults(func=cmd_simulate)
 
     frame_source = argparse.ArgumentParser(add_help=False)
-    frame_source.add_argument("--records", help="step-record JSONL file from simulate")
+    frame_source.add_argument("--records", help="records.jsonl of simulate: JSON header, CSV row per tick")
     frame_source.add_argument("--snapshots", help="snapshot JSONL file")
     frame_source.add_argument("--market-orders", help="market-order CSV aligned with snapshots")
     frame_source.add_argument("--dx", type=_positive, default=2e-4,

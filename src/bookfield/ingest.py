@@ -6,25 +6,26 @@ Wire formats:
   ``{"ts": <sec>, "p": <trade price>, "bids": [[price, vol], ...], "asks": [[price, vol], ...]}``
   with bids sorted descending and asks ascending by price.
 * Market-order flows: CSV ``ts,buy,sell`` (header line optional on input).
-* Simulation tick records: JSONL with a single header object followed by one
-  record per tick.
+* Simulation tick records (``records.jsonl``): a JSON header object, then
+  one CSV line of floats per tick, laid out as the header's ``columns`` and
+  ``tracked_cells`` say.  Only the first line is JSON; the file keeps its
+  ``.jsonl`` name, which callers and perfbench look for.
 * Analysis tables and densities: CSV with a one-line JSON metadata header
   comment (``# {...}``).
 
 All floating-point output uses 17 significant digits so that
 serialize-then-parse is an exact round trip.  Parsing is streaming.  The
-snapshot parser holds one record at a time.  The step-record reader holds one
-block of ``_RECORD_BLOCK_ROWS`` parsed records plus the output columns, not
-the file's records.  The CSV writers format a block of rows per ``%`` call, so
-their memory is bounded by one block.
+snapshot parser holds one record at a time.  The step-record reader parses
+``_RECORD_BLOCK_ROWS`` lines at a time into float arrays, so it never holds
+the file's text or a Python object per number.  The table writers format a
+block of rows per ``%`` call, so their memory is bounded by one block.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import islice
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -53,19 +54,29 @@ __all__ = [
 
 _MALFORMED_HARD_LIMIT = 0.10
 _GAP_FACTOR = 5.0  # a snapshot spacing above this many dt is a data gap
-_CSV_BLOCK_ROWS = 1024  # rows a CSV writer formats per % call
-_RECORD_BLOCK_ROWS = 64  # step records the reader parses per json.loads call
-_RECORD_SCALARS = ("t", "v", "n0", "mo_buy", "mo_sell")  # a step record's per-tick numbers
+_BLOCK_VALUES = 8192  # floats a table writer formats per % call
+_RECORD_BLOCK_ROWS = 64  # step records the reader parses per np.loadtxt call
+# A step-record row: the per-tick numbers, then one number per tracked cell for bid and for ask.
+_RECORD_COLUMNS = ("t", "v", "n0", "mo_buy", "mo_sell", "spill_bid", "spill_ask", "bid", "ask")
 
 
-def _write_rows(out: TextIO, width: int, values: tuple[float, ...]) -> None:
-    """Row-major floats as CSV lines of ``width`` numbers, each in 17 significant digits.
+def _write_table(out: TextIO, columns: list[np.ndarray]) -> None:
+    """The rows of ``columns`` (1-D, or 2-D with one row per table row) as CSV lines of floats.
 
-    '%.17g' % x is format(x, '.17g') for every float, NaN, +-inf and -0.0
-    included, and 17 digits round-trip float64 exactly.
+    Each float is printed in 17 significant digits: '%.17g' % x is
+    format(x, '.17g') for every float, NaN, +-inf and -0.0 included, and 17
+    digits round-trip float64 exactly.  A block of rows holding about
+    ``_BLOCK_VALUES`` floats is formatted per % call: 2,730 rows of a
+    3-column table, 60 ticks of a step record that tracks 64 cells.
     """
-    row = ",".join(["%.17g"] * width) + "\n"
-    out.write((row * (len(values) // width)) % values)
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    cols = [c[:, None] if c.ndim == 1 else c for c in cols]
+    width = sum(c.shape[1] for c in cols)
+    rows = max(1, _BLOCK_VALUES // width)
+    line = ",".join(["%.17g"] * width) + "\n"
+    for start in range(0, len(cols[0]), rows):
+        block = np.hstack([c[start : start + rows] for c in cols])
+        out.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass
@@ -191,9 +202,8 @@ def parse_market_orders(lines: Iterable[str]) -> list[MarketOrderRecord]:
 
 def write_market_orders(records: Iterable[MarketOrderRecord], out: TextIO) -> None:
     out.write("ts,buy,sell\n")
-    it = iter(records)
-    while block := [(r.ts, r.buy_volume, r.sell_volume) for r in islice(it, _CSV_BLOCK_ROWS)]:
-        _write_rows(out, 3, tuple(chain.from_iterable(block)))
+    rows = np.array([(r.ts, r.buy_volume, r.sell_volume) for r in records], dtype=float)
+    _write_table(out, [rows.reshape(-1, 3)])
 
 
 def to_log_grid(record: SnapshotRecord, dx: float, L: float) -> tuple[np.ndarray, np.ndarray]:
@@ -285,99 +295,42 @@ def build_frame(
 
 
 def write_step_records(result, out: TextIO) -> None:
-    """Serialize a SimulationResult as header + one JSON record per tick."""
+    """Serialize a SimulationResult as a JSON header line and one row of floats per tick."""
     header = {
         "type": "bookfield.steprecords",
-        "version": 1,
+        "version": 2,
         "dx": result.dx,
         "dt": result.dt,
         "tracked_cells": [int(c) for c in result.tracked_cells],
+        "columns": list(_RECORD_COLUMNS),
     }
     out.write(json.dumps(header) + "\n")
-    for i in range(len(result.times)):
-        rec = {
-            "t": result.times[i],
-            "v": result.velocities[i],
-            "n0": result.n0s[i],
-            "mo_buy": result.mo_buy[i],
-            "mo_sell": result.mo_sell[i],
-            "spill_bid": result.spill_bid[i],
-            "spill_ask": result.spill_ask[i],
-            "bid": list(result.bid_tracks[i]),
-            "ask": list(result.ask_tracks[i]),
-        }
-        out.write(json.dumps(rec) + "\n")
+    _write_table(out, [result.times, result.velocities, result.n0s, result.mo_buy, result.mo_sell,
+                       result.spill_bid, result.spill_ask, result.bid_tracks, result.ask_tracks])
 
 
-def _column(rows: list, shape: tuple[int, int], message: str) -> np.ndarray:
-    """``rows`` as a float array of ``shape``; ValueError(message) if they are not."""
-    try:
-        arr = np.array(rows)
-    except ValueError:  # ragged rows
-        raise ValueError(message) from None
-    if arr.dtype.kind not in "fiu" or arr.shape != shape:
-        raise ValueError(message)
-    return arr.astype(float, copy=False)
-
-
-def _record_block(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse record lines with one ``json.loads``; their scalar, bid and ask columns.
-
-    Raises ValueError, KeyError or TypeError when a line does not hold one
-    record of ``width`` tracked cells.
-    """
-    recs = json.loads("[" + ",".join(lines) + "]")
-    n = len(lines)
-    if len(recs) != n:
-        raise ValueError("a line must hold exactly one record")
-    scalars = itemgetter(*_RECORD_SCALARS)
-    return (
-        _column([scalars(r) for r in recs], (n, len(_RECORD_SCALARS)),
-                f"{', '.join(_RECORD_SCALARS)} must be numbers"),
-        _column([r["bid"] for r in recs], (n, width),
-                f"bid must list {width} numbers, one per tracked cell"),
-        _column([r["ask"] for r in recs], (n, width),
-                f"ask must list {width} numbers, one per tracked cell"),
-    )
-
-
-def _bad_record(block: list[tuple[int, str]], width: int) -> DataError:
-    """The error of a block that failed to parse, naming its first bad line (error path only)."""
-    for lineno, line in block:
-        try:
-            _record_block([line], width)
-        except json.JSONDecodeError as exc:
-            reason = exc.msg
-        except KeyError as exc:
-            reason = f"missing key {exc.args[0]!r}"
-        except TypeError:
-            reason = "a record must be a JSON object"
-        except ValueError as exc:
-            reason = str(exc)
-        else:
-            continue
-        return DataError(f"step-record line {lineno}: {reason}")
-    return DataError(f"step-record lines {block[0][0]}-{block[-1][0]} do not form one table")
-
-
-def _stack(blocks: list[np.ndarray]) -> np.ndarray:
-    """Concatenate the block arrays and release them."""
-    out = np.concatenate(blocks)
-    blocks.clear()
-    return out
+def _record_rows(lines: list[str], width: int) -> np.ndarray:
+    """Parse record lines as one float table; ValueError if they are not ``width`` numbers each."""
+    if not all(line.endswith("\n") for line in lines):
+        raise ValueError("the line is cut short (it does not end in a newline)")
+    table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if table.shape != (len(lines), width):
+        raise ValueError(f"a line must hold {width} numbers, got {table.size / len(lines):g}")
+    return table
 
 
 def read_step_records_frame(lines: Iterable[str]) -> SeriesFrame:
-    """Read a step-record JSONL stream back into a SeriesFrame.
+    """Read a step-record stream back into a SeriesFrame.
 
-    Records are parsed ``_RECORD_BLOCK_ROWS`` lines at a time, and each
-    block's dicts are dropped once its columns are float arrays.  Raises
-    DataError for an empty stream, a header that is not a version-1
-    step-record header with ``dx`` and ``tracked_cells``, a stream without
-    records, and a record line that is not one JSON object with numeric
-    ``t``, ``v``, ``n0``, ``mo_buy``, ``mo_sell`` and ``bid``/``ask`` lists
-    of one value per tracked cell, or whose ``t`` is not above the previous
-    record's; the message names the line's number.
+    Records are parsed ``_RECORD_BLOCK_ROWS`` lines at a time as one float
+    table; only a block that fails is parsed again line by line, to name its
+    first bad line.  Raises DataError for an empty stream, a header that is
+    not a version-2 step-record header with ``dx``, ``tracked_cells`` and
+    ``columns`` (a version-1 file, one JSON object per tick, must be written
+    again by ``simulate``), a stream without records, and a record line that
+    is not ``len(columns) - 2 + 2 * len(tracked_cells)`` comma-separated
+    numbers ending in a newline, or whose ``t`` is not above the previous
+    record's; the message names the line's number, blank lines counted.
     """
     it = enumerate(lines, start=1)
     try:
@@ -390,55 +343,62 @@ def read_step_records_frame(lines: Iterable[str]) -> SeriesFrame:
         raise DataError(f"step-record line 1: {exc.msg}") from None
     if not isinstance(header, dict) or header.get("type") != "bookfield.steprecords":
         raise DataError("not a bookfield step-record stream (bad header)")
-    if header.get("version") != 1:
-        raise DataError(f"step-record version {header.get('version')!r} is not supported (only 1)")
-    missing = [key for key in ("dx", "tracked_cells") if key not in header]
-    if missing:
-        raise DataError(f"step-record header lacks {' and '.join(missing)}")
+    if header.get("version") != 2:
+        raise DataError(f"step-record version {header.get('version')!r} is not supported "
+                        "(only 2); run simulate again to write the records")
+    if header.get("columns") != list(_RECORD_COLUMNS):
+        raise DataError(f"step-record columns must be {list(_RECORD_COLUMNS)}")
     try:
         dx = float(header["dx"])
         cells = np.asarray(header["tracked_cells"], dtype=int)
         if cells.ndim != 1:
             raise ValueError("tracked_cells must be a list of cell indices")
+    except KeyError as exc:
+        raise DataError(f"step-record header lacks {exc.args[0]}") from None
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad step-record header: {exc}") from None
+    bid_at = len(_RECORD_COLUMNS) - 2  # the per-tick numbers come first
+    ask_at, width = bid_at + len(cells), bid_at + 2 * len(cells)
     numbered = ((lineno, line) for lineno, line in it if line.strip())
-    scalars, bid, ask = [], [], []
+    tables = []
     t_prev = -math.inf
     while block := list(islice(numbered, _RECORD_BLOCK_ROWS)):
         try:
-            columns = _record_block([line for _, line in block], len(cells))
-        except (ValueError, KeyError, TypeError):
-            raise _bad_record(block, len(cells)) from None
-        t = columns[0][:, 0]
+            table = _record_rows([line for _, line in block], width)
+        except ValueError:
+            for lineno, line in block:
+                try:
+                    _record_rows([line], width)
+                except ValueError as exc:
+                    raise DataError(f"step-record line {lineno}: {exc}") from None
+            raise
+        t = table[:, 0]
         behind = np.flatnonzero(~(np.diff(t, prepend=t_prev) > 0.0))  # NaN t too
         if behind.size:
             raise DataError(f"step-record line {block[behind[0]][0]}: t does not increase")
         t_prev = t[-1]
-        for blocks, arr in zip((scalars, bid, ask), columns):
-            blocks.append(arr)
-    if not scalars:
+        tables.append(table)
+    if not tables:
         raise DataError("step-record stream has a header but no records")
-    t, v, n0, mo_buy, mo_sell = _stack(scalars).T
+
+    def column(index) -> np.ndarray:
+        return np.concatenate([table[:, index] for table in tables])
+
     return SeriesFrame(
-        times=np.ascontiguousarray(t),
-        velocities=np.ascontiguousarray(v),
-        n0s=np.ascontiguousarray(n0),
+        times=column(0),
+        velocities=column(1),
+        n0s=column(2),
         x_bins=cells * dx,
-        bid=_stack(bid),
-        ask=_stack(ask),
-        mo_flows=np.column_stack([mo_buy, mo_sell]),
+        bid=column(slice(bid_at, ask_at)),
+        ask=column(slice(ask_at, width)),
+        mo_flows=column(slice(3, 5)),  # mo_buy, mo_sell
     )
 
 
 def _write_csv(out: TextIO, meta: dict, columns: dict[str, np.ndarray]) -> None:
     out.write("# " + json.dumps(meta) + "\n")
-    names = list(columns)
-    out.write(",".join(names) + "\n")
-    cols = [np.asarray(columns[n], dtype=float) for n in names]
-    for start in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-        block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in cols])
-        _write_rows(out, len(cols), tuple(block.ravel().tolist()))
+    out.write(",".join(columns) + "\n")
+    _write_table(out, list(columns.values()))
 
 
 def write_density_csv(density: ReturnDensity, out: TextIO, meta: dict | None = None) -> None:

@@ -23,10 +23,9 @@ def run(args):
     return main(args)
 
 
-def edit_record(line, change):
-    rec = json.loads(line)
-    change(rec)
-    return json.dumps(rec)
+def edit_row(line, change):
+    """A step-record line whose list of number tokens is replaced by ``change(tokens)``."""
+    return ",".join(change(line.split(",")))
 
 
 class TestSimulate:
@@ -228,9 +227,10 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("change", [
         lambda line: line[: len(line) // 2],
-        lambda line: edit_record(line, lambda rec: rec.pop("bid")),
-        lambda line: edit_record(line, lambda rec: rec.update(bid=rec["bid"][:-1])),
-        lambda line: edit_record(line, lambda rec: rec.update(t=rec["t"] - 1.0)),
+        # seven per-tick numbers, then as many bid as ask cells
+        lambda line: edit_row(line, lambda r: r[:7] + r[7 + (len(r) - 7) // 2 :]),
+        lambda line: edit_row(line, lambda r: r[:7] + r[8:]),
+        lambda line: edit_row(line, lambda r: [repr(float(r[0]) - 1.0), *r[1:]]),
     ], ids=["truncated", "no-bid", "bid-one-cell-short", "t-repeated"])
     def test_malformed_record_line_is_data_error(self, tmp_path, capsys, change):
         result = run_baseline(configs.cs_reference(), configs.cs_reference_field(), steps=200, seed=1)

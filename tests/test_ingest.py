@@ -17,7 +17,7 @@ from bookfield.ingest import (
     MarketOrderRecord,
     ParseReport,
     SnapshotRecord,
-    _CSV_BLOCK_ROWS,
+    _BLOCK_VALUES,
     _RECORD_BLOCK_ROWS,
     _write_csv,
     build_frame,
@@ -308,10 +308,18 @@ def record_lines(result):
     return buf.getvalue().splitlines(keepends=True)
 
 
-def edit_record(line, change):
-    rec = json.loads(line)
-    change(rec)
-    return json.dumps(rec) + "\n"
+def edit_header(line, change):
+    header = json.loads(line)
+    change(header)
+    return json.dumps(header) + "\n"
+
+
+def edit_row(line, change):
+    """A record line whose list of number tokens is replaced by ``change(tokens)``."""
+    return ",".join(change(line.rstrip("\n").split(","))) + "\n"
+
+
+W = 7 + 2 * 64  # a CS record line: seven per-tick numbers, then 64 bid and 64 ask cells
 
 
 class TestStepRecordErrors:
@@ -324,26 +332,41 @@ class TestStepRecordErrors:
         (lambda h: h.pop("tracked_cells"), "lacks tracked_cells"),
         (lambda h: h.update(version=7), "version 7"),
         (lambda h: h.pop("version"), "version None"),
-    ], ids=["no-dx", "no-tracked-cells", "version-7", "no-version"])
+        (lambda h: h.pop("columns"), "columns must be"),
+        (lambda h: h.update(columns=h["columns"][::-1]), "columns must be"),
+    ], ids=["no-dx", "no-tracked-cells", "version-7", "no-version", "no-columns",
+            "columns-reversed"])
     def test_bad_header_is_data_error(self, lines, change, words):
         with pytest.raises(DataError, match=words):
-            read_step_records_frame([edit_record(lines[0], change), *lines[1:]])
+            read_step_records_frame([edit_header(lines[0], change), *lines[1:]])
+
+    def test_version_1_file_is_rejected(self, lines):
+        # The per-tick JSON object format that version 1 wrote.
+        header = edit_header(lines[0], lambda h: (h.update(version=1), h.pop("columns")))
+        record = json.dumps({"t": 1.0, "v": 0.0, "n0": 1.0, "mo_buy": 0.0, "mo_sell": 0.0,
+                             "spill_bid": 0.0, "spill_ask": 0.0, "bid": [0.0] * 64,
+                             "ask": [0.0] * 64}) + "\n"
+        with pytest.raises(DataError, match="version 1 is not supported .*run simulate again"):
+            read_step_records_frame([header, record])
 
     def test_width_other_than_tracked_cells_is_data_error(self, lines):
-        # Every record one cell short: the records form a table, just not the header's.
-        short = [edit_record(line, lambda r: r.update(bid=r["bid"][:-1], ask=r["ask"][:-1]))
-                 for line in lines[1:]]
-        with pytest.raises(DataError, match="step-record line 2: bid must list 64 numbers"):
+        # Every record one bid and one ask cell short: the records form a table,
+        # just not the header's.
+        short = [edit_row(line, lambda r: r[:70] + r[71:134]) for line in lines[1:]]
+        with pytest.raises(DataError, match=f"step-record line 2: a line must hold {W} numbers, "
+                                            f"got {W - 2}"):
             read_step_records_frame([lines[0], *short])
 
     @pytest.mark.parametrize("change, words", [
-        (lambda line: line[: len(line) // 2], "Expecting"),
-        (lambda line: edit_record(line, lambda r: r.pop("n0")), "missing key 'n0'"),
-        (lambda line: edit_record(line, lambda r: r.update(v=None)), "must be numbers"),
-        (lambda line: edit_record(line, lambda r: r.update(ask=r["ask"] + [1.0])), "ask must list"),
-        (lambda line: "[1.0, 2.0]\n", "must be a JSON object"),
-        (lambda line: line.strip() + ", " + line, "exactly one record"),
-        (lambda line: edit_record(line, lambda r: r.update(t=float("nan"))), "t does not increase"),
+        (lambda line: line[: len(line) // 2] + "\n", f"must hold {W} numbers"),
+        (lambda line: edit_row(line, lambda r: r[:2] + r[3:]),
+         f"must hold {W} numbers, got {W - 1}"),
+        (lambda line: edit_row(line, lambda r: [r[0], "null", *r[2:]]),
+         "could not convert string 'null'"),
+        (lambda line: edit_row(line, lambda r: r + ["1.0"]), f"must hold {W} numbers, got {W + 1}"),
+        (lambda line: "[1.0, 2.0]\n", r"could not convert string '\[1.0'"),
+        (lambda line: line.strip() + "," + line, f"must hold {W} numbers, got {2 * W}"),
+        (lambda line: edit_row(line, lambda r: ["nan", *r[1:]]), "t does not increase"),
     ], ids=["truncated", "no-n0", "null-v", "long-ask", "list", "two-records", "nan-t"])
     def test_bad_line_named_by_its_number_in_the_file(self, lines, change, words):
         # Blank lines count: the bad record, in the second block, is line B + 12 of the file.
@@ -352,6 +375,14 @@ class TestStepRecordErrors:
         body[bad - 2] = change(body[bad - 2])
         with pytest.raises(DataError, match=f"step-record line {bad}: .*{words}"):
             read_step_records_frame([lines[0], *body])
+
+    def test_final_line_cut_inside_its_last_number_is_data_error(self, lines):
+        # Cut inside its last number, the line still holds W numbers: only the
+        # missing newline tells it from a whole line.
+        cut = lines[-1][:-2]
+        assert len(cut.split(",")) == W and cut.rsplit(",", 1)[1]
+        with pytest.raises(DataError, match=f"step-record line {len(lines)}: .*cut short"):
+            read_step_records_frame([*lines[:-1], cut])
 
     @pytest.mark.parametrize("first", [B - 1, 100], ids=["across-blocks", "in-a-block"])
     def test_time_going_back_is_data_error(self, lines, first):
@@ -414,12 +445,12 @@ class TestTableFormatting:
 
     @pytest.mark.parametrize("rows", [0, 1, 7, 2500])
     def test_write_csv_matches_per_cell_fmt(self, rows):
-        assert 2500 > 2 * _CSV_BLOCK_ROWS  # the last case spans three blocks
         columns = {
             "bin_center": np.linspace(-1.0, 1.0, rows),
-            "value": self.values(rows, rows),
+            **{f"value{j}": self.values(rows, rows + j) for j in range(6)},
             "count": np.random.default_rng(rows).integers(0, 2**62, rows),
         }
+        assert 2500 * len(columns) > 2 * _BLOCK_VALUES  # the last case spans three blocks
         meta = {"type": "test"}
         cols = [np.asarray(c) for c in columns.values()]
         lines = ["# " + json.dumps(meta), ",".join(columns)]
