@@ -187,33 +187,16 @@ def _x_ref(frame: analyzers.SeriesFrame) -> float:
     return frame.x_bins[min(len(frame.x_bins) // 4, len(frame.x_bins) - 1)]
 
 
-def _mean_delta_slopes(frame: analyzers.SeriesFrame, dt: float) -> analyzers.Curve:
-    """Slope of <Delta n> against n at every tracked bin with enough volume samples."""
-    fits = []
-    for x in frame.x_bins:
-        try:
-            fits.append((x, analyzers.mean_delta_vs_n(frame, x, dt)))
-        except DataError:
-            continue
-    if not fits:
-        raise DataError("no x bin had enough volume samples for mean-delta")
-    xs = np.array([x for x, _ in fits])
-    return analyzers.Curve(
-        bin_centers=xs, values=np.array([fit.slope for _, fit in fits]),
-        counts=np.array([fit.sample_count for _, fit in fits]), bin_edges=xs,
-        meta={"statistic": "mean_delta_slope", "dt": dt},
-    )
-
-
 # name -> (file stem, compute(frame, dt), ingest writer, value column of a curve file).
 # compute returns one result, or {side: result} written to <stem>_<side>.csv.
 # analyzers.* and ingest.* are looked up when called, not when this is built.
 STATISTICS = {
     "conditional-delta": (
         "conditional_delta",
-        lambda frame, dt: analyzers.conditional_delta_distribution(frame, _x_ref(frame), 6, dt),
+        lambda frame, dt: analyzers.conditional_delta_distribution(frame, _x_ref(frame), dt),
         "write_histogram_family_csv", None),
-    "mean-delta": ("mean_delta_slope", _mean_delta_slopes, "write_curve_csv", "slope"),
+    "mean-delta": ("mean_delta_slope", lambda frame, dt: analyzers.mean_delta_vs_n(frame, dt),
+                   "write_curve_csv", "slope"),
     "spatial-correlation": (
         "spatial_correlation",
         lambda frame, dt: analyzers.spatial_correlation(frame, _x_ref(frame), dt),

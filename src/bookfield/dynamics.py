@@ -299,7 +299,6 @@ class SimulationResult:
     ask_tracks: np.ndarray
     dx: float
     dt: float
-    final_field: OrderBookField
 
     def to_frame(self):
         """View the run as a SeriesFrame for the analyzers."""
@@ -360,7 +359,6 @@ def run_ticks(engine, field: OrderBookField, steps: int, dt: float,
         times=times, velocities=out_v, n0s=out_n0, mo_buy=out_mob, mo_sell=out_mos,
         spill_bid=out_spb, spill_ask=out_spa, tracked_cells=tracked_cells,
         bid_tracks=out_book[:, 0], ask_tracks=out_book[:, 1], dx=field.dx, dt=dt,
-        final_field=field,
     )
 
 

@@ -401,14 +401,12 @@ def _write_csv(out: TextIO, meta: dict, columns: dict[str, np.ndarray]) -> None:
     _write_table(out, list(columns.values()))
 
 
-def write_density_csv(density: ReturnDensity, out: TextIO, meta: dict | None = None) -> None:
-    m = {"type": "bookfield.density", "normalization_check": density.normalization_check}
-    if meta:
-        m.update(meta)
+def write_density_csv(density: ReturnDensity, out: TextIO, meta: dict) -> None:
+    m = {"type": "bookfield.density", "normalization_check": density.normalization_check, **meta}
     _write_csv(out, m, {"v": density.grid, "p": density.density})
 
 
-def write_curve_csv(curve: Curve, out: TextIO, name: str = "value") -> None:
+def write_curve_csv(curve: Curve, out: TextIO, name: str) -> None:
     meta = {"type": "bookfield.curve", "bin_edges": [float(e) for e in curve.bin_edges]}
     meta.update(curve.meta)
     _write_csv(

@@ -56,9 +56,9 @@ def cf_run(steps=40_000, length=64, D=2e-9, sigma_out=0.004, seed=3, k0=2.0,
 class TestConditionalDeltaDistribution:
     def test_constant_series_point_mass_at_zero(self):
         frame = synthetic_frame(vol_fn=lambda rng, T, K: (np.ones((T, K)), np.ones((T, K))))
-        fam = conditional_delta_distribution(frame, 0.0, 1, 1.0)
-        assert fam.kept[0]
-        row = fam.densities[0]
+        fam = conditional_delta_distribution(frame, 0.0, 1.0)
+        assert fam.kept.sum() == 1  # every sample sits in one conditioning bin
+        row = fam.densities[fam.kept][0]
         inner = (fam.delta_edges[:-1] < 0) & (fam.delta_edges[1:] > 0)
         assert row[inner].sum() > 0.0
         assert np.all(row[~inner] == 0.0)
@@ -70,7 +70,7 @@ class TestConditionalDeltaDistribution:
             return base, base.copy()
 
         frame = synthetic_frame(T=60_000, vol_fn=vol, seed=4)
-        fam = conditional_delta_distribution(frame, 0.0, 1, 1.0)
+        fam = conditional_delta_distribution(frame, 0.0, 1.0)
         i = np.argmax(fam.kept)
         dens = fam.densities[i]
         edges = fam.delta_edges
@@ -82,7 +82,7 @@ class TestConditionalDeltaDistribution:
 
     def test_histograms_integrate_to_one(self):
         frame = synthetic_frame(T=20_000, seed=5)
-        fam = conditional_delta_distribution(frame, 0.0, 3, 1.0)
+        fam = conditional_delta_distribution(frame, 0.0, 1.0)
         for i in range(len(fam.kept)):
             if fam.kept[i]:
                 mass = np.sum(fam.densities[i] * np.diff(fam.delta_edges))
@@ -101,7 +101,13 @@ class TestConditionalDeltaDistribution:
     def test_empty_frame_rejected(self):
         frame = synthetic_frame(T=0)
         with pytest.raises(DataError):
-            conditional_delta_distribution(frame, 0.0, 3, 1.0)
+            conditional_delta_distribution(frame, 0.0, 1.0)
+
+
+def slope_at(curve, x):
+    """The mean-delta slope the curve lists at x (which it lists once)."""
+    (i,) = np.flatnonzero(curve.bin_centers == x)
+    return curve.values[i]
 
 
 class TestMeanDeltaVsN:
@@ -118,30 +124,52 @@ class TestMeanDeltaVsN:
             return n, n.copy()
 
         frame = synthetic_frame(T=40_000, vol_fn=vol, seed=6)
-        fit = mean_delta_vs_n(frame, 0.0, 1.0)
-        assert fit.slope == pytest.approx(slope_true, rel=0.05)
+        curve = mean_delta_vs_n(frame, 1.0)
+        assert slope_at(curve, 0.0) == pytest.approx(slope_true, rel=0.05)
 
     def test_no_cancellation_gives_zero_slope(self):
-        # pure placement: delta independent of n
+        # pure placement: delta independent of n, with mean 1
         def vol(rng, T, K):
             inc = rng.exponential(1.0, (T, K))
             n = np.cumsum(inc, axis=0)
             return n, n.copy()
 
         frame = synthetic_frame(T=20_000, vol_fn=vol, seed=7)
-        fit = mean_delta_vs_n(frame, 0.0, 1.0)
-        assert abs(fit.slope) <= 2.0 * fit.slope_stderr + 1e-12
+        curve = mean_delta_vs_n(frame, 1.0)
+        # across the whole volume range each fit moves <Delta n> by under a tenth of its mean
+        assert np.all(np.abs(curve.values) * frame.bid.max() < 0.1)
 
     def test_cf_run_negative_slope(self):
         res = cf_run(steps=30_000, sigma_out=0.008)
         frame = res.to_frame()
-        fit = mean_delta_vs_n(frame, frame.x_bins[1], 1.0)
-        assert fit.slope < 0.0
+        assert slope_at(mean_delta_vs_n(frame, 1.0), frame.x_bins[1]) < 0.0
+
+    def test_only_bins_with_varying_volume_are_listed(self):
+        # Bins 1 and 3 cycle through 1, 2, 4, 8, one value per log bin, so every
+        # sample enters the fit and the slope is the OLS slope through
+        # (1, 1), (2, 2), (4, 4), (8, -7): -35 / 28.75.  Bin 0 is empty, bin 2 constant.
+        T = 400
+
+        def vol(rng, T, K):
+            cycle = np.array([1.0, 2.0, 4.0, 8.0])
+            bid = np.zeros((T, K))
+            bid[:, 1] = np.resize(cycle, T)
+            bid[:, 2] = 5.0
+            bid[:, 3] = np.resize(np.roll(cycle, 1), T)
+            return bid, bid.copy()
+
+        frame = synthetic_frame(T=T, K=4, vol_fn=vol)
+        curve = mean_delta_vs_n(frame, 1.0)
+        assert np.array_equal(curve.bin_centers, frame.x_bins[[1, 3]])
+        assert np.array_equal(curve.bin_edges, frame.x_bins[[1, 3]])
+        assert np.array_equal(curve.counts, [T - 1, T - 1])
+        assert np.allclose(curve.values, -35.0 / 28.75, rtol=1e-12)
+        assert curve.meta == {"statistic": "mean_delta_slope", "dt": 1.0}
 
     def test_too_few_bins_rejected(self):
-        frame = synthetic_frame(T=10)
-        with pytest.raises((DataError, ValueError)):
-            mean_delta_vs_n(frame, 0.0, 1.0)
+        frame = synthetic_frame(T=10)  # no volume bin can hold 30 samples
+        with pytest.raises(DataError, match="no x bin had enough volume samples for mean-delta"):
+            mean_delta_vs_n(frame, 1.0)
 
 
 class TestSpatialCorrelation:
@@ -206,7 +234,7 @@ class TestReturnDistribution:
         rng = np.random.default_rng(14)
         samples = np.concatenate([np.full(5000, 2.0), rng.uniform(0.0, 1.0, 1000)])
         with pytest.raises(DataError, match="tie"):
-            hill_tail_index(samples)
+            hill_tail_index(samples, 0.01)
 
     def test_density_integrates_to_one(self):
         rng = np.random.default_rng(13)
@@ -307,7 +335,7 @@ class TestRmsDeltaVsVelocity:
         centers = out["bid"].bin_centers
         ok = ~(np.isnan(out["bid"].values) | np.isnan(out["ask"].values))
         flows = np.column_stack([out["bid"].values[ok], out["ask"].values[ok]])
-        rep = fit_market_order_response(centers[ok], flows)
+        rep = fit_market_order_response(centers[ok], flows, np.ones(ok.sum()))
         assert rep.converged
         assert rep.parameters["v0"][0] == pytest.approx(v0_true, rel=0.10)
 
@@ -318,7 +346,7 @@ class TestFitMarketOrderResponse:
         p = MarketOrderParams(k0=3.0, k_inf=2.0, k1=1.5, v0=2e-4)
         v = np.linspace(-8e-4, 8e-4, 400)
         flows = np.array([market_order_rate(vi, p) for vi in v])
-        rep = fit_market_order_response(v, flows)
+        rep = fit_market_order_response(v, flows, np.ones(len(v)))
         assert rep.converged
         for name, truth in [("k0", 3.0), ("k_inf", 2.0), ("k1", 1.5), ("v0", 2e-4)]:
             assert rep.parameters[name][0] == pytest.approx(truth, rel=1e-6)
@@ -329,7 +357,7 @@ class TestFitMarketOrderResponse:
         v = rng.uniform(-8e-4, 8e-4, 5000)
         flows = np.array([market_order_rate(vi, p) for vi in v])
         flows *= 1.0 + 0.05 * rng.standard_normal(flows.shape)
-        rep = fit_market_order_response(v, flows)
+        rep = fit_market_order_response(v, flows, np.ones(len(v)))
         assert rep.converged
         # a warning raised as an error would only drop a start, so check none was lost
         assert not any("error" in t for t in rep.diagnostics["residual_trace"])
@@ -350,7 +378,7 @@ class TestFitMarketOrderResponse:
         monkeypatch.setattr(analyzers, "trend_response", broken)
         v = np.linspace(-8e-4, 8e-4, 50)
         with pytest.raises(TypeError, match="broken model"):
-            fit_market_order_response(v, np.ones((50, 2)))
+            fit_market_order_response(v, np.ones((50, 2)), np.ones(50))
 
     def test_deterministic(self):
         rng = np.random.default_rng(18)
@@ -358,7 +386,7 @@ class TestFitMarketOrderResponse:
         v = rng.uniform(-4e-4, 4e-4, 500)
         flows = np.array([market_order_rate(vi, p) for vi in v])
         flows *= 1.0 + 0.03 * rng.standard_normal(flows.shape)
-        r1 = fit_market_order_response(v, flows)
-        r2 = fit_market_order_response(v, flows)
+        r1 = fit_market_order_response(v, flows, np.ones(len(v)))
+        r2 = fit_market_order_response(v, flows, np.ones(len(v)))
         assert r1.parameters == r2.parameters
         assert not any("error" in t for t in r1.diagnostics["residual_trace"])

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bookfield
@@ -24,16 +25,30 @@ def test_demo_runs(name, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def run_demo_at_3000_steps(name, steps, tmp_path):
+    """Run a copy of a demo whose ``STEPS = <steps>`` line is set to 3,000 ticks."""
+    source = (DEMOS / name).read_text()
+    assert source.count(f"STEPS = {steps}\n") == 1
+    script = tmp_path / name
+    script.write_text(source.replace(f"STEPS = {steps}\n", "STEPS = 3_000\n"))
+    proc = run_demo(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_quartic_returns_demo_runs_when_too_short_for_a_tail_fit(tmp_path):
     # At 3,000 ticks the run keeps too few returns for the Hill and OLS fits,
     # which then give no exponents; the demo must still run to its end.
-    source = (DEMOS / "02_quartic_returns.py").read_text()
-    assert source.count("STEPS = 300_000\n") == 1
-    script = tmp_path / "02_quartic_returns.py"
-    script.write_text(source.replace("STEPS = 300_000\n", "STEPS = 3_000\n"))
-    proc = run_demo(script, tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert "Hill none, log-log OLS none  flags=['insufficient_samples" in proc.stdout
+    stdout = run_demo_at_3000_steps("02_quartic_returns.py", "300_000", tmp_path)
+    assert "Hill none, log-log OLS none  flags=['insufficient_samples" in stdout
+
+
+def test_model_comparison_demo_prints_every_model_row(tmp_path):
+    stdout = run_demo_at_3000_steps("04_model_comparison.py", "150_000", tmp_path)
+    rms_table = stdout.split("rms of the total bid volume change")[1]
+    rows = [line.split() for line in rms_table.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["cf", "cs", "kstt"]
+    assert all(np.isfinite(float(ratio)) for row in rows for ratio in row[1:])
 
 
 def test_stationary_theory_demo_runs(tmp_path):
@@ -44,7 +59,8 @@ def test_stationary_theory_demo_runs(tmp_path):
 
 @pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda p: p.name)
 def test_demo_imports_resolve(path):
-    # Demos 02 and 04 are too long to run here; this catches a deleted name they import.
+    # Every demo runs above, 02 and 04 as 3,000-tick copies; this names a deleted name a demo
+    # imports without running any.
     # Each import statement runs on its own, so a submodule resolves as it does in the demo.
     missing = []
     for node in ast.walk(ast.parse(path.read_text())):

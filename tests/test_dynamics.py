@@ -265,9 +265,8 @@ class TestStep:
         params = make_params(sigma_in=0.05, alpha=0.5, scale=0.7, quantile=0.9)
         n_steps, length = 400, 64
         f = new_field(length, 0.01, lambda x: np.zeros_like(x))
-        res = simulate(params, f, steps=n_steps, dt=1.0, seed=101,
-                       tracked_cells=np.arange(length))
-        lattice_mean = float(np.mean(res.final_field.bid))  # average over cells
+        simulate(params, f, steps=n_steps, dt=1.0, seed=101, tracked_cells=np.arange(length))
+        lattice_mean = float(np.mean(f.bid))  # average over cells
         oracle = sample_one_sided_stable(sp, 200_000, seed=999)
         mean_inc = 0.05 * float(np.mean(oracle))
         se = 0.05 * float(np.std(oracle)) / np.sqrt(len(oracle))
@@ -292,9 +291,9 @@ class TestStep:
         params = make_params(diffusion=4e-5)
         f = new_field(64, 0.01, lambda x: x * np.exp(-x / 0.2))
         total0 = f.bid.sum()
-        res = simulate(params, f, steps=20_000, dt=1.0, seed=1)
-        assert res.final_field.bid.sum() == pytest.approx(total0, rel=1e-10)
-        assert res.final_field.ask.sum() == pytest.approx(total0, rel=1e-10)
+        simulate(params, f, steps=20_000, dt=1.0, seed=1)
+        assert f.bid.sum() == pytest.approx(total0, rel=1e-10)
+        assert f.ask.sum() == pytest.approx(total0, rel=1e-10)
 
     def test_stability_bound_checked_before_mutation(self):
         params = make_params(diffusion=1.0)  # D dt/dx^2 = 1e4 >> 0.5
@@ -357,12 +356,12 @@ class TestStep:
     def test_simulate_determinism(self):
         params = make_params(sigma_in=0.05, sigma_out=0.01, diffusion=1e-5, k0=0.5,
                              k_inf=0.2, k1=0.2, n0_floor=0.5)
-        runs = []
+        runs, fields = [], []
         for _ in range(2):
-            f = new_field(32, 0.01, lambda x: np.full_like(x, 4.0))
-            runs.append(simulate(params, f, steps=500, dt=1.0, seed=77))
+            fields.append(new_field(32, 0.01, lambda x: np.full_like(x, 4.0)))
+            runs.append(simulate(params, fields[-1], steps=500, dt=1.0, seed=77))
         assert np.array_equal(runs[0].velocities, runs[1].velocities)
-        assert np.array_equal(runs[0].final_field.bid, runs[1].final_field.bid)
+        assert np.array_equal(fields[0].bid, fields[1].bid)
 
     def test_simulate_matches_step_loop(self):
         assert_simulate_matches_step_loop(alpha=0.5, steps=80)

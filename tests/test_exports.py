@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -9,6 +10,13 @@ import bookfield
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bookfield.__path__, "bookfield."))
+
+
+def program_trees():
+    """The parsed files of src, demos and perfbench: every reader of the package but the tests."""
+    src = Path(bookfield.__file__).parent
+    paths = [*src.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    return [ast.parse(path.read_text()) for path in paths]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -45,11 +53,8 @@ def test_every_exported_name_is_used():
     # A public name that no module, demo or benchmark reads is reached only by the
     # tests.  cli looks writers up by string, so an identifier string counts as a use;
     # the names inside __all__ lists do not.
-    src = Path(bookfield.__file__).parent
-    paths = [*src.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     used = set()
-    for path in paths:
-        tree = ast.parse(path.read_text())
+    for tree in program_trees():
         listed = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Assign)
                   and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
                   for n in ast.walk(node.value)}
@@ -66,3 +71,23 @@ def test_every_exported_name_is_used():
     unused = [f"{name}.{n}" for name in MODULES
               for n in getattr(importlib.import_module(name), "__all__", ()) if n not in used]
     assert unused == []
+
+
+def test_every_public_dataclass_field_is_read():
+    # A field of a public dataclass that nothing outside the tests reads as an
+    # attribute, or names in a string (getattr, meta keys), carries a value no caller uses.
+    read = set()
+    for tree in program_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for cls in (getattr(module, n) for n in getattr(module, "__all__", ())):
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls):
+                unread += [f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls)
+                           if f.name not in read]
+    assert unread == []

@@ -40,16 +40,18 @@ RESULT_ARRAYS = ("times", "velocities", "n0s", "mo_buy", "mo_sell", "spill_bid",
                  "tracked_cells", "bid_tracks", "ask_tracks")
 
 
-def _arrays(res):
+def _arrays(row):
+    """The result arrays of a row's run, and the final bid and ask of the field it ran on."""
+    res, field = row
     out = {name: getattr(res, name) for name in RESULT_ARRAYS}
-    out["final_bid"] = res.final_field.bid
-    out["final_ask"] = res.final_field.ask
+    out["final_bid"] = field.bid
+    out["final_ask"] = field.ask
     return out
 
 
-def _digests(res) -> dict:
+def _digests(row) -> dict:
     out = {}
-    for name, arr in _arrays(res).items():
+    for name, arr in _arrays(row).items():
         arr = np.ascontiguousarray(arr)
         h = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(arr.tobytes())
@@ -57,8 +59,8 @@ def _digests(res) -> dict:
     return out
 
 
-def _reductions(res) -> dict:
-    a = _arrays(res)
+def _reductions(row) -> dict:
+    a = _arrays(row)
     groups = {
         "v": [a["velocities"]],
         "n0": [a["n0s"]],
@@ -76,7 +78,7 @@ def _reductions(res) -> dict:
 
 def cf_reference():
     f = configs.reference_grid().new_field(configs.reference_init_profile())
-    return simulate(configs.reference_model_params(), f, steps=2000, dt=1.0, seed=11)
+    return simulate(configs.reference_model_params(), f, steps=2000, dt=1.0, seed=11), f
 
 
 def cf_activity():
@@ -96,7 +98,7 @@ def cf_activity():
         ),
     )
     f = new_field(64, 0.01, lambda x: np.full_like(x, 4.0))
-    return simulate(params, f, steps=300, dt=1.0, seed=7)
+    return simulate(params, f, steps=300, dt=1.0, seed=7), f
 
 
 def cf_static_alpha():
@@ -112,18 +114,18 @@ def cf_static_alpha():
         n0_floor=5.0,
     )
     f = new_field(64, 2e-4, profiles.exp_decay(12.5, 0.02))
-    return simulate(params, f, steps=300, dt=0.5, seed=3)
+    return simulate(params, f, steps=300, dt=0.5, seed=3), f
 
 
 def cs_reference():
     f = configs.cs_reference_field()
-    return run_baseline(configs.cs_reference(), f, steps=2000, seed=4)
+    return run_baseline(configs.cs_reference(), f, steps=2000, seed=4), f
 
 
 def kstt_reference():
     f = configs.kstt_reference_field()
     return run_baseline(configs.kstt_reference(), f, steps=2000, seed=5,
-                        tracked_cells=np.arange(f.length))
+                        tracked_cells=np.arange(f.length)), f
 
 
 CF_GOLDEN = {
