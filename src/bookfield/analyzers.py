@@ -20,8 +20,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .dynamics import trend_response
-from .errors import DataError
+from .dynamics import _trend
+from .errors import DataError, NumericError
 
 __all__ = [
     "SeriesFrame",
@@ -447,18 +447,66 @@ def rms_delta_vs_velocity(frame: SeriesFrame, v_bins: np.ndarray | int = 13) -> 
     return out
 
 
-def _mo_model(theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _mo_model_jac(theta: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The clamped (buy, sell) response at theta = (k0, gap, k1, v0) and its Jacobian; clamped rows get 0."""
     k0, gap, k1, v0 = theta
-    return np.concatenate(trend_response(v, k0, k1 + gap, k1, v0))
+    w = v / v0
+    th, e = np.tanh(w), np.exp(-np.abs(w))
+    se = 2.0 * e / (1.0 + e * e)
+    model = np.concatenate(_trend(th, e, k0, k1 + gap, k1, v0, np.maximum))
+    tilt, bend = np.concatenate([w * k0 * se * se, -w * k0 * se * se]), np.tile(w * k1 * se * th, 2)
+    jac = np.column_stack([np.concatenate([th, -th]) * v0, np.full(len(model), v0),
+                           np.tile(1.0 - se, 2) * v0, model / v0 - tilt - bend])
+    jac[model <= 0.0] = 0.0
+    return model, jac
+
+
+def _levenberg_marquardt(theta: np.ndarray, v: np.ndarray, y: np.ndarray, lo: np.ndarray):
+    """Least squares of the response to y from theta, held at theta >= lo: (theta, cost, jac, status)."""
+    model, jac = _mo_model_jac(theta, v)
+    r = model - y
+    if not (np.isfinite(r).all() and np.isfinite(jac).all()):
+        raise NumericError("residuals or Jacobian not finite at the start")
+    cost, mu, nu = 0.5 * (r @ r), 1e-3, 2.0
+    for _ in range(_FIT_MAX_NFEV - 1):
+        g, a = jac.T @ r, jac.T @ jac
+        free = (theta > lo) | (g < 0.0)  # a parameter at its bound moves only inward
+        scale = np.maximum(np.diag(a), np.finfo(float).tiny)[free]
+        step = np.zeros(4)
+        step[free] = np.linalg.solve(a[np.ix_(free, free)] + mu * np.diag(scale), -g[free])
+        new = np.maximum(theta + step, lo)
+        step = new - theta
+        if np.all(np.abs(step) <= 1e-10 * np.abs(theta)):
+            return theta, cost, jac, 3
+        model, new_jac = _mo_model_jac(new, v)
+        new_r = model - y
+        new_cost = 0.5 * (new_r @ new_r)
+        predicted = -(g @ step + 0.5 * (step @ a @ step))
+        ratio = (cost - new_cost) / predicted if predicted > 0.0 else -1.0
+        if not ratio > 0.0:  # rejected, also when new_cost is NaN
+            mu, nu = mu * nu, 2.0 * nu
+            continue
+        done = cost - new_cost < 1e-10 * cost and ratio > 0.25
+        theta, r, jac, cost = new, new_r, new_jac, new_cost
+        if done:
+            return theta, cost, jac, 2
+        mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 2.0
+    return theta, cost, jac, 0
 
 
 def fit_market_order_response(v_samples: np.ndarray, mo_flows: np.ndarray,
                               n0s: np.ndarray) -> FitReport:
     """Joint nonlinear least squares of the buy/sell market-order response.
 
-    mo_flows has columns (buy, sell).  Fits (k0, k_inf, k1, v0) with a
-    trust-region method restarted from 8 seeded initial points; the best
-    converged solution wins.  When k0 > 0 the report carries the n0-to-k0
+    mo_flows has columns (buy, sell).  Fits (k0, gap = k_inf - k1, k1, v0) >= (0, 0,
+    0, 1e-9 std(v)) from 8 seeded initial points; the best converged one wins.  Each
+    runs a bounded Levenberg-Marquardt on the analytic Jacobian (Nielsen's damping,
+    Marquardt's scaling; a parameter at its bound stays while the gradient points
+    out) for at most _FIT_MAX_NFEV evaluations, and stops with status 2 on an
+    accepted step (gain ratio > 0.25) that lowers the cost by < 1e-10 of it, 3 on
+    a step < 1e-10 of each parameter, 0 at the cap; status > 0 converged.  A start
+    with non-finite residuals or Jacobian, or a singular damped solve, is recorded
+    with its error and skipped.  When k0 > 0 the report carries the n0-to-k0
     diagnostic ratio of the trend-following balance, mean(n0s) / k0.
     """
     v = np.asarray(v_samples, dtype=float)
@@ -468,34 +516,23 @@ def fit_market_order_response(v_samples: np.ndarray, mo_flows: np.ndarray,
     if len(v) < 8:
         raise DataError(f"need at least 8 (v, flow) pairs, got {len(v)}")
     y = np.concatenate([flows[:, 0], flows[:, 1]])
-    from scipy import optimize  # here, not at module level: only this fit needs scipy
-
-    def resid(theta):
-        return _mo_model(theta, v) - y
-
     v_scale = max(float(np.std(v)), 1e-12)
     f_scale = max(float(np.mean(np.abs(flows))), 1e-12)
     rng = np.random.default_rng(_FIT_SEED)
     lo = np.array([0.0, 0.0, 0.0, 1e-9 * v_scale])
-    hi = np.array([np.inf, np.inf, np.inf, np.inf])
     best = None
     trace = []
     for start in range(8):
-        mult = np.exp(rng.uniform(-1.0, 1.0, 4))
-        theta0 = np.array(
-            [f_scale / v_scale * mult[0], f_scale / v_scale * mult[1],
-             f_scale / v_scale * mult[2], v_scale * mult[3]]
-        )
+        theta0 = np.array([f_scale / v_scale] * 3 + [v_scale]) * np.exp(rng.uniform(-1.0, 1.0, 4))
         theta0 = np.clip(theta0, lo + 1e-12, None)
         try:
-            sol = optimize.least_squares(
-                resid, theta0, bounds=(lo, hi), method="trf", max_nfev=_FIT_MAX_NFEV
-            )
-        except (ValueError, np.linalg.LinAlgError) as exc:  # a bad start; recorded, not fatal
+            sol = _levenberg_marquardt(theta0, v, y, lo)
+        except (NumericError, np.linalg.LinAlgError) as exc:  # a bad start; recorded, not fatal
             trace.append({"start": start, "error": str(exc)})
             continue
-        trace.append({"start": start, "cost": float(sol.cost), "status": int(sol.status)})
-        if sol.status > 0 and (best is None or sol.cost < best.cost):
+        _, cost, _, status = sol
+        trace.append({"start": start, "cost": float(cost), "status": status})
+        if status > 0 and (best is None or cost < best[1]):
             best = sol
     if best is None:
         return FitReport(
@@ -505,21 +542,23 @@ def fit_market_order_response(v_samples: np.ndarray, mo_flows: np.ndarray,
             converged=False,
             diagnostics={"residual_trace": trace},
         )
-    k0, gap, k1, v0 = best.x
+    (k0, gap, k1, v0), cost, jac, _ = best
     k_inf = k1 + gap
     dof = max(len(y) - 4, 1)
-    s2 = 2.0 * best.cost / dof
-    jtj = best.jac.T @ best.jac
+    # unit columns: v0 and the k's differ by orders of magnitude, and pinv's cutoff
+    # on the raw J^T J would drop the weakest direction and shrink its errors
+    norms = np.linalg.norm(jac, axis=0)
+    norms[norms == 0.0] = 1.0
     try:
-        cov = s2 * np.linalg.pinv(jtj)
-        err = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        cov = 2.0 * cost / dof * np.linalg.pinv((jac / norms).T @ (jac / norms)) / np.outer(norms, norms)
     except np.linalg.LinAlgError:
-        err = np.full(4, np.nan)
-    # error of k_inf = k1 + gap, ignoring covariance cross-term sign
-    err_kinf = float(np.hypot(err[1], err[2]))
+        cov = np.full((4, 4), np.nan)
+    # k_inf = k1 + gap, so its variance carries their covariance
+    var = np.append(np.diag(cov), cov[1, 1] + cov[2, 2] + 2.0 * cov[1, 2])
+    err = np.sqrt(np.maximum(var, 0.0))
     params = {
         "k0": (float(k0), float(err[0])),
-        "k_inf": (float(k_inf), err_kinf),
+        "k_inf": (float(k_inf), float(err[4])),
         "k1": (float(k1), float(err[2])),
         "v0": (float(v0), float(err[3])),
     }
@@ -528,7 +567,7 @@ def fit_market_order_response(v_samples: np.ndarray, mo_flows: np.ndarray,
         diagnostics["n0_over_k0"] = float(np.mean(n0s) / k0)
     return FitReport(
         parameters=params,
-        residual_norm=float(np.sqrt(2.0 * best.cost)),
+        residual_norm=float(np.sqrt(2.0 * cost)),
         sample_count=len(v),
         converged=True,
         diagnostics=diagnostics,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bookfield import analyzers, profiles
+from bookfield.cli import main
 from bookfield.analyzers import (
     SeriesFrame,
     conditional_delta_distribution,
@@ -14,9 +15,10 @@ from bookfield.analyzers import (
     velocity_variance_vs_n0,
     velocity_volume_correlation,
 )
-from bookfield.dynamics import market_order_rate, simulate
+from bookfield.dynamics import market_order_rate, simulate, trend_response
 from bookfield.errors import DataError
 from bookfield.field import MarketOrderParams, ModelParams, PlacementActivityParams, new_field
+from bookfield.ingest import read_step_records_frame
 from bookfield.stable_noise import StableParams
 
 
@@ -375,10 +377,68 @@ class TestFitMarketOrderResponse:
         def broken(*args):
             raise TypeError("broken model")
 
-        monkeypatch.setattr(analyzers, "trend_response", broken)
+        monkeypatch.setattr(analyzers, "_trend", broken)
         v = np.linspace(-8e-4, 8e-4, 50)
         with pytest.raises(TypeError, match="broken model"):
             fit_market_order_response(v, np.ones((50, 2)), np.ones(50))
+
+    def test_a_non_finite_start_is_skipped(self, monkeypatch):
+        model_jac = analyzers._mo_model_jac
+        calls = []
+
+        def nan_at_first_call(theta, v):
+            model, jac = model_jac(theta, v)
+            calls.append(theta)
+            return (np.full_like(model, np.nan) if len(calls) == 1 else model), jac
+
+        monkeypatch.setattr(analyzers, "_mo_model_jac", nan_at_first_call)
+        p = MarketOrderParams(k0=3.0, k_inf=2.0, k1=1.5, v0=2e-4)
+        v = np.linspace(-8e-4, 8e-4, 400)
+        flows = np.array([market_order_rate(vi, p) for vi in v])
+        rep = fit_market_order_response(v, flows, np.ones(len(v)))
+        trace = rep.diagnostics["residual_trace"]
+        assert trace[0] == {"start": 0, "error": "residuals or Jacobian not finite at the start"}
+        assert len(trace) == 8 and all(t["status"] > 0 for t in trace[1:])
+        assert rep.converged
+        for name, truth in [("k0", 3.0), ("k_inf", 2.0), ("k1", 1.5), ("v0", 2e-4)]:
+            assert rep.parameters[name][0] == pytest.approx(truth, rel=1e-6)
+
+    def test_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(19)
+        v = np.linspace(-8e-4, 8e-4, 101)
+        for _ in range(5):
+            # k0 > k_inf: each side clamps at large |v| on its own side of 0
+            theta = np.array([rng.uniform(3.0, 4.0), rng.uniform(0.0, 1.0), rng.uniform(0.5, 2.0),
+                              rng.uniform(1e-4, 3e-4)])
+            model, jac = analyzers._mo_model_jac(theta, v)
+            clamped = model == 0.0
+            assert clamped[:101].any() and clamped[101:].any() and not clamped.all()
+            assert not jac[clamped].any()
+            for i in range(4):
+                h = np.zeros(4)
+                h[i] = 1e-6 * theta[i]
+                diff = (analyzers._mo_model_jac(theta + h, v)[0]
+                        - analyzers._mo_model_jac(theta - h, v)[0]) / (2.0 * h[i])
+                # atol: the differences' rounding, eps |model| / h, is ~1e-10 of the column
+                np.testing.assert_allclose(jac[:, i], diff, rtol=1e-6,
+                                           atol=1e-8 * np.abs(diff).max())
+
+    def test_standard_errors_match_the_spread_of_replicates(self):
+        # KSTT-sized constants: the columns for v0 and the k's differ by ~1e7, where a
+        # pseudo-inverse of the raw J^T J drops the weakest direction's variance
+        rng = np.random.default_rng(20)
+        truth = (1e4, 4.5e4, 4.3e4, 1.5e-3)
+        fits = []
+        for _ in range(100):
+            v = rng.uniform(-6e-3, 6e-3, 500)
+            flows = np.column_stack(trend_response(v, *truth)) + rng.standard_normal((500, 2))
+            rep = fit_market_order_response(v, flows, np.ones(500))
+            assert rep.converged
+            fits.append([rep.parameters[name] for name in ("k0", "k_inf", "k1", "v0")])
+        estimates, errors = np.moveaxis(np.array(fits), 2, 0)
+        # the std of 100 replicates is within ~7 % of the true error at one sigma
+        ratio = estimates.std(axis=0, ddof=1) / np.median(errors, axis=0)
+        assert np.all((ratio > 0.75) & (ratio < 4.0 / 3.0)), ratio
 
     def test_deterministic(self):
         rng = np.random.default_rng(18)
@@ -390,3 +450,49 @@ class TestFitMarketOrderResponse:
         r2 = fit_market_order_response(v, flows, np.ones(len(v)))
         assert r1.parameters == r2.parameters
         assert not any("error" in t for t in r1.diagnostics["residual_trace"])
+
+
+GOLDEN_FEEDS = (("cs", 4), ("kstt", 5), ("cf", 11))
+
+
+@pytest.fixture(scope="module")
+def golden_feeds(tmp_path_factory) -> dict:
+    """{model: frame} of the 3,000-tick runs whose fits tests/test_golden.py pins."""
+    root = tmp_path_factory.mktemp("feeds")
+    frames = {}
+    for model, seed in GOLDEN_FEEDS:
+        assert main(["simulate", "--model", model, "--steps", "3000", "--seed", str(seed),
+                     "--out", str(root / model)]) == 0
+        with open(root / model / "records.jsonl") as fh:
+            frames[model] = read_step_records_frame(fh)
+    return frames
+
+
+def _least_squares_best_cost(v: np.ndarray, flows: np.ndarray) -> float:
+    """Best converged cost of scipy's trust-region fit from the fit's own 8 seeded starts."""
+    from scipy import optimize
+
+    y = np.concatenate([flows[:, 0], flows[:, 1]])
+    v_scale = max(float(np.std(v)), 1e-12)
+    f_scale = max(float(np.mean(np.abs(flows))), 1e-12)
+    rng = np.random.default_rng(analyzers._FIT_SEED)
+    lo = np.array([0.0, 0.0, 0.0, 1e-9 * v_scale])
+    costs = []
+    for _ in range(8):
+        mult = np.exp(rng.uniform(-1.0, 1.0, 4))
+        theta0 = np.array([f_scale / v_scale, f_scale / v_scale, f_scale / v_scale, v_scale]) * mult
+        sol = optimize.least_squares(
+            lambda theta: analyzers._mo_model_jac(theta, v)[0] - y, np.clip(theta0, lo + 1e-12, None),
+            bounds=(lo, np.inf), method="trf", max_nfev=analyzers._FIT_MAX_NFEV)
+        if sol.status > 0:
+            costs.append(sol.cost)
+    return min(costs)
+
+
+@pytest.mark.parametrize("model", [m for m, _ in GOLDEN_FEEDS])
+def test_fit_is_no_worse_than_least_squares(golden_feeds, model):
+    frame = golden_feeds[model]
+    rep = fit_market_order_response(frame.velocities, frame.mo_flows, frame.n0s)
+    assert rep.converged
+    oracle = _least_squares_best_cost(frame.velocities, frame.mo_flows)
+    assert 0.5 * rep.residual_norm ** 2 <= oracle * (1.0 + 1e-9)

@@ -253,7 +253,10 @@ def _text_reductions(text: str) -> tuple:
 # The four mean_delta_slope.csv entries were re-recorded when its count column
 # changed from all zeros to the sample count of each bin's fit.  Every CF entry
 # (and comparison.json) was re-recorded when the alpha = 1/2 noise became
-# 1/(2 Z^2) from one standard normal per variate.
+# 1/(2 Z^2) from one standard normal per variate.  The three mo_fit.json entries
+# were re-recorded when the fit moved from scipy's least_squares to the numpy
+# Levenberg-Marquardt (each cost equal or lower) and the standard errors took the
+# gap-k1 covariance and unit-scaled columns.
 ANALYSIS_GOLDEN = {
     "cf_analyze/conditional_delta.csv": (
         "f2b9e25dd3465b7d134ac404c068b9c951a2d80389fbadd3c4a7f9e1ed83a139",
@@ -284,7 +287,7 @@ ANALYSIS_GOLDEN = {
         85, 62981.12994694601, 188874022.0558437, 2999.0),
     "cf_fit/mo_fit.json": (
         "2b0753bea1df793878ad66c42fb2eb6bba833d0e4d1a41fb6c5eb990b580a17d",
-        40, 3167.038954163145, 9015852.60392997, 3000.0),
+        40, 3174.0127481522745, 9015599.245202132, 3000.0),
     "cf_lag3/conditional_delta.csv": (
         "f2b9e25dd3465b7d134ac404c068b9c951a2d80389fbadd3c4a7f9e1ed83a139",
         672, 9613.785960565754, 4150422.9108854537, 1038.0),
@@ -363,7 +366,7 @@ ANALYSIS_GOLDEN = {
     "cs_analyze/velocity_correlation_bid.csv":
         "d5cee99094e91c11432d1567ee67e9adace4e3a0d3a5804ae78a9f9f31098efb",
     "cs_fit/mo_fit.json":
-        "2952a688c69fccfd3c85a75a2af04d9e5d200ccb5d98c19fb6227e886916e0da",
+        "2ce069f9f61f24e1749042027105e8d2cfdd37b8496189c68c3cc5f586b9b58c",
     "cs_lag3/conditional_delta.csv":
         "9e0227a82d76ad38d044096b044a191721114b223d55401bdcf5e89e8294989f",
     "cs_lag3/mean_delta_slope.csv":
@@ -395,7 +398,7 @@ ANALYSIS_GOLDEN = {
     "kstt_analyze/velocity_correlation_bid.csv":
         "8da38db98ac84ba002b21962eb2e694730a2adea759d9577bcc15b51860d3f29",
     "kstt_fit/mo_fit.json":
-        "8c734281e367981db18ad251ec985127fe612e1106fcc7cd7273cec8e3b07348",
+        "de7751ba9bd0ff47c4613fa5306dec82936b81a4ad2eca370c4df5fdcb27b77e",
     "kstt_lag3/conditional_delta.csv":
         "a56204d24520528973746941e697ce78b82bd127bc03b946e759aafb7538eebf",
     "kstt_lag3/return_distribution.csv":
