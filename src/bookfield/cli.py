@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     frame_source = argparse.ArgumentParser(add_help=False)
-    frame_source.add_argument("--records", help="records.jsonl of simulate: JSON header, CSV row per tick")
+    frame_source.add_argument("--records", help="records.jsonl of simulate: JSON header, hex float64 row per tick")
     frame_source.add_argument("--snapshots", help="snapshot JSONL file")
     frame_source.add_argument("--market-orders", help="market-order CSV aligned with snapshots")
     frame_source.add_argument("--dx", type=_positive, default=2e-4,

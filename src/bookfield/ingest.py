@@ -6,19 +6,20 @@ Wire formats:
   ``{"ts": <sec>, "p": <trade price>, "bids": [[price, vol], ...], "asks": [[price, vol], ...]}``
   with bids sorted descending and asks ascending by price.
 * Market-order flows: CSV ``ts,buy,sell`` (header line optional on input).
-* Simulation tick records (``records.jsonl``): a JSON header object, then
-  one CSV line of floats per tick, laid out as the header's ``columns`` and
-  ``tracked_cells`` say.  Only the first line is JSON; the file keeps its
-  ``.jsonl`` name, which callers and perfbench look for.
+* Simulation tick records (``records.jsonl``, version 3): a JSON header,
+  then per tick the row of little-endian float64 that its ``columns`` and
+  ``tracked_cells`` lay out, as ``row.tobytes().hex()``: read one line by
+  hand with ``np.frombuffer(bytes.fromhex(line), "<f8")``.  The file keeps
+  its ``.jsonl`` name, which callers and perfbench look for.
 * Analysis tables and densities: CSV with a one-line JSON metadata header
   comment (``# {...}``).
 
-All floating-point output uses 17 significant digits so that
-serialize-then-parse is an exact round trip.  Parsing is streaming.  The
-snapshot parser holds one record at a time.  The step-record reader parses
-``_RECORD_BLOCK_ROWS`` lines at a time into float arrays, so it never holds
-the file's text or a Python object per number.  The table writers format a
-block of rows per ``%`` call, so their memory is bounded by one block.
+Text tables print 17 significant digits and step records the float64 bytes,
+so serialize-then-parse is an exact round trip.  Parsing is streaming: the
+snapshot parser holds one record at a time.  Step records are encoded and
+decoded ``_RECORD_BLOCK_ROWS`` rows at a time, and the table writers format
+a block of rows per ``%`` call, so none holds the whole table, the file's
+text or a Python object per number.
 """
 from __future__ import annotations
 
@@ -55,27 +56,31 @@ __all__ = [
 _MALFORMED_HARD_LIMIT = 0.10
 _GAP_FACTOR = 5.0  # a snapshot spacing above this many dt is a data gap
 _BLOCK_VALUES = 8192  # floats a table writer formats per % call
-_RECORD_BLOCK_ROWS = 64  # step records the reader parses per np.loadtxt call
+_RECORD_BLOCK_ROWS = 64  # step records encoded per bytes.hex and decoded per bytes.fromhex call
 # A step-record row: the per-tick numbers, then one number per tracked cell for bid and for ask.
 _RECORD_COLUMNS = ("t", "v", "n0", "mo_buy", "mo_sell", "spill_bid", "spill_ask", "bid", "ask")
 
 
+def _row_blocks(columns: list[np.ndarray], values: int) -> Iterator[np.ndarray]:
+    """The rows of ``columns`` (1-D, or 2-D with one row per table row), ~``values`` floats a block."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    cols = [c[:, None] if c.ndim == 1 else c for c in cols]
+    rows = max(1, values // sum(c.shape[1] for c in cols))
+    for start in range(0, len(cols[0]), rows):
+        yield np.hstack([c[start : start + rows] for c in cols])
+
+
 def _write_table(out: TextIO, columns: list[np.ndarray]) -> None:
-    """The rows of ``columns`` (1-D, or 2-D with one row per table row) as CSV lines of floats.
+    """The rows of ``columns`` as CSV lines of floats.
 
     Each float is printed in 17 significant digits: '%.17g' % x is
     format(x, '.17g') for every float, NaN, +-inf and -0.0 included, and 17
     digits round-trip float64 exactly.  A block of rows holding about
     ``_BLOCK_VALUES`` floats is formatted per % call: 2,730 rows of a
-    3-column table, 60 ticks of a step record that tracks 64 cells.
+    3-column table, 4,096 rows of a 2-column density.
     """
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    cols = [c[:, None] if c.ndim == 1 else c for c in cols]
-    width = sum(c.shape[1] for c in cols)
-    rows = max(1, _BLOCK_VALUES // width)
-    line = ",".join(["%.17g"] * width) + "\n"
-    for start in range(0, len(cols[0]), rows):
-        block = np.hstack([c[start : start + rows] for c in cols])
+    for block in _row_blocks(columns, _BLOCK_VALUES):
+        line = ",".join(["%.17g"] * block.shape[1]) + "\n"
         out.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -295,41 +300,46 @@ def build_frame(
 
 
 def write_step_records(result, out: TextIO) -> None:
-    """Serialize a SimulationResult as a JSON header line and one row of floats per tick."""
+    """Serialize a SimulationResult as a JSON header line and one hex float64 row per tick."""
     header = {
         "type": "bookfield.steprecords",
-        "version": 2,
+        "version": 3,
         "dx": result.dx,
         "dt": result.dt,
         "tracked_cells": [int(c) for c in result.tracked_cells],
         "columns": list(_RECORD_COLUMNS),
     }
     out.write(json.dumps(header) + "\n")
-    _write_table(out, [result.times, result.velocities, result.n0s, result.mo_buy, result.mo_sell,
-                       result.spill_bid, result.spill_ask, result.bid_tracks, result.ask_tracks])
+    columns = [result.times, result.velocities, result.n0s, result.mo_buy, result.mo_sell,
+               result.spill_bid, result.spill_ask, result.bid_tracks, result.ask_tracks]
+    width = len(_RECORD_COLUMNS) - 2 + 2 * len(result.tracked_cells)
+    for block in _row_blocks(columns, _RECORD_BLOCK_ROWS * width):
+        out.write(block.astype("<f8", copy=False).tobytes().hex("\n", 8 * width) + "\n")
 
 
 def _record_rows(lines: list[str], width: int) -> np.ndarray:
-    """Parse record lines as one float table; ValueError if they are not ``width`` numbers each."""
+    """Decode record lines as one float table; ValueError unless each is ``width`` hex float64s."""
     if not all(line.endswith("\n") for line in lines):
         raise ValueError("the line is cut short (it does not end in a newline)")
-    table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    if table.shape != (len(lines), width):
-        raise ValueError(f"a line must hold {width} numbers, got {table.size / len(lines):g}")
-    return table
+    if wrong := [len(line) - 1 for line in lines if len(line) != 16 * width + 1]:
+        raise ValueError(f"a line must hold {width} numbers in hex, got {wrong[0] / 16:g}")
+    data = bytes.fromhex("".join(lines))  # skips the newlines, and any other whitespace
+    if len(data) != 8 * width * len(lines):
+        raise ValueError("a line holds whitespace among its hex digits")
+    return np.frombuffer(data, "<f8").reshape(len(lines), width)
 
 
 def read_step_records_frame(lines: Iterable[str]) -> SeriesFrame:
     """Read a step-record stream back into a SeriesFrame.
 
-    Records are parsed ``_RECORD_BLOCK_ROWS`` lines at a time as one float
-    table; only a block that fails is parsed again line by line, to name its
-    first bad line.  Raises DataError for an empty stream, a header that is
-    not a version-2 step-record header with ``dx``, ``tracked_cells`` and
-    ``columns`` (a version-1 file, one JSON object per tick, must be written
-    again by ``simulate``), a stream without records, and a record line that
-    is not ``len(columns) - 2 + 2 * len(tracked_cells)`` comma-separated
-    numbers ending in a newline, or whose ``t`` is not above the previous
+    Records are decoded ``_RECORD_BLOCK_ROWS`` lines at a time, by one
+    ``bytes.fromhex`` and one ``np.frombuffer``; only a block that fails is
+    decoded again line by line, to name its first bad line.  Raises DataError
+    for an empty stream, a header that is not a version-3 step-record header
+    with ``dx``, ``tracked_cells`` and ``columns`` (an older file must be
+    written again by ``simulate``), a stream without records, and a record
+    line that is not ``len(columns) - 2 + 2 * len(tracked_cells)`` float64s
+    in hex ending in a newline, or whose ``t`` is not above the previous
     record's; the message names the line's number, blank lines counted.
     """
     it = enumerate(lines, start=1)
@@ -343,9 +353,9 @@ def read_step_records_frame(lines: Iterable[str]) -> SeriesFrame:
         raise DataError(f"step-record line 1: {exc.msg}") from None
     if not isinstance(header, dict) or header.get("type") != "bookfield.steprecords":
         raise DataError("not a bookfield step-record stream (bad header)")
-    if header.get("version") != 2:
+    if header.get("version") != 3:
         raise DataError(f"step-record version {header.get('version')!r} is not supported "
-                        "(only 2); run simulate again to write the records")
+                        "(only 3); run simulate again to write the records")
     if header.get("columns") != list(_RECORD_COLUMNS):
         raise DataError(f"step-record columns must be {list(_RECORD_COLUMNS)}")
     try:

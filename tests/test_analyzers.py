@@ -294,30 +294,55 @@ class TestVelocityVolumeCorrelation:
         assert out["bid"].counts[2] == (1000 - 3) + (1998 - 3)
 
 
-def activity_frame(k0_in, k_inf_in, k1_in, v0_in, T=60_000, seed=16):
-    """Pure-placement synthetic: delta n driven by the activity function."""
-    rng = np.random.default_rng(seed)
-    K = 5
-    times = np.arange(T + 1, dtype=float)
-    v = rng.normal(0.0, 3.0 * v0_in, T + 1)
-    act = PlacementActivityParams(
+def activity_params(k0_in, k_inf_in, k1_in, v0_in):
+    return PlacementActivityParams(
         k0_in=profiles.constant(k0_in),
         k_inf_in=profiles.constant(k_inf_in),
         k1_in=profiles.constant(k1_in),
         v0_in=profiles.constant(v0_in),
     )
-    from bookfield.dynamics import trend_response
 
+
+def activity_frame(k0_in, k_inf_in, k1_in, v0_in, T=60_000, seed=16):
+    """Pure-placement synthetic: delta n driven by the activity function.
+
+    Each tick adds the response at v[t] times K unit exponentials per side to
+    the book; one (T, 2, K) draw takes them in the order bid K, ask K, tick by tick.
+    """
+    rng = np.random.default_rng(seed)
+    K = 5
+    times = np.arange(T + 1, dtype=float)
+    v = rng.normal(0.0, 3.0 * v0_in, T + 1)
+    act = activity_params(k0_in, k_inf_in, k1_in, v0_in)
+    sb, sa = trend_response(v[:T, None], *act.evaluate(0.0))
+    draws = rng.exponential(1.0, (T, 2, K))
     bid = np.zeros((T + 1, K))
     ask = np.zeros((T + 1, K))
-    for t in range(T):
-        sb, sa = trend_response(v[t], *act.evaluate(0.0))
-        bid[t + 1] = bid[t] + sb * rng.exponential(1.0, K)
-        ask[t + 1] = ask[t] + sa * rng.exponential(1.0, K)
+    np.cumsum(sb * draws[:, 0], axis=0, out=bid[1:])
+    np.cumsum(sa * draws[:, 1], axis=0, out=ask[1:])
     return SeriesFrame(
         times=times, velocities=v, n0s=bid[:, 0] + ask[:, 0],
         x_bins=np.arange(K) * 0.01, bid=bid, ask=ask,
     )
+
+
+@pytest.mark.parametrize("constants", [(0.0, 1.0, 0.0, 1e-4), (1.2, 2.0, 1.2, 2e-4)],
+                         ids=["flat", "planted-v0"])
+def test_activity_frame_is_its_per_tick_loop(constants):
+    # The per-tick loop activity_frame replaces, as the reference: same
+    # stream, same sums, so every number is the same bit for bit.
+    T, K = 500, 5
+    rng = np.random.default_rng(16)
+    v = rng.normal(0.0, 3.0 * constants[3], T + 1)
+    bid = np.zeros((T + 1, K))
+    ask = np.zeros((T + 1, K))
+    for t in range(T):
+        sb, sa = trend_response(v[t], *activity_params(*constants).evaluate(0.0))
+        bid[t + 1] = bid[t] + sb * rng.exponential(1.0, K)
+        ask[t + 1] = ask[t] + sa * rng.exponential(1.0, K)
+    frame = activity_frame(*constants, T=T)
+    for got, want in ((frame.velocities, v), (frame.bid, bid), (frame.ask, ask)):
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRmsDeltaVsVelocity:

@@ -24,8 +24,8 @@ def run(args):
 
 
 def edit_row(line, change):
-    """A step-record line whose list of number tokens is replaced by ``change(tokens)``."""
-    return ",".join(change(line.split(",")))
+    """A step-record line, without its newline, whose row of floats is replaced by ``change(row)``."""
+    return change(np.frombuffer(bytes.fromhex(line), "<f8")).tobytes().hex()
 
 
 class TestSimulate:
@@ -228,9 +228,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("change", [
         lambda line: line[: len(line) // 2],
         # seven per-tick numbers, then as many bid as ask cells
-        lambda line: edit_row(line, lambda r: r[:7] + r[7 + (len(r) - 7) // 2 :]),
-        lambda line: edit_row(line, lambda r: r[:7] + r[8:]),
-        lambda line: edit_row(line, lambda r: [repr(float(r[0]) - 1.0), *r[1:]]),
+        lambda line: edit_row(line, lambda r: np.r_[r[:7], r[7 + (len(r) - 7) // 2 :]]),
+        lambda line: edit_row(line, lambda r: np.r_[r[:7], r[8:]]),
+        lambda line: edit_row(line, lambda r: np.r_[r[0] - 1.0, r[1:]]),
     ], ids=["truncated", "no-bid", "bid-one-cell-short", "t-repeated"])
     def test_malformed_record_line_is_data_error(self, tmp_path, capsys, change):
         result = run_baseline(configs.cs_reference(), configs.cs_reference_field(), steps=200, seed=1)

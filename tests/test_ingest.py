@@ -314,9 +314,13 @@ def edit_header(line, change):
     return json.dumps(header) + "\n"
 
 
+def decode_row(line):
+    return np.frombuffer(bytes.fromhex(line), "<f8")
+
+
 def edit_row(line, change):
-    """A record line whose list of number tokens is replaced by ``change(tokens)``."""
-    return ",".join(change(line.rstrip("\n").split(","))) + "\n"
+    """A record line whose row of floats is replaced by ``change(row)``, encoded again."""
+    return np.asarray(change(decode_row(line)), dtype="<f8").tobytes().hex() + "\n"
 
 
 W = 7 + 2 * 64  # a CS record line: seven per-tick numbers, then 64 bid and 64 ask cells
@@ -349,25 +353,33 @@ class TestStepRecordErrors:
         with pytest.raises(DataError, match="version 1 is not supported .*run simulate again"):
             read_step_records_frame([header, record])
 
+    def test_version_2_file_is_rejected(self, lines):
+        # The text rows that version 2 wrote: 17 significant digits, comma-separated.
+        header = edit_header(lines[0], lambda h: h.update(version=2))
+        rows = [",".join(format(x, ".17g") for x in decode_row(line)) + "\n" for line in lines[1:]]
+        with pytest.raises(DataError, match="version 2 is not supported .*run simulate again"):
+            read_step_records_frame([header, *rows])
+
     def test_width_other_than_tracked_cells_is_data_error(self, lines):
         # Every record one bid and one ask cell short: the records form a table,
         # just not the header's.
-        short = [edit_row(line, lambda r: r[:70] + r[71:134]) for line in lines[1:]]
-        with pytest.raises(DataError, match=f"step-record line 2: a line must hold {W} numbers, "
-                                            f"got {W - 2}"):
+        short = [edit_row(line, lambda r: np.r_[r[:70], r[71:134]]) for line in lines[1:]]
+        with pytest.raises(DataError, match=f"step-record line 2: a line must hold {W} numbers "
+                                            f"in hex, got {W - 2}"):
             read_step_records_frame([lines[0], *short])
 
     @pytest.mark.parametrize("change, words", [
-        (lambda line: line[: len(line) // 2] + "\n", f"must hold {W} numbers"),
-        (lambda line: edit_row(line, lambda r: r[:2] + r[3:]),
-         f"must hold {W} numbers, got {W - 1}"),
-        (lambda line: edit_row(line, lambda r: [r[0], "null", *r[2:]]),
-         "could not convert string 'null'"),
-        (lambda line: edit_row(line, lambda r: r + ["1.0"]), f"must hold {W} numbers, got {W + 1}"),
-        (lambda line: "[1.0, 2.0]\n", r"could not convert string '\[1.0'"),
-        (lambda line: line.strip() + "," + line, f"must hold {W} numbers, got {2 * W}"),
-        (lambda line: edit_row(line, lambda r: ["nan", *r[1:]]), "t does not increase"),
-    ], ids=["truncated", "no-n0", "null-v", "long-ask", "list", "two-records", "nan-t"])
+        (lambda line: line[: len(line) // 2] + "\n", f"must hold {W} numbers in hex, got 67.5"),
+        (lambda line: edit_row(line, lambda r: np.r_[r[:2], r[3:]]),
+         f"must hold {W} numbers in hex, got {W - 1}"),
+        (lambda line: line[:16] + "null" + line[20:], "non-hexadecimal number found"),
+        (lambda line: line[:16] + "  " + line[18:], "whitespace among its hex digits"),
+        (lambda line: edit_row(line, lambda r: np.r_[r, 1.0]),
+         f"must hold {W} numbers in hex, got {W + 1}"),
+        (lambda line: "[1.0, 2.0]\n", f"must hold {W} numbers in hex, got 0.625"),
+        (lambda line: line.strip() + line, f"must hold {W} numbers in hex, got {2 * W}"),
+        (lambda line: edit_row(line, lambda r: np.r_[math.nan, r[1:]]), "t does not increase"),
+    ], ids=["truncated", "no-n0", "null-v", "spaces", "long-ask", "list", "two-records", "nan-t"])
     def test_bad_line_named_by_its_number_in_the_file(self, lines, change, words):
         # Blank lines count: the bad record, in the second block, is line B + 12 of the file.
         bad = B + 12
@@ -377,10 +389,10 @@ class TestStepRecordErrors:
             read_step_records_frame([lines[0], *body])
 
     def test_final_line_cut_inside_its_last_number_is_data_error(self, lines):
-        # Cut inside its last number, the line still holds W numbers: only the
-        # missing newline tells it from a whole line.
+        # One hex digit short and without its newline: the reader names the
+        # line as cut short, not as a row of the wrong width.
         cut = lines[-1][:-2]
-        assert len(cut.split(",")) == W and cut.rsplit(",", 1)[1]
+        assert len(cut) == 16 * W - 1
         with pytest.raises(DataError, match=f"step-record line {len(lines)}: .*cut short"):
             read_step_records_frame([*lines[:-1], cut])
 
@@ -413,6 +425,20 @@ def test_reader_memory_is_bounded_by_a_block_plus_the_frame(tmp_path):
         tracemalloc.stop()
     assert frame.bid.shape == (5000, 64)
     assert peak <= 3 * sum(getattr(frame, name).nbytes for name in FRAME_FIELDS)
+
+
+def test_writer_memory_is_bounded_by_a_block(tmp_path):
+    # The same 5,000-tick all-cells CS run; a writer that stacks the whole
+    # table first holds at least one copy of it, 5000 * W * 8 bytes.
+    result = cs_run(5000)
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "records.jsonl", "w") as fh:
+            write_step_records(result, fh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * 5000 * W * 8
 
 
 class TestDensityCsv:
