@@ -32,13 +32,13 @@ n0 = res.n0s[burn:]
 print(f"mean boundary volume n0 = {n0.mean():.1f}  (k0 = {params.mo.k0:.1f}, "
       f"ratio {n0.mean() / params.mo.k0:.2f})")
 
-rd = return_distribution(v, tau=params.tau)
+rd = return_distribution(v, tau=res.dt)
 # a run too short for a tail fit has no exponents; its flags say why
 hill, ols = ("none" if e is None else f"{e:.2f}" for e in (rd.tail_exponent, rd.tail_exponent_ols))
 print(f"normalized |return| pdf tail exponent: Hill {hill}, log-log OLS {ols}  flags={rd.flags}")
 
 fp = FPParams(k0=params.mo.k0, k_inf=params.mo.k_inf, k1=params.mo.k1,
-              v0=params.mo.v0, n0=float(n0.mean()), tau=params.tau)
+              v0=params.mo.v0, n0=float(n0.mean()))
 print(f"stationary-theory exponent 2 + 2 n0^2/k0^2 = {tail_exponent(fp):.2f}")
 
 # plot-ready data: log-log pdf columns

@@ -271,7 +271,7 @@ def cmd_fit_mo(args) -> int:
 
 
 def cmd_fp(args) -> int:
-    p = FPParams(k0=args.k0, k_inf=args.k_inf, k1=args.k1, v0=args.v0, n0=args.n0, tau=args.tau)
+    p = FPParams(k0=args.k0, k_inf=args.k_inf, k1=args.k1, v0=args.v0, n0=args.n0)
     rep = regime_report(p)
     dens = stationary_density(p, make_grid(p, points=args.points)) if rep["power_law"] else None
     out = Path(args.out)
@@ -412,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", type=float, required=True)
     p.add_argument("--v0", type=float, required=True)
     p.add_argument("--n0", type=float, required=True)
-    p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--points", type=int, default=2001)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fp)

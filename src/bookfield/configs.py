@@ -58,12 +58,11 @@ def reference_config(model: str) -> dict:
         "dt": 1.0,
         "seed": 1,
         "grid": {"length": 512, "dx": 2e-4},
-        "stable": {"alpha": 0.5, "scale": 1.0, "truncation_quantile": 0.99},
+        "stable": {"alpha": 0.5, "truncation_quantile": 0.99},
         "sigma_in": {"kind": "exp_decay", "amplitude": 0.05, "length_scale": 0.02, "floor": 0.0},
         "sigma_out": {"kind": "constant", "value": 0.004},
         "diffusion": {"kind": "constant", "value": 2e-9},
         "mo": {"k0": 2.0, "k_inf": 0.5, "k1": 0.5, "v0": 5e-5},
-        "tau": 1.0,
         "n0_floor": 5.0,
         # sigma_in(0) / sigma_out = 0.05 / 0.004, below the mean-field stationary mu(0) = 42.2 per side
         "init_profile": {"kind": "exp_decay", "amplitude": 12.5, "length_scale": 0.02, "floor": 0.0},
@@ -93,7 +92,6 @@ def model_params(cfg: dict) -> ModelParams:
         sigma_out=profiles.make_profile(cfg["sigma_out"]),
         diffusion=profiles.make_profile(cfg["diffusion"]),
         mo=MarketOrderParams(**cfg["mo"]),
-        tau=cfg["tau"],
         n0_floor=cfg["n0_floor"],
         activity=_activity(cfg["activity"]) if cfg["activity"] else None,
     )

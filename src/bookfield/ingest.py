@@ -369,7 +369,7 @@ def read_step_records_frame(lines: Iterable[str]) -> SeriesFrame:
         raise DataError(f"bad step-record header: {exc}") from None
     bid_at = len(_RECORD_COLUMNS) - 2  # the per-tick numbers come first
     ask_at, width = bid_at + len(cells), bid_at + 2 * len(cells)
-    numbered = ((lineno, line) for lineno, line in it if line.strip())
+    numbered = ((lineno, line) for lineno, line in it if not line.isspace())
     tables = []
     t_prev = -math.inf
     while block := list(islice(numbered, _RECORD_BLOCK_ROWS)):

@@ -46,7 +46,7 @@ class StableParams:
     """Parameters of the one-sided stable law used for noise generation.
 
     alpha: stability index, must lie in (0, 1) for one-sided support.
-    scale: multiplicative scale in order-volume units; 0 forces all draws to 0.
+    scale: multiplicative scale in order-volume units (the CF model requires 1); 0 forces all draws to 0.
     truncation_quantile: draws above this quantile of the law are capped;
         1.0 disables truncation.
     """

@@ -23,9 +23,9 @@ def em_velocity_samples(
     thin: int = 25,
     seed: int = 0,
 ) -> np.ndarray:
-    """Euler-Maruyama sampling of dv = -(v/tau) dt + sigma(v) dW at stationarity."""
+    """Euler-Maruyama sampling of dv = -v dt + sigma(v) dW at stationarity, time in ticks."""
     rng = np.random.default_rng(seed)
-    dt = dt_frac * p.tau
+    dt = dt_frac
     n_steps = int(total_steps // n_paths)
     v = np.zeros(n_paths)
     burn = int(burn_frac * n_steps)
@@ -33,7 +33,7 @@ def em_velocity_samples(
     sq = np.sqrt(dt)
     for i in range(n_steps):
         s2 = diffusion_coefficient(v, p)
-        v = v - (v / p.tau) * dt + np.sqrt(s2) * sq * rng.standard_normal(n_paths)
+        v = v - v * dt + np.sqrt(s2) * sq * rng.standard_normal(n_paths)
         if i >= burn and (i - burn) % thin == 0:
             keep.append(v.copy())
     return np.concatenate(keep)

@@ -42,12 +42,11 @@ def synthetic_frame(T=5000, K=6, seed=0, vol_fn=None, vel_fn=None, n0_fn=None, s
 def cf_run(steps=40_000, length=64, D=2e-9, sigma_out=0.004, seed=3, k0=2.0,
            quantile=0.99, sigma_in=0.05, n0_floor=5.0):
     params = ModelParams(
-        stable=StableParams(alpha=0.5, scale=1.0, truncation_quantile=quantile),
+        stable=StableParams(alpha=0.5, truncation_quantile=quantile),
         sigma_in=profiles.exp_decay(sigma_in, 0.02),
         sigma_out=profiles.constant(sigma_out),
         diffusion=profiles.constant(D),
         mo=MarketOrderParams(k0=k0, k_inf=0.5, k1=0.5, v0=5e-5),
-        tau=1.0,
         n0_floor=n0_floor,
     )
     f = new_field(length, 2e-4, lambda x: sigma_in * np.exp(-x / 0.02) / sigma_out)

@@ -112,7 +112,7 @@ class TestSimulate:
         ({"activity": {"k0_in": ACTIVITY["k0_in"]}}, "activity.k_inf_in"),
         # a value of the wrong type is a usage error naming its key
         ({"steps": None}, "steps"),
-        ({"tau": "a"}, "tau"),
+        ({"n0_floor": "a"}, "n0_floor"),
         ({"stable": {"alpha": "a"}}, "stable.alpha"),
         ({"grid": {"length": None}}, "grid.length"),
         ({"steps": "50"}, "steps"),
@@ -120,8 +120,8 @@ class TestSimulate:
         ({"seed": 2.5}, "seed"),
         ({"steps": True}, "steps"),
         ({"grid": {"length": 64.5}}, "grid.length"),
-        ({"tau": True}, "tau"),
-        ({"tau": 10**400}, "tau"),
+        ({"n0_floor": True}, "n0_floor"),
+        ({"n0_floor": 10**400}, "n0_floor"),
         ({"grid": {"dx": math.inf}}, "grid.dx"),
         # deleted options
         ({"noise_time_scaling": "linear"}, "noise_time_scaling"),
@@ -134,6 +134,9 @@ class TestSimulate:
          "length_scale"),
         ({"activity": {**ACTIVITY, "k_inf_in": {**CONST, "value": math.inf}}}, "value"),
         ({"sigma_in": {**CONST, "value": "a"}}, "value"),
+        # deleted options: time is in ticks, and sigma_in and sigma_out carry the noise scales
+        ({"tau": 1.0}, "tau"),
+        ({"stable": {"scale": 1.0}}, "stable.scale"),
     ])
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, config, key):
         cfg = tmp_path / "cfg.json"
@@ -332,9 +335,8 @@ class TestFp:
         assert "k0 >= 0" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--k0", "1e200"), ("--n0", "1e-300"), ("--tau", "inf"),
-                                             ("--n0", "inf"), ("--v0", "inf"), ("--k-inf", "inf"),
-                                             ("--k0", "1e-200")])
+    @pytest.mark.parametrize("flag, value", [("--k0", "1e200"), ("--n0", "1e-300"), ("--n0", "inf"),
+                                             ("--v0", "inf"), ("--k-inf", "inf"), ("--k0", "1e-200")])
     def test_unusable_constant_usage_error(self, tmp_path, capsys, flag, value):
         # Unchecked, these end in a traceback (OverflowError, ZeroDivisionError) or in
         # RuntimeWarnings and a numeric error; tier-1 fails any warning.  k0 = 1e-200
@@ -409,7 +411,7 @@ class TestGenSynthetic:
 @pytest.mark.parametrize("config, args, code, needle", [
     ({"sigma_out": {**CONST, "value": -0.004}}, None, 2, "sigma_out(x)"),
     ({"diffusion": {**CONST, "value": -1e-9}}, None, 2, "diffusion(x)"),
-    ({"dt": 2.0}, None, 2, "tau"),
+    ({"dt": 2.0}, None, 2, "exceeds one tick"),
     ({"diffusion": {**CONST, "value": 1e-6}}, None, 2, "stability bound violated: max D*dt/dx^2 = 25"),
     ({"diffusion": {**CONST, "value": 2e-8}}, None, 2, "max D*dt/dx^2 = 0.5"),
     (None, ["fp", "--k0", "1", "--k-inf", "0.3", "--k1", "0.25", "--v0", "1", "--n0", "0.5"],

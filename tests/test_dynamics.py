@@ -28,6 +28,8 @@ from bookfield.field import (
 )
 from bookfield.stable_noise import StableParams, draw, sample_one_sided_stable
 
+from _cf_runs import CF_ACTIVITY, CF_STATIC_ALPHA, cf_config, run_cf
+
 
 def make_params(
     sigma_in=0.0,
@@ -40,16 +42,14 @@ def make_params(
     activity=None,
     n0_floor=1e-6,
     alpha=0.5,
-    scale=1.0,
     quantile=0.9,
 ):
     return ModelParams(
-        stable=StableParams(alpha=alpha, scale=scale, truncation_quantile=quantile),
+        stable=StableParams(alpha=alpha, truncation_quantile=quantile),
         sigma_in=profiles.constant(sigma_in),
         sigma_out=profiles.constant(sigma_out),
         diffusion=profiles.constant(diffusion),
         mo=MarketOrderParams(k0=k0, k_inf=k_inf, k1=k1, v0=v0),
-        tau=1.0,
         n0_floor=n0_floor,
         activity=activity,
     )
@@ -261,18 +261,18 @@ class TestStep:
     def test_placement_only_mean_matches_single_cell_oracle(self):
         # Independent oracle: the mean increment per tick is sigma_in * E[xi] * dt,
         # with E[xi] estimated from direct draws of the same law.
-        sp = StableParams(alpha=0.5, scale=0.7, truncation_quantile=0.9)
-        params = make_params(sigma_in=0.05, alpha=0.5, scale=0.7, quantile=0.9)
+        sp = StableParams(alpha=0.5, scale=1.0, truncation_quantile=0.9)
+        params = make_params(sigma_in=0.035, alpha=0.5, quantile=0.9)
         n_steps, length = 400, 64
         f = new_field(length, 0.01, lambda x: np.zeros_like(x))
         simulate(params, f, steps=n_steps, dt=1.0, seed=101, tracked_cells=np.arange(length))
         lattice_mean = float(np.mean(f.bid))  # average over cells
         oracle = sample_one_sided_stable(sp, 200_000, seed=999)
-        mean_inc = 0.05 * float(np.mean(oracle))
-        se = 0.05 * float(np.std(oracle)) / np.sqrt(len(oracle))
+        mean_inc = 0.035 * float(np.mean(oracle))
+        se = 0.035 * float(np.std(oracle)) / np.sqrt(len(oracle))
         expected = n_steps * mean_inc
         # lattice mean pools length cells x n_steps draws of the same law
-        lattice_se = 0.05 * float(np.std(oracle)) * np.sqrt(n_steps) / np.sqrt(length)
+        lattice_se = 0.035 * float(np.std(oracle)) * np.sqrt(n_steps) / np.sqrt(length)
         tol = 4.0 * np.hypot(n_steps * se, lattice_se)
         assert abs(lattice_mean - expected) < tol
 
@@ -306,8 +306,13 @@ class TestStep:
     def test_dt_above_tau_rejected(self):
         params = make_params()
         f = new_field(16, 0.01, lambda x: np.full_like(x, 2.0))
-        with pytest.raises(ValueError, match="tau"):
+        with pytest.raises(ValueError, match="exceeds one tick"):
             step(f, 0.0, params, 2.0, np.random.default_rng(0))
+
+    def test_stable_scale_other_than_one_rejected(self):
+        # sigma_in and sigma_out carry the noise scales, so a stable scale would be a second copy
+        with pytest.raises(ValueError, match="stable.scale must be 1, got 0.8: sigma_in and sigma_out"):
+            dataclasses.replace(make_params(), stable=StableParams(scale=0.8))
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_run_of_no_ticks_rejected_before_mutation(self, steps):
@@ -409,6 +414,52 @@ class TestStep:
         assert float(np.std(res.velocities)) == pytest.approx(4.539886516282304e-05, rel=1e-9)
         assert float(np.mean(res.n0s)) == pytest.approx(91.23833328272812, rel=1e-9)
         assert float(f.bid.sum()) == pytest.approx(4640.945202690273, rel=1e-9)
+
+
+def gauged(cfg: dict, lam: float) -> dict:
+    """cfg with every volume scaled by lam: sigma_in, init_profile, k0, k_inf, k1, n0_floor
+    and the activity's k0_in, k_inf_in and k1_in.  sigma_out, D, v0, v0_in, dx and dt stay."""
+    def times(spec):
+        return {k: lam * v if k in ("value", "amplitude", "floor") else v for k, v in spec.items()}
+
+    out = {**cfg, "sigma_in": times(cfg["sigma_in"]), "init_profile": times(cfg["init_profile"]),
+           "mo": {**cfg["mo"], **{k: lam * cfg["mo"][k] for k in ("k0", "k_inf", "k1")}},
+           "n0_floor": lam * cfg["n0_floor"]}
+    if cfg["activity"]:
+        out["activity"] = {**cfg["activity"],
+                           **{k: times(cfg["activity"][k]) for k in ("k0_in", "k_inf_in", "k1_in")}}
+    return out
+
+
+GAUGE_CONFIGS = {"reference": cf_config(steps=3000), "static-alpha": CF_STATIC_ALPHA,
+                 "activity": CF_ACTIVITY}
+VOLUME_ARRAYS = ("n0s", "mo_buy", "mo_sell", "spill_bid", "spill_ask", "bid_tracks", "ask_tracks")
+
+
+class TestVolumeGauge:
+    """Every CF operation is linear in volume but the min, max and floor, which commute with
+    a positive scale; so scaling every volume by lam leaves v as it is and scales the book.
+    CS and KSTT draw Poisson counts and have no such symmetry."""
+
+    @pytest.fixture(scope="class", params=sorted(GAUGE_CONFIGS))
+    def name_and_run(self, request):
+        return request.param, run_cf(GAUGE_CONFIGS[request.param])
+
+    @pytest.mark.parametrize("lam", [2.0, 0.25, 1024.0])
+    def test_power_of_two_scales_every_volume_exactly(self, name_and_run, lam):
+        name, (res, field) = name_and_run
+        got, got_field = run_cf(gauged(GAUGE_CONFIGS[name], lam))
+        assert got.velocities.tobytes() == res.velocities.tobytes()
+        assert np.array_equal(got.times, res.times)
+        for array in VOLUME_ARRAYS:
+            assert np.array_equal(getattr(got, array), lam * getattr(res, array)), array
+        assert np.array_equal(got_field.book, lam * field.book)
+
+    def test_other_scale_moves_velocity_by_rounding_only(self, name_and_run):
+        name, (res, _) = name_and_run
+        got, _ = run_cf(gauged(GAUGE_CONFIGS[name], 3.0))
+        v = res.velocities
+        assert np.max(np.abs(got.velocities - v)) <= 1e-13 * np.max(np.abs(v))
 
 
 class TestBackgroundFill:

@@ -7,7 +7,6 @@ from bookfield.fokker_planck import (
     _exponent_profile,
     FPParams,
     diffusion_coefficient,
-    drift,
     gaussian_core_width,
     log_log_slope,
     make_grid,
@@ -20,39 +19,23 @@ from bookfield.fokker_planck import (
 from _oracles import em_velocity_samples, ks_distance_vs_density
 
 
-class TestDrift:
-    def test_zero(self):
-        assert drift(0.0, 1.0) == 0.0
-
-    def test_definition(self):
-        assert drift(2.0, 1.0) == -2.0
-
-    def test_linearity(self):
-        for a in (0.5, 3.0, -2.0):
-            assert drift(a * 1.7, 0.3) == pytest.approx(a * drift(1.7, 0.3), rel=1e-15)
-
-    def test_bad_tau(self):
-        with pytest.raises(ValueError):
-            drift(1.0, 0.0)
-
-
-BASE = FPParams(k0=1.0, k_inf=0.3, k1=0.25, v0=1.0, n0=1.0, tau=1.0)
+BASE = FPParams(k0=1.0, k_inf=0.3, k1=0.25, v0=1.0, n0=1.0)
 
 
 class TestDiffusionCoefficient:
     def test_zero_velocity_k1_equals_kinf(self):
-        p = FPParams(k0=1.0, k_inf=0.3, k1=0.3, v0=1.0, n0=1.0, tau=1.0)
+        p = FPParams(k0=1.0, k_inf=0.3, k1=0.3, v0=1.0, n0=1.0)
         assert diffusion_coefficient(0.0, p) == 0.0
 
     def test_large_velocity_limit(self):
         val = diffusion_coefficient(80.0 * BASE.v0, BASE)
-        expected = BASE.v0**2 * (BASE.k0**2 + BASE.k_inf) / (BASE.n0**2 * BASE.tau**2)
+        expected = BASE.v0**2 * (BASE.k0**2 + BASE.k_inf) / BASE.n0**2
         assert val == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.filterwarnings("error")
     def test_no_overflow_at_large_velocity(self):
         val = diffusion_coefficient(1e3 * BASE.v0, BASE)
-        expected = BASE.v0**2 * (BASE.k0**2 + BASE.k_inf) / (BASE.n0**2 * BASE.tau**2)
+        expected = BASE.v0**2 * (BASE.k0**2 + BASE.k_inf) / BASE.n0**2
         assert val == pytest.approx(expected, rel=1e-12)
 
     def test_even_function(self):
@@ -105,7 +88,7 @@ class TestStationaryDensity:
         assert np.allclose(d.density, d.density[::-1], rtol=1e-6)
 
     def test_mid_regime_slope(self):
-        p = FPParams(k0=1.0, k_inf=2e-8, k1=1e-8, v0=1.0, n0=1.0, tau=1.0)
+        p = FPParams(k0=1.0, k_inf=2e-8, k1=1e-8, v0=1.0, n0=1.0)
         grid = make_grid(p, points=4001)
         d = stationary_density(p, grid)
         vc = gaussian_core_width(p)
@@ -113,11 +96,11 @@ class TestStationaryDensity:
         assert slope == pytest.approx(-4.0, abs=0.15)
 
     def test_small_v_regime_is_gaussian(self):
-        # the exponent integral contributes exp(-n0^2 tau v^2 / (v0^2 (k_inf-k1)))
+        # the exponent integral contributes exp(-n0^2 v^2 / (v0^2 (k_inf-k1)))
         # and the 2/sigma^2 prefactor adds (k0^2+k1)/(v0^2 (k_inf-k1)) to the
         # quadratic coefficient, so the core is Gaussian with variance
-        # v0^2 (k_inf - k1) / (2 (n0^2 tau + k0^2 + k1))
-        p = FPParams(k0=1.0, k_inf=0.5, k1=0.2, v0=1.0, n0=1.5, tau=1.0)
+        # v0^2 (k_inf - k1) / (2 (n0^2 + k0^2 + k1))
+        p = FPParams(k0=1.0, k_inf=0.5, k1=0.2, v0=1.0, n0=1.5)
         grid = make_grid(p, points=4001)
         d = stationary_density(p, grid)
         vc = gaussian_core_width(p)
@@ -129,7 +112,7 @@ class TestStationaryDensity:
         r2 = 1.0 - np.sum(resid**2) / np.sum((y - y.mean()) ** 2)
         assert r2 > 0.99
         var_pred = p.v0**2 * (p.k_inf - p.k1) / (
-            2.0 * (p.n0**2 * p.tau + p.k0**2 + p.k1)
+            2.0 * (p.n0**2 + p.k0**2 + p.k1)
         )
         assert -coef[0] == pytest.approx(1.0 / (2.0 * var_pred), rel=0.05)
 
@@ -140,12 +123,12 @@ class TestStationaryDensity:
         assert ks_distance_vs_density(samples, d.grid, d.density) < 0.02
 
     def test_non_normalizable_when_core_absent(self):
-        p = FPParams(k0=1.0, k_inf=0.3, k1=0.3, v0=1.0, n0=1.0, tau=1.0)
+        p = FPParams(k0=1.0, k_inf=0.3, k1=0.3, v0=1.0, n0=1.0)
         with pytest.raises(NumericError, match="non-normalizable"):
             stationary_density(p, make_grid(p))
         # a grid deep in the Gaussian far tail: the density underflows to 0
         # beyond its first point, so the inner slope is taken from log density
-        p = FPParams(k0=1.0, k_inf=0.3, k1=0.3, v0=5e-5, n0=1.0, tau=1.0)
+        p = FPParams(k0=1.0, k_inf=0.3, k1=0.3, v0=5e-5, n0=1.0)
         pos = np.linspace(1e-3, 5.0, 500)
         with pytest.raises(NumericError, match="non-normalizable"):
             stationary_density(p, np.concatenate([-pos[::-1], pos]))
@@ -169,7 +152,7 @@ class TestExponentProfile:
         def integrand(u):
             w = u / p.v0
             bracket = p.k0**2 * mp.tanh(w) ** 2 + (p.k_inf - p.k1 * mp.sech(w) ** 2)
-            return 2 * (-u / p.tau) / (p.v0**2 / (p.n0**2 * p.tau**2) * bracket)
+            return 2 * -u / (p.v0**2 / p.n0**2 * bracket)
 
         # breakpoints a factor ~e apart resolve the core and the 1/u regime
         start = half[1] if half[0] > 0.0 else min(half[1], gaussian_core_width(p))
@@ -179,11 +162,11 @@ class TestExponentProfile:
 
     @pytest.mark.parametrize("p, grid", [
         (BASE, None),
-        (FPParams(k0=1.0, k_inf=0.5, k1=0.2, v0=1.0, n0=1.5, tau=1.0), None),
-        (FPParams(k0=2.0, k_inf=0.5, k1=0.1, v0=0.3, n0=3.0, tau=2.5), None),
-        (FPParams(k0=1.0, k_inf=0.3, k1=0.3, v0=1.0, n0=1.0, tau=1.0), None),  # sigma^2(0) = 0
+        (FPParams(k0=1.0, k_inf=0.5, k1=0.2, v0=1.0, n0=1.5), None),
+        (FPParams(k0=2.0, k_inf=0.5, k1=0.1, v0=0.3, n0=3.0), None),
+        (FPParams(k0=1.0, k_inf=0.3, k1=0.3, v0=1.0, n0=1.0), None),  # sigma^2(0) = 0
         # a coarse grid: [0, 0.02] spans ~200 core widths (1e-4), [0.02, 0.04] a ratio of 2
-        (FPParams(k0=1.0, k_inf=2e-8, k1=1e-8, v0=1.0, n0=1.0, tau=1.0), np.linspace(-5, 5, 501)),
+        (FPParams(k0=1.0, k_inf=2e-8, k1=1e-8, v0=1.0, n0=1.0), np.linspace(-5, 5, 501)),
     ], ids=[f"p{i}" for i in range(5)])
     def test_matches_mpmath(self, p, grid):
         grid = make_grid(p) if grid is None else grid
@@ -219,7 +202,7 @@ class TestVarianceGivenN0:
         assert abs(m1) < 1e-12 * m2 ** 0.5
 
     def test_large_n0_scaling_slope(self):
-        p = FPParams(k0=1.0, k_inf=0.3, k1=0.25, v0=1.0, n0=1.0, tau=1.0)
+        p = FPParams(k0=1.0, k_inf=0.3, k1=0.25, v0=1.0, n0=1.0)
         n0s = np.geomspace(8.0, 64.0, 5)
         var = [variance_given_n0(n, p) for n in n0s]
         slope = np.polyfit(np.log(n0s), np.log(var), 1)[0]
@@ -232,7 +215,7 @@ class TestVarianceGivenN0:
         assert abs(var_q - var_mc) / var_mc < 0.03
 
     def test_divergent_second_moment_flagged(self):
-        p = FPParams(k0=2.0, k_inf=0.3, k1=0.25, v0=1.0, n0=1.0, tau=1.0)
+        p = FPParams(k0=2.0, k_inf=0.3, k1=0.25, v0=1.0, n0=1.0)
         assert tail_exponent(p) <= 3.0
         with pytest.raises(NumericError, match="divergent"):
             variance_given_n0(p.n0, p)

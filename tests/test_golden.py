@@ -29,12 +29,11 @@ import re
 import numpy as np
 import pytest
 
-from bookfield import configs, profiles
+from bookfield import configs
 from bookfield.baselines import run_baseline
 from bookfield.cli import main
-from bookfield.dynamics import simulate
-from bookfield.field import MarketOrderParams, ModelParams, PlacementActivityParams, new_field
-from bookfield.stable_noise import StableParams
+
+from _cf_runs import CF_ACTIVITY, CF_STATIC_ALPHA, cf_config, run_cf
 
 RESULT_ARRAYS = ("times", "velocities", "n0s", "mo_buy", "mo_sell", "spill_bid", "spill_ask",
                  "tracked_cells", "bid_tracks", "ask_tracks")
@@ -77,44 +76,15 @@ def _reductions(row) -> dict:
 
 
 def cf_reference():
-    f = configs.reference_grid().new_field(configs.reference_init_profile())
-    return simulate(configs.reference_model_params(), f, steps=2000, dt=1.0, seed=11), f
+    return run_cf(cf_config(steps=2000, seed=11))
 
 
 def cf_activity():
-    # v0_in varies in x, so the placement response is evaluated cell by cell.
-    params = ModelParams(
-        stable=StableParams(alpha=0.7, scale=1.0, truncation_quantile=0.9),
-        sigma_in=profiles.constant(0.0),
-        sigma_out=profiles.constant(0.01),
-        diffusion=profiles.constant(1e-5),
-        mo=MarketOrderParams(k0=0.5, k_inf=0.2, k1=0.2, v0=1e-4),
-        n0_floor=0.5,
-        activity=PlacementActivityParams(
-            k0_in=profiles.constant(0.4),
-            k_inf_in=profiles.constant(0.5),
-            k1_in=profiles.constant(0.3),
-            v0_in=profiles.exp_decay(2e-4, 0.1, floor=5e-5),
-        ),
-    )
-    f = new_field(64, 0.01, lambda x: np.full_like(x, 4.0))
-    return simulate(params, f, steps=300, dt=1.0, seed=7), f
+    return run_cf(CF_ACTIVITY)
 
 
 def cf_static_alpha():
-    # Static placement off alpha = 1/2 with scale * dt = 0.4, not a power of two: pins the
-    # general stable fill and the three static noise folds over five noise chunks, the last
-    # one partial.  Volume spills past x = 0 on 45 of the 300 ticks.
-    params = ModelParams(
-        stable=StableParams(alpha=0.7, scale=0.8, truncation_quantile=0.99),
-        sigma_in=profiles.exp_decay(0.05, 0.02),
-        sigma_out=profiles.constant(0.004),
-        diffusion=profiles.constant(2e-9),
-        mo=MarketOrderParams(k0=2.0, k_inf=0.5, k1=0.5, v0=5e-5),
-        n0_floor=5.0,
-    )
-    f = new_field(64, 2e-4, profiles.exp_decay(12.5, 0.02))
-    return simulate(params, f, steps=300, dt=0.5, seed=3), f
+    return run_cf(CF_STATIC_ALPHA)
 
 
 def cs_reference():
@@ -457,29 +427,31 @@ def fp_outputs(tmp_path_factory) -> dict[str, str]:
 
 
 # density.csv and regime_report.json hold exp/log/tanh results, so they are pinned like the CF
-# files: the text with every number replaced by ``#``, plus reductions of the numbers.
+# files: the text with every number replaced by ``#``, plus reductions of the numbers.  The four
+# density.csv entries were re-recorded when fp lost --tau: the header's params lost "tau": 1.0,
+# so each has one number fewer and sums lower by 1.0; every density row kept its bytes.
 FP_GOLDEN = {
     "n0_1/density.csv": (
-        "b4bce2080f75a713148ad5684f67fd834b77168b35b75bb6bb88e16291e77c08",
-        4014, 6871.946500284148, 4019419.223424235, 2001.0),
+        "5d40c72c14cd7361e76450b69c8cf415bbdec6cb0cd26ccf33ceacb5ec95c0b7",
+        4013, 6870.946500284147, 4019418.223424236, 2001.0),
     "n0_1/regime_report.json": (
         "bebf5600c885939ce8de4d8082f7410d76e708dcd703da82bc903b0a2112881f",
         5, 6.2485912708605085, 18.04236111160384, 4.0),
     "n0_16/density.csv": (
-        "b4bce2080f75a713148ad5684f67fd834b77168b35b75bb6bb88e16291e77c08",
-        4014, 20243.61640472384, 4537609.1986621255, 2001.0),
+        "5d40c72c14cd7361e76450b69c8cf415bbdec6cb0cd26ccf33ceacb5ec95c0b7",
+        4013, 20242.61640472384, 4537608.1986621255, 2001.0),
     "n0_16/regime_report.json": (
         "bebf5600c885939ce8de4d8082f7410d76e708dcd703da82bc903b0a2112881f",
         5, 516.2000980523105, 264198.0400000096, 514.0),
     "n0_4/density.csv": (
-        "b4bce2080f75a713148ad5684f67fd834b77168b35b75bb6bb88e16291e77c08",
-        4014, 11387.889329867763, 4078760.2677952587, 2001.0),
+        "5d40c72c14cd7361e76450b69c8cf415bbdec6cb0cd26ccf33ceacb5ec95c0b7",
+        4013, 11386.889329867763, 4078759.2677952596, 2001.0),
     "n0_4/regime_report.json": (
         "bebf5600c885939ce8de4d8082f7410d76e708dcd703da82bc903b0a2112881f",
         5, 36.201625826121756, 1158.0400026433106, 34.0),
     "n0_4_points_4001/density.csv": (
-        "f1f259bde2814bb63a9eaeec015b30ff2047cdb4a363412e0fc9104b6ea5c93e",
-        8014, 22746.32794246165, 16157303.524348795, 4001.0),
+        "2a52873a9bbba2e74c5b4dacf5c3c3b903f1576c515f57b978f6c890510f9fc2",
+        8013, 22745.32794246165, 16157302.524348795, 4001.0),
     "n0_4_points_4001/regime_report.json": (
         "bebf5600c885939ce8de4d8082f7410d76e708dcd703da82bc903b0a2112881f",
         5, 36.201625826121756, 1158.0400026433106, 34.0),

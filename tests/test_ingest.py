@@ -222,7 +222,7 @@ TICK_FIELDS = ("times", "velocities", "n0s", "mo_buy", "mo_sell", "spill_bid", "
 
 def cf_run(steps):
     params = ModelParams(
-        stable=StableParams(alpha=0.5, scale=1.0, truncation_quantile=0.99),
+        stable=StableParams(alpha=0.5, truncation_quantile=0.99),
         sigma_in=profiles.exp_decay(0.05, 0.02),
         sigma_out=profiles.constant(0.004),
         diffusion=profiles.constant(2e-9),
@@ -386,6 +386,17 @@ class TestStepRecordErrors:
         body = [*lines[1:3], "\n", " \n", *lines[3:]]
         body[bad - 2] = change(body[bad - 2])
         with pytest.raises(DataError, match=f"step-record line {bad}: .*{words}"):
+            read_step_records_frame([lines[0], *body])
+
+    def test_blank_lines_are_skipped_and_counted(self, lines):
+        # An empty line and a line of spaces and a tab, at the end of the first block of
+        # records, read to the frame of the file without them.
+        body = [*lines[1:B], "\n", " \t \n", *lines[B:]]
+        assert_frames_identical(read_step_records_frame([lines[0], *body]),
+                                read_step_records_frame(lines))
+        # body[i] is line i + 2 of the file, the blank lines counted
+        body[B + 5] = body[B + 5][:16] + "null" + body[B + 5][20:]
+        with pytest.raises(DataError, match=f"step-record line {B + 7}: non-hexadecimal"):
             read_step_records_frame([lines[0], *body])
 
     def test_final_line_cut_inside_its_last_number_is_data_error(self, lines):
