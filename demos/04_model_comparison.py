@@ -17,10 +17,10 @@ At 150,000 ticks and seed 11 (the CF run tracks 8 log-spaced cells):
   1.04-1.25; whether cf's rise comes from the frame shift alone is not checked.
 """
 import numpy as np
-from scipy import stats
 
 from bookfield import configs
 from bookfield.analyzers import (
+    excess_kurtosis,
     return_distribution,
     rms_delta_vs_velocity,
     velocity_volume_correlation,
@@ -48,7 +48,7 @@ for name, res in runs:
     v = res.velocities[STEPS // 5:]
     rd = return_distribution(v, tau=1.0)
     tail = f"{rd.tail_exponent:.2f}" if rd.tail_exponent else "n/a"
-    print(f"{name:6s} {stats.kurtosis(v):12.2f} {tail:>14s}  flags={rd.flags}")
+    print(f"{name:6s} {excess_kurtosis(v):12.2f} {tail:>14s}  flags={rd.flags}")
 
 print("\ncorr(v, dn_bid) at the first tracked cell and at the one nearest 0.8 of the last:")
 for name, res in runs:

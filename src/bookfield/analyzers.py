@@ -38,6 +38,7 @@ __all__ = [
     "rms_delta_vs_velocity",
     "fit_market_order_response",
     "hill_tail_index",
+    "excess_kurtosis",
 ]
 
 _FIT_SEED = 718293  # fixed so analyzers stay deterministic per input
@@ -319,6 +320,16 @@ def hill_tail_index(samples: np.ndarray, top_fraction: float) -> float:
     if s[-1] == s[-k - 1]:
         raise DataError(f"the top {k + 1} samples tie at {s[-1]:g}; the Hill estimate is undefined")
     return float(1.0 / np.mean(np.log(s[-k:] / s[-k - 1])))
+
+
+def excess_kurtosis(v: np.ndarray) -> float:
+    """Biased Fisher excess kurtosis as scipy.stats.kurtosis computes it; NaN, unwarned, at zero variance."""
+    mean = np.mean(v)
+    d2 = np.square(v - mean)
+    m2 = np.mean(d2)
+    if m2 <= (np.finfo(float).eps * mean) ** 2:  # scipy's zero-variance threshold
+        return float("nan")
+    return float(np.mean(np.square(d2)) / m2**2 - 3.0)
 
 
 def return_distribution(velocities: np.ndarray, tau: float) -> ReturnDistribution:

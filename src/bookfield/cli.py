@@ -288,16 +288,6 @@ def cmd_fp(args) -> int:
     return 0
 
 
-def _excess_kurtosis(v: np.ndarray) -> float:
-    """Biased Fisher excess kurtosis as scipy.stats.kurtosis computes it; NaN, unwarned, at zero variance."""
-    mean = np.mean(v)
-    d2 = np.square(v - mean)
-    m2 = np.mean(d2)
-    if m2 <= (np.finfo(float).eps * mean) ** 2:  # scipy's zero-variance threshold
-        return math.nan
-    return float(np.mean(np.square(d2)) / m2**2 - 3.0)
-
-
 def cmd_compare(args) -> int:
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     if not models or any(m not in configs.MODELS for m in models):
@@ -313,7 +303,7 @@ def cmd_compare(args) -> int:
         results = {name: _write_statistic(name, frame, 1.0, out, prefix=f"{model}_")[0]
                    for name in COMPARE_STATISTICS}
         summary[model] = _run_summary(result, results["return-distribution"],
-                                      excess_kurtosis=_excess_kurtosis(result.velocities))
+                                      excess_kurtosis=analyzers.excess_kurtosis(result.velocities))
     (out / "comparison.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary, indent=2))
     return 0

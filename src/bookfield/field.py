@@ -137,8 +137,7 @@ class ModelParams:
 
     ``sigma_in`` is the static placement scale used when ``activity`` is None;
     with activity present the placement scale is the velocity-coupled activity
-    function evaluated per side.  sigma_in and sigma_out carry the noise
-    scales, so ``stable.scale`` must be 1.  Time is in ticks, the native unit of
+    function evaluated per side.  Time is in ticks, the native unit of
     the empirical fits: a step of dt <= 1 scales each increment of a tick by dt.
 
     Only the scalars are checked here; the CF engine in ``dynamics`` checks
@@ -154,9 +153,6 @@ class ModelParams:
     activity: PlacementActivityParams | None = None
 
     def __post_init__(self) -> None:
-        if self.stable.scale != 1.0:
-            raise ValueError(f"stable.scale must be 1, got {self.stable.scale}: sigma_in and "
-                             "sigma_out carry the CF noise scales")
         if not (self.n0_floor > 0.0):
             raise ValueError(f"n0_floor must be positive, got {self.n0_floor}")
 

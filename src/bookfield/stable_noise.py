@@ -14,20 +14,18 @@ At alpha = 1/2 the unit law is exactly Levy with location 0 and scale
 c = 1/2, CDF erfc(sqrt(1/(4x))).  There the Kanter form is
 X = 1/(4 W cos(U/2)**2), and 2 W cos(U/2)**2 = Z**2 for a standard normal Z
 (Box-Muller), so the sampler draws X = 1/(2 Z**2): one standard normal per
-variate, where every other alpha takes one uniform and one exponential.  A
-draw at scale ``c`` is exactly ``c`` times a unit draw under matching seeds.
+variate, where every other alpha takes one uniform and one exponential.
 
 Draws can be capped at a configurable quantile of the unit law to keep a
 single astronomically large variate from destroying a lattice cell.  At
 alpha = 1/2 the cap is the closed-form quantile 1/(4 erfcinv(q)**2); every
-other alpha inverts the convergent series for the unit survival function, not
-an asymptotic, and only that path imports scipy.
+other alpha bisects the unit survival function, an integral over the Kanter
+angle summed by adaptive Gauss-Legendre quadrature to ~1e-14 relative.
 """
 from __future__ import annotations
 
 import math
 import statistics
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,20 +44,17 @@ class StableParams:
     """Parameters of the one-sided stable law used for noise generation.
 
     alpha: stability index, must lie in (0, 1) for one-sided support.
-    scale: multiplicative scale in order-volume units (the CF model requires 1); 0 forces all draws to 0.
     truncation_quantile: draws above this quantile of the law are capped;
         1.0 disables truncation.
     """
 
     alpha: float = 0.5
-    scale: float = 1.0
     truncation_quantile: float = 1.0 - 1e-6
+    scale = 1.0  # a constant, not a field: draws are unit scale, and sigma_in and sigma_out scale them
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not (self.scale >= 0.0):
-            raise ValueError(f"scale must be >= 0, got {self.scale}")
         if not (0.0 < self.truncation_quantile <= 1.0):
             raise ValueError(
                 f"truncation_quantile must be in (0, 1], got {self.truncation_quantile}"
@@ -89,48 +84,58 @@ def unit_survival(alpha: float, x: float) -> float:
     From the Kanter representation X = (A(theta)/W)^((1-alpha)/alpha) with theta
     uniform on (0, pi) and W unit exponential,
 
-        P(X <= x) = (1/pi) int_0^pi exp(-A(theta) x^(-alpha/(1-alpha))) dtheta,
+        P(X > x) = (1/pi) int_0^pi -expm1(-A(theta) x^(-alpha/(1-alpha))) dtheta,
 
-    a smooth positive integrand with no cancellation at any x.
+    a smooth positive integrand with no cancellation at any x.  It is summed in
+    s = pi - theta, where A ~ [sin(pi alpha)/s]^(1/(1-alpha)) keeps its relative
+    precision, by an 8-node Gauss-Legendre rule that halves each piece until the
+    piece and its halves agree to 1e-14 of the total.  The first pieces grow by
+    e from the boundary layer at s ~ sin(pi alpha) x^-alpha up to pi.
     """
     if x <= 0.0:
         return 1.0
-    from scipy import integrate, special
-    y = x ** (-alpha / (1.0 - alpha))
+    from .fokker_planck import _GL_NODES, _GL_WEIGHTS
+    r = 1.0 / (1.0 - alpha)
+    ln_y = -alpha * r * math.log(x)
 
-    def integrand(theta):
-        return -math.expm1(-float(np.exp(_ln_kanter_a(alpha, theta))) * y)
+    def rule(lo, hi):
+        half = 0.5 * (hi - lo)
+        s = (lo + half)[:, None] + half[:, None] * _GL_NODES
+        ln_a = (np.log(np.sin(alpha * math.pi + (1.0 - alpha) * s))
+                + alpha * r * np.log(np.sin(alpha * (math.pi - s))) - r * np.log(np.sin(s)))
+        # exp stays finite below 700, and -expm1(-e^700) is already 1
+        return half * (-np.expm1(-np.exp(np.minimum(ln_a + ln_y, 700.0))) @ _GL_WEIGHTS)
 
-    # A(theta) ~ [sin(pi alpha)/(pi - theta)]^(1/(1-alpha)) near theta = pi, so
-    # for large x the integrand lives in a boundary layer of width ~ y^(1-alpha).
-    layer = math.sin(math.pi * alpha) * y ** (1.0 - alpha)
-    pieces = [0.0, math.pi]
-    if layer < 0.1:
-        pieces = [0.0, math.pi - 30.0 * layer, math.pi]
-    # absolute tolerance tied to the Pareto-tail estimate of the result
-    est = min(x ** (-alpha) / special.gamma(1.0 - alpha), 1.0)
-    epsabs = max(1e-280, 1e-6 * est * math.pi)
-    total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for lo, hi in zip(pieces[:-1], pieces[1:]):
-            val, _ = integrate.quad(integrand, lo, hi, limit=400, epsabs=epsabs, epsrel=1e-10)
-            total += val
-    return min(max(total / math.pi, 0.0), 1.0)
+    k = max(0, math.ceil(math.log(math.pi / math.sin(math.pi * alpha)) + alpha * math.log(x)))
+    ends = np.append(0.0, math.pi * np.exp(-np.arange(k, -1.0, -1.0)))
+    lo, hi = ends[:-1], ends[1:]
+    whole, total, splits = rule(lo, hi), 0.0, 0
+    while splits < 10_000:
+        mid = 0.5 * (lo + hi)
+        left, right = rule(lo, mid), rule(mid, hi)
+        halves = left + right
+        done = np.abs(halves - whole) <= 1e-14 * (total + halves.sum())
+        total += halves[done].sum()
+        if done.all():
+            return min(total / math.pi, 1.0)
+        splits += len(lo)
+        keep = ~done
+        lo, hi = np.append(lo[keep], mid[keep]), np.append(mid[keep], hi[keep])
+        whole = np.append(left[keep], right[keep])
+    raise ArithmeticError(f"unit_survival({alpha}, {x}) did not converge in {splits} splits")
 
 
 @lru_cache(maxsize=256)
 def unit_quantile(alpha: float, q: float) -> float:
-    """Unit-law quantile: 1/(4 erfcinv(q)**2) at alpha = 1/2, else by inverting the survival series."""
+    """Unit-law quantile: 1/(4 erfcinv(q)**2) at alpha = 1/2, else by bisecting the survival in ln x."""
     if not (0.0 < q < 1.0):
         raise ValueError(f"quantile must be in (0, 1), got {q}")
     if alpha == 0.5:
         z = statistics.NormalDist().inv_cdf(q / 2.0)  # erfcinv(q) = -z / sqrt(2)
         return 1.0 / (2.0 * z * z)
-    from scipy import optimize, special
     target = 1.0 - q
     # Bracket around the Pareto-tail estimate x ~ (Gamma(1-alpha) * (1-q))^(-1/alpha).
-    guess = (special.gamma(1.0 - alpha) * target) ** (-1.0 / alpha)
+    guess = (math.gamma(1.0 - alpha) * target) ** (-1.0 / alpha)
     lo, hi = guess, guess
     while unit_survival(alpha, lo) < target:
         lo /= 4.0
@@ -140,9 +145,14 @@ def unit_quantile(alpha: float, q: float) -> float:
         hi *= 4.0
         if hi > 1e300:
             raise ArithmeticError(f"failed to bracket quantile {q} for alpha={alpha}")
-    if lo == hi:
-        return lo
-    return float(optimize.brentq(lambda x: unit_survival(alpha, x) - target, lo, hi, xtol=1e-12, rtol=1e-12))
+    while True:  # until the geometric midpoint rounds to an endpoint
+        mid = min(max(math.sqrt(lo) * math.sqrt(hi), lo), hi)
+        if mid in (lo, hi):
+            return mid
+        if unit_survival(alpha, mid) > target:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _fill_unit(params: StableParams, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -171,13 +181,12 @@ def _fill_unit(params: StableParams, rng: np.random.Generator, out: np.ndarray) 
 def draw(params: StableParams, shape, rng: np.random.Generator) -> np.ndarray:
     """Draw truncated one-sided stable variates from an explicit RNG stream.
 
-    At alpha = 1/2 each variate is min(1/(2 Z**2), cap) * scale from one
+    At alpha = 1/2 each variate is min(1/(2 Z**2), cap) from one
     standard normal Z; every other alpha consumes one uniform and one
     exponential per variate.  The draws do not depend on the truncation
     setting, so draw sequences are reproducible from the stream state alone.
     """
-    x = _fill_unit(params, rng, np.empty(shape)[np.newaxis])[0]
-    return np.zeros(shape) if params.scale == 0.0 else np.multiply(x, params.scale, out=x)
+    return _fill_unit(params, rng, np.empty(shape)[np.newaxis])[0]
 
 
 def sample_one_sided_stable(params: StableParams, count: int, seed: int) -> np.ndarray:

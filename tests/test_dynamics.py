@@ -261,7 +261,7 @@ class TestStep:
     def test_placement_only_mean_matches_single_cell_oracle(self):
         # Independent oracle: the mean increment per tick is sigma_in * E[xi] * dt,
         # with E[xi] estimated from direct draws of the same law.
-        sp = StableParams(alpha=0.5, scale=1.0, truncation_quantile=0.9)
+        sp = StableParams(alpha=0.5, truncation_quantile=0.9)
         params = make_params(sigma_in=0.035, alpha=0.5, quantile=0.9)
         n_steps, length = 400, 64
         f = new_field(length, 0.01, lambda x: np.zeros_like(x))
@@ -308,11 +308,6 @@ class TestStep:
         f = new_field(16, 0.01, lambda x: np.full_like(x, 2.0))
         with pytest.raises(ValueError, match="exceeds one tick"):
             step(f, 0.0, params, 2.0, np.random.default_rng(0))
-
-    def test_stable_scale_other_than_one_rejected(self):
-        # sigma_in and sigma_out carry the noise scales, so a stable scale would be a second copy
-        with pytest.raises(ValueError, match="stable.scale must be 1, got 0.8: sigma_in and sigma_out"):
-            dataclasses.replace(make_params(), stable=StableParams(scale=0.8))
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_run_of_no_ticks_rejected_before_mutation(self, steps):

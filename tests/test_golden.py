@@ -109,16 +109,17 @@ CF_GOLDEN = {
         "spills": (4527.095472171975, 468368.34665530006, 243.6794269715368),
         "final": (8301.429753963277, 322945.75748722133, 128.29969692734747),
     }),
-    # Re-recorded when the activity response took the market-order expression
-    # order and the exp-based sech: elements moved by <= 2e-15 relative, these
-    # reductions by <= 1.6e-16.
+    # Re-recorded when the alpha != 1/2 cap moved from scipy's quad and brentq to the
+    # converged Gauss-Legendre quadrature and bisection: unit_quantile(0.7, 0.9) went
+    # from 6.516570937952462 (survival off by 1.8e-10 relative) to 6.516570939481008,
+    # +2.3e-10 relative, and these reductions moved by <= 7.6e-10.
     "cf_activity": (cf_activity, {
-        "v": (0.02485594230670171, 6.009595076242131e-06, 0.0004106292885175626),
-        "n0": (425.28466837894973, 1696.233098519056, 7.9555958780099285),
-        "mo": (0.013222658945529823, 6.947359621084024e-07, 6.931431560325492e-05),
-        "tracks": (3012.0393848678445, 5983.2602929126915, 3.982399875825843),
-        "spills": (0.4389329304960064, 0.045395067272569464, 0.19546353516008488),
-        "final": (2.589948773806362, 0.05378989421038102, 0.027366435119644286),
+        "v": (0.024855942308964922, 6.009595076471114e-06, 0.00041062928841584354),
+        "n0": (425.2846683427297, 1696.2330983566324, 7.9555958780099285),
+        "mo": (0.013222658946518598, 6.947359621788526e-07, 6.931431560253026e-05),
+        "tracks": (3012.0393846091065, 5983.260292363248, 3.982399875825867),
+        "spills": (0.438932930377149, 0.045395067249222376, 0.1954635351113582),
+        "final": (2.5899487728151085, 0.05378989416993475, 0.027366435112333363),
     }),
     # Recorded before the public re-exports, OrderBookField.copy and _TickEngine.rng were deleted.
     "cf_static_alpha": (cf_static_alpha, {

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from bookfield import fokker_planck
 from bookfield.stable_noise import (
     StableParams,
     _ln_kanter_a,
@@ -12,6 +13,8 @@ from bookfield.stable_noise import (
     unit_quantile,
     unit_survival,
 )
+
+from _oracles import stable_survival
 
 # The unit sampler has Laplace transform exp(-s^alpha); at alpha = 1/2 that is
 # the Levy law with c = 1/2, whose CDF is erfc(sqrt(c / (2 v))).
@@ -23,7 +26,7 @@ def levy_cdf(x):
 
 
 def test_cdf_matches_analytic_levy_at_alpha_half():
-    p = StableParams(alpha=0.5, scale=1.0, truncation_quantile=1.0)
+    p = StableParams(alpha=0.5, truncation_quantile=1.0)
     x = sample_one_sided_stable(p, 10**6, seed=123)
     xs = np.sort(x)
     emp = np.arange(1, len(xs) + 1) / len(xs)
@@ -31,15 +34,8 @@ def test_cdf_matches_analytic_levy_at_alpha_half():
     assert sup < 0.005
 
 
-def test_zero_scale_gives_zeros():
-    p = StableParams(alpha=0.7, scale=0.0)
-    x = sample_one_sided_stable(p, 100, seed=9)
-    assert x.shape == (100,)
-    assert np.all(x == 0.0)
-
-
 def test_hill_tail_index_matches_alpha():
-    p = StableParams(alpha=0.6, scale=1.0, truncation_quantile=1.0)
+    p = StableParams(alpha=0.6, truncation_quantile=1.0)
     x = np.sort(sample_one_sided_stable(p, 10**6, seed=77))
     k = int(0.01 * len(x))
     hill = 1.0 / np.mean(np.log(x[-k:] / x[-k - 1]))
@@ -58,21 +54,15 @@ def test_negative_count_rejected():
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
 def test_samples_nonnegative_and_deterministic(alpha):
-    p = StableParams(alpha=alpha, scale=2.0)
+    p = StableParams(alpha=alpha)
     a = sample_one_sided_stable(p, 5000, seed=42)
     b = sample_one_sided_stable(p, 5000, seed=42)
     assert np.all(a >= 0.0)
     assert np.array_equal(a, b)
 
 
-def test_scaling_is_exact_multiplication():
-    unit = sample_one_sided_stable(StableParams(alpha=0.6, scale=1.0), 2000, seed=5)
-    scaled = sample_one_sided_stable(StableParams(alpha=0.6, scale=3.5), 2000, seed=5)
-    assert np.array_equal(scaled, 3.5 * unit)
-
-
 def test_median_matches_levy_within_one_percent():
-    p = StableParams(alpha=0.5, scale=1.0, truncation_quantile=1.0)
+    p = StableParams(alpha=0.5, truncation_quantile=1.0)
     x = sample_one_sided_stable(p, 10**6, seed=2024)
     med_exact = LEVY_C / (2.0 * special.erfcinv(0.5) ** 2)
     assert abs(np.median(x) - med_exact) / med_exact < 0.01
@@ -84,7 +74,6 @@ def test_median_matches_levy_within_one_percent():
         {"alpha": 0.0},
         {"alpha": 1.0},
         {"alpha": 1.3},
-        {"scale": -1.0},
         {"truncation_quantile": 0.0},
         {"truncation_quantile": 1.5},
     ],
@@ -96,13 +85,13 @@ def test_invalid_params_rejected(kwargs):
 
 def test_truncation_caps_at_quantile():
     q = 0.99
-    p = StableParams(alpha=0.5, scale=2.0, truncation_quantile=q)
+    p = StableParams(alpha=0.5, truncation_quantile=q)
     x = sample_one_sided_stable(p, 200_000, seed=31)
     # exact Levy quantile: cap = c / (2 erfcinv(q)^2)
     cap_exact = LEVY_C / (2.0 * special.erfcinv(q) ** 2)
-    assert np.max(x) <= 2.0 * cap_exact * (1.0 + 1e-12)
+    assert np.max(x) <= cap_exact * (1.0 + 1e-12)
     assert abs(p.unit_cap - cap_exact) / cap_exact < 1e-9
-    frac_at_cap = np.mean(x >= 2.0 * cap_exact * (1.0 - 1e-9))
+    frac_at_cap = np.mean(x >= cap_exact * (1.0 - 1e-9))
     assert abs(frac_at_cap - (1.0 - q)) < 3e-3
 
 
@@ -116,6 +105,50 @@ def test_unit_survival_against_exact_and_scipy():
     for x in (0.5, 1.5, 6.0):
         ref = float(stats.levy_stable.sf(x, alpha, 1.0, loc=0.0, scale=s1))
         assert unit_survival(alpha, x) == pytest.approx(ref, rel=2e-4, abs=1e-7)
+
+
+# P(X > x) from _oracles.stable_survival (30-digit mpmath), recorded to 17 digits: the
+# 20 quadratures take ~2.5 s, so test_recorded_survival_is_the_oracles recomputes two.
+SURVIVAL_X = (0.05, 1.0, 40.0, 1e3, 1e6)
+RECORDED_SURVIVAL = {
+    0.3: (0.89744263353495679, 0.56755125899369503, 0.23079936359168530,
+          0.093449635173172500, 0.012153199870995555),
+    0.5: (0.99843459774199745, 0.52049987781304654, 0.089020707489366018,
+          0.017839754502932037, 0.00056418953653196118),
+    0.7: (1.0, 0.46281276667383963, 0.026047799171665994,
+          0.0026637052205216046, 2.1091719495197008e-05),
+    0.9: (1.0, 0.36802774444556162, 0.0039172882205210284,
+          0.00021007680357298774, 4.1846656028812142e-07),
+}
+
+
+@pytest.mark.parametrize("alpha, x", [(0.3, 1e6), (0.9, 40.0)])
+def test_recorded_survival_is_the_oracles(alpha, x):
+    assert RECORDED_SURVIVAL[alpha][SURVIVAL_X.index(x)] == stable_survival(alpha, x)
+
+
+@pytest.mark.parametrize("alpha", sorted(RECORDED_SURVIVAL))
+def test_unit_survival_matches_mpmath(alpha):
+    # The quadrature stops when every piece agrees with its halves to 1e-14 of the
+    # total; measured errors are <= 2e-15, so 1e-12 leaves room for platform libm.
+    got = [unit_survival(alpha, x) for x in SURVIVAL_X]
+    assert got == pytest.approx(RECORDED_SURVIVAL[alpha], rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+def test_mpmath_survival_at_unit_quantile_is_one_minus_q(alpha):
+    # Bisection stops at the last bit of x, so the survival there is 1 - q up to the
+    # quadrature's ~1e-14; measured errors are <= 2e-15.
+    for q in (0.9, 0.99, 1.0 - 1e-6):
+        assert stable_survival(alpha, unit_quantile(alpha, q)) == pytest.approx(1.0 - q, rel=1e-12)
+
+
+def test_survival_that_does_not_converge_raises(monkeypatch):
+    # With every node at the centre the rule is the midpoint rule, which would need
+    # ~1e7 pieces to reach 1e-14; the split budget runs out first.
+    monkeypatch.setattr(fokker_planck, "_GL_NODES", np.zeros(8))
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        unit_survival(0.7, 40.0)
 
 
 def test_unit_quantile_inverts_survival():
@@ -138,7 +171,7 @@ def test_unit_quantile_matches_closed_form_at_alpha_half():
 
 
 def test_draw_consumes_stream_reproducibly():
-    p = StableParams(alpha=0.5, scale=1.0)
+    p = StableParams(alpha=0.5)
     r1 = np.random.default_rng(8)
     r2 = np.random.default_rng(8)
     a = draw(p, (3, 7), r1)
@@ -149,7 +182,7 @@ def test_draw_consumes_stream_reproducibly():
 
 def test_draw_at_alpha_half_consumes_one_normal_per_variate():
     shape = (4, 33)
-    p = StableParams(alpha=0.5, scale=1.0, truncation_quantile=0.99)
+    p = StableParams(alpha=0.5, truncation_quantile=0.99)
     r1 = np.random.default_rng(21)
     r2 = np.random.default_rng(21)
     x = draw(p, shape, r1)
@@ -162,7 +195,7 @@ def test_draw_at_alpha_0_7_consumes_one_uniform_and_one_exponential():
     shape = (4, 33)
     r1 = np.random.default_rng(21)
     r2 = np.random.default_rng(21)
-    draw(StableParams(alpha=0.7, scale=1.0, truncation_quantile=0.99), shape, r1)
+    draw(StableParams(alpha=0.7, truncation_quantile=0.99), shape, r1)
     r2.uniform(0.0, np.pi, shape)
     r2.standard_exponential(shape)
     assert r1.bit_generator.state == r2.bit_generator.state
@@ -174,7 +207,7 @@ def test_alpha_half_law_matches_general_kanter_form():
     # side, D < 0.007 is the 1e-4 critical value (c = sqrt(ln(2 / 1e-4) / 2) = 2.22
     # times sqrt(2 / 2e5)), so a correct sampler fails it for ~1 seed in 1e4.
     n = 200_000
-    x = draw(StableParams(alpha=0.5, scale=1.0, truncation_quantile=1.0), n,
+    x = draw(StableParams(alpha=0.5, truncation_quantile=1.0), n,
              np.random.default_rng(61))
     rng = np.random.default_rng(62)
     u = rng.uniform(0.0, np.pi, n)
@@ -192,8 +225,8 @@ class _AtZeroNormal:
 
 
 def test_zero_normal_maps_to_cap_without_warning():
-    p = StableParams(alpha=0.5, scale=2.0, truncation_quantile=0.99)
+    p = StableParams(alpha=0.5, truncation_quantile=0.99)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x = draw(p, (4, 3), _AtZeroNormal())
-    assert np.all(x == 2.0 * p.unit_cap)
+    assert np.all(x == p.unit_cap)
